@@ -13,6 +13,7 @@ identity.
 from .numerics import (
     HVector,
     Interval,
+    ProductGrid,
     QuadGrid,
     build_grid,
     cumulative_integral,
@@ -23,6 +24,7 @@ from .numerics import (
     med3,
     norm_weighted,
     panels_for_oscillation,
+    product_grid,
     sample,
     truncate_line,
 )
@@ -44,9 +46,7 @@ from .transforms import (
 from .spaces import (
     RHO_REGISTRY,
     PaleyWienerSpace,
-    ProductGrid,
     SobolevSpace,
-    product_grid,
     sinc_identity_check,
     sinc_ratio,
     tensor_feature,
@@ -66,12 +66,9 @@ from .inversion import (
     restriction_isometry_check,
 )
 from .plancherel import (
-    BoxDomain,
-    FreqLattice,
     box_domain,
     box_inversion_check,
     fourier_on_lattice,
-    freq_lattice,
     indicator_hat,
     mutual_inverse_check,
     plancherel_norm_check,

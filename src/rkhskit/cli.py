@@ -31,8 +31,8 @@ from . import inversion as inv
 from .numerics import HVector, cumulative_integral, make_interval, sample
 from .reporting import REPORT_SCHEMA
 from .spaces import RHO_REGISTRY, PaleyWienerSpace, SobolevSpace
-from .suites import ConfigError, RunConfig, run_suite, suite_names
-from .transforms import build_span_basis, project_span, span_combination, transform
+from .suites import ConfigError, RunConfig, _pw_setup, _sobolev_setup, run_suite, suite_names
+from .transforms import project_span, span_combination, transform
 
 PASS_EXIT, FAIL_EXIT, CONFIG_EXIT = 0, 1, 2
 
@@ -53,6 +53,17 @@ def _thread_limit():
     except ImportError:
         return nullcontext()
     return threadpool_limits(limits=n)
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type for counts: a nonnegative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return n
 
 
 def _parse_points(text: str) -> list:
@@ -85,6 +96,15 @@ def _fmt(z) -> str:
     return format(v, ".12g")
 
 
+def _sobolev_from_args(args) -> SobolevSpace:
+    if args.rho not in RHO_REGISTRY:
+        raise ConfigError(f"unknown rho '{args.rho}'; known: {sorted(RHO_REGISTRY)}")
+    try:
+        return SobolevSpace(make_interval(args.lo, args.hi), args.c, RHO_REGISTRY[args.rho])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def cmd_kernel(args) -> int:
     if args.points:
         pts = _parse_points(args.points)
@@ -101,12 +121,7 @@ def cmd_kernel(args) -> int:
         space = PaleyWienerSpace(args.a)
         kfun = space.kernel
     else:
-        if args.rho not in RHO_REGISTRY:
-            raise ConfigError(f"unknown rho '{args.rho}'; known: {sorted(RHO_REGISTRY)}")
-        try:
-            space = SobolevSpace(make_interval(args.lo, args.hi), args.c, RHO_REGISTRY[args.rho])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        space = _sobolev_from_args(args)
         kfun = lambda x, y: complex(space.kernel(x, y))
     rows = []
     for x in pts:
@@ -134,12 +149,7 @@ def cmd_transform(args) -> int:
         fm = space.feature_map()
         default_probes = np.linspace(-8.0, 8.0, args.grid_probe)
     else:
-        if args.rho not in RHO_REGISTRY:
-            raise ConfigError(f"unknown rho '{args.rho}'; known: {sorted(RHO_REGISTRY)}")
-        try:
-            space = SobolevSpace(make_interval(args.lo, args.hi), args.c, RHO_REGISTRY[args.rho])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        space = _sobolev_from_args(args)
         fm = space.feature_map()
         pad = 0.05 * (args.hi - args.lo)
         default_probes = np.linspace(args.lo + pad, args.hi - pad, args.grid_probe)
@@ -188,19 +198,18 @@ def _read_samples_csv(path, grid) -> np.ndarray:
 def cmd_invert(args) -> int:
     probes = _parse_points(args.probes) if args.probes is not None else None
     if args.mode == "sobolev-span":
-        space = SobolevSpace(make_interval(-1.0, 1.0), 0.0)
-        pts = np.linspace(-0.9, 0.9, 15)
-        fm = space.feature_map(pts)
-        basis = build_span_basis(fm, pts)
-        if args.emit_grid:
-            _emit_grid_template(args.out, fm.grid)
-            return PASS_EXIT
+        space, fm, basis = _sobolev_setup(15)
+    else:
+        _, fm, basis = _pw_setup(22.0, np.arange(-20.0, 21.0))
+    if args.emit_grid:
+        _emit_grid_template(args.out, fm.grid)
+        return PASS_EXIT
+    source = HVector(fm.grid, _read_samples_csv(args.input, fm.grid)) if args.input else None
+    if args.mode == "sobolev-span":
         h_space = inv.EvaluableRKHS(
             fm.domain_label, kernel=lambda x, y: complex(space.kernel(x, y))
         )
-        if args.input:
-            vals = _read_samples_csv(args.input, fm.grid)
-            source = HVector(fm.grid, vals)
+        if source is not None:
             coeffs = project_span(source, basis)
         elif args.f == "span":
             rng = np.random.default_rng(args.seed)
@@ -208,64 +217,29 @@ def cmd_invert(args) -> int:
             source = span_combination(basis, coeffs)
         else:
             raise ConfigError("mode sobolev-span needs --f span or --input FILE")
-        image = transform(source, fm)
-        if probes is None:
-            probes = list(np.linspace(-0.95, 0.95, args.probe_count))
-        rows = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for t in probes:
-                got = inv.invert_at(image, float(t), h_space, basis)
-                ref = sum(c * space.kernel(float(t), float(x)) for c, x in zip(coeffs, basis.points))
-                rows.append(
-                    [
-                        _fmt(t),
-                        _fmt(got.real),
-                        _fmt(got.imag),
-                        _fmt(ref.real),
-                        _fmt(ref.imag),
-                        _fmt(abs(got - ref)),
-                    ]
-                )
-    elif args.mode == "pw-primitive":
-        space = PaleyWienerSpace(1.0, max_frequency=22.0)
-        fm = space.feature_map()
-        if args.emit_grid:
-            _emit_grid_template(args.out, fm.grid)
-            return PASS_EXIT
-        basis = build_span_basis(fm, np.arange(-20.0, 21.0))
+        recover = lambda image, t: inv.invert_at(image, t, h_space, basis)
+        reference = lambda t: sum(c * space.kernel(t, float(x)) for c, x in zip(coeffs, basis.points))
+        default_probes = np.linspace(-0.95, 0.95, args.probe_count)
+    else:
         seq = inv.indefinite_integral_sequence(fm, anchor=0.0)
-        if args.input:
-            vals = _read_samples_csv(args.input, fm.grid)
-            source = HVector(fm.grid, vals)
+        if source is not None:
             F = cumulative_integral(fm.grid, source.values)
             F0 = F(0.0)
             reference = lambda t: F(t) - F0
         elif args.f in ("one", "cos"):
-            fn = _BUILTIN_SOURCES[args.f]
-            source = sample(fm.grid, fn)
+            source = sample(fm.grid, _BUILTIN_SOURCES[args.f])
             reference = (lambda t: complex(t)) if args.f == "one" else (lambda t: complex(math.sin(t)))
         else:
             raise ConfigError("mode pw-primitive needs --f one, --f cos, or --input FILE")
-        image = transform(source, fm)
-        if probes is None:
-            probes = [0.25, 0.5, 1.0]
-        rows = []
-        for t in probes:
-            got = inv.generalized_invert_at(seq, image, float(t), basis)
-            ref = complex(reference(float(t)))
-            rows.append(
-                [
-                    _fmt(t),
-                    _fmt(got.real),
-                    _fmt(got.imag),
-                    _fmt(ref.real),
-                    _fmt(ref.imag),
-                    _fmt(abs(got - ref)),
-                ]
-            )
-    else:
-        raise ConfigError(f"unknown mode '{args.mode}'")
+        recover = lambda image, t: inv.generalized_invert_at(seq, image, t, basis)
+        default_probes = [0.25, 0.5, 1.0]
+    image = transform(source, fm)
+    rows = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for t in list(default_probes) if probes is None else probes:
+            got, ref = recover(image, float(t)), complex(reference(float(t)))
+            rows.append([_fmt(v) for v in (t, got.real, got.imag, ref.real, ref.imag, abs(got - ref))])
     _write_csv(args.out, ["t", "recovered_re", "recovered_im", "reference_re", "reference_im", "abs_err"], rows)
     return PASS_EXIT
 
@@ -354,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kernel.add_argument("--lo", type=float, default=-1.0)
     p_kernel.add_argument("--hi", type=float, default=1.0)
     p_kernel.add_argument("--c", type=float, default=0.0, help="anchor point (sobolev)")
-    p_kernel.add_argument("--grid-probe", type=int, default=5, help="probes per axis")
+    p_kernel.add_argument("--grid-probe", type=_nonnegative_int, default=5, help="probes per axis")
     p_kernel.add_argument("--points", help="explicit comma-separated probe list")
     p_kernel.add_argument("--out", help="output path (default stdout)")
     p_kernel.set_defaults(fn=cmd_kernel)
@@ -368,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--lo", type=float, default=-1.0)
     p_tr.add_argument("--hi", type=float, default=1.0)
     p_tr.add_argument("--c", type=float, default=0.0)
-    p_tr.add_argument("--grid-probe", type=int, default=9)
+    p_tr.add_argument("--grid-probe", type=_nonnegative_int, default=9)
     p_tr.add_argument("--points", help="explicit comma-separated probe list")
     p_tr.add_argument("--out", help="output path (default stdout)")
     p_tr.set_defaults(fn=cmd_transform)
@@ -380,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--f", default="span", help="builtin source: span, one, or cos")
     p_inv.add_argument("--input", help="CSV of source samples at the grid nodes (t,re,im)")
     p_inv.add_argument("--probes", help="comma-separated evaluation points (empty for none)")
-    p_inv.add_argument("--probe-count", type=int, default=9)
+    p_inv.add_argument("--probe-count", type=_nonnegative_int, default=9)
     p_inv.add_argument("--seed", type=int, default=42)
     p_inv.add_argument("--emit-grid", action="store_true", help="print the grid nodes and exit")
     p_inv.add_argument("--out", help="output path (default stdout)")

@@ -32,7 +32,7 @@ from .numerics import (
     sample,
     truncate_line,
 )
-from .spaces import PaleyWienerSpace, sinc_ratio
+from .spaces import PaleyWienerSpace, sinc_identity_check, sinc_ratio
 from .transforms import (
     FeatureMap,
     SpanBasis,
@@ -273,12 +273,9 @@ def restriction_isometry_check(
     window = truncate_line(radius)
     max_kernel_err = 0.0
     for i, xi in enumerate(pts):
-        for j in range(i + 1):
-            yj = pts[j]
-            panels = panels_for_oscillation(window.length, 2.0 * pw.a, minimum=16)
-            g = build_grid(window, panels, nodes_per_panel, breakpoints=(xi, yj))
-            vals = sinc_ratio(pw.a, g.nodes - xi) * sinc_ratio(pw.a, g.nodes - yj)
-            pairing = float(integrate(g, vals).real) / math.pi ** 2
+        for yj in pts[: i + 1]:
+            rep = sinc_identity_check(pw.a, xi, yj, radius, nodes_per_panel=nodes_per_panel)
+            pairing = rep.lhs / math.pi ** 2
             max_kernel_err = max(max_kernel_err, abs(pairing - pw.kernel(xi, yj).real))
 
     cs = np.ones(len(pts), dtype=complex) if coeffs is None else np.asarray(coeffs, dtype=complex)

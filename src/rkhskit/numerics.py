@@ -1,5 +1,6 @@
 """Quadrature substrate: intervals over the extended reals, composite
-Gauss-Legendre grids, and weighted complex inner products.
+Gauss-Legendre grids, their Cartesian products, and weighted complex inner
+products.
 
 Extended reals are represented as plain IEEE floats, so ``math.inf`` and
 ``-math.inf`` are legal interval endpoints.  Only comparison and the median
@@ -11,12 +12,21 @@ integration against ``dt``, and samples of a positive weight function ``rho``
 used by the weighted inner product.  The panel decomposition is kept around
 so per-panel polynomial operations (interpolation, differentiation,
 cumulative integration) remain available after construction.
+
+A :class:`ProductGrid` is the one multi-axis grid: a time box, a frequency
+lattice and the grid of a tensor feature map are all products of
+one-dimensional grids.  It keeps only the axes; the flattened nodes,
+weights and weight samples (row-major, last axis fastest) are built on
+first use, so per-axis consumers such as the Fourier contractions never
+pay for them.  :func:`product_grid` is the only place a node cap is
+enforced.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,11 +35,14 @@ from numpy.polynomial import legendre
 __all__ = [
     "Interval",
     "QuadGrid",
+    "ProductGrid",
     "HVector",
     "med3",
     "make_interval",
     "truncate_line",
     "build_grid",
+    "product_grid",
+    "PRODUCT_NODE_CAP",
     "sample",
     "integrate",
     "inner_weighted",
@@ -214,6 +227,83 @@ def build_grid(
     return QuadGrid(interval, nodes, weights, rho_vals, panel_edges, nodes_per_panel)
 
 
+PRODUCT_NODE_CAP = 10 ** 6
+
+
+@dataclass(frozen=True, eq=False)
+class ProductGrid:
+    """Cartesian product of one-dimensional grids, row-major node ordering.
+
+    ``max_frequency`` records the largest conjugate variable the axes were
+    built to resolve: frequencies for a time box, times for a frequency
+    box; None when unknown.
+    """
+
+    axes: tuple
+    max_frequency: float | None = None
+
+    @property
+    def ndim(self) -> int:
+        return len(self.axes)
+
+    @property
+    def shape(self) -> tuple:
+        return tuple(g.size for g in self.axes)
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+    @property
+    def half_widths(self) -> tuple:
+        return tuple(g.interval.hi for g in self.axes)
+
+    def mesh(self) -> list:
+        """Per-axis node coordinates broadcast to the full grid shape."""
+        return np.meshgrid(*[g.nodes for g in self.axes], indexing="ij")
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """(size, ndim) array of node coordinates."""
+        return _frozen(np.stack([m.ravel() for m in self.mesh()], axis=-1))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return _frozen(reduce(np.kron, [g.weights for g in self.axes]))
+
+    @cached_property
+    def rho_at_nodes(self) -> np.ndarray:
+        return _frozen(reduce(np.kron, [g.rho_at_nodes for g in self.axes]))
+
+    def compatible_with(self, other: object) -> bool:
+        if self is other:
+            return True
+        return (
+            type(other) is ProductGrid
+            and self.ndim == other.ndim
+            and all(a.compatible_with(b) for a, b in zip(self.axes, other.axes))
+        )
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def product_grid(
+    grids: Sequence[QuadGrid], cap: int = PRODUCT_NODE_CAP, max_frequency: float | None = None
+) -> ProductGrid:
+    """Product of one-dimensional grids, refused when it would hold more
+    than ``cap`` nodes."""
+    axes = tuple(grids)
+    if not axes:
+        raise ValueError("need at least one factor grid")
+    total = math.prod(g.size for g in axes)
+    if total > cap:
+        raise ValueError(f"product grid would hold {total} nodes, above the cap {cap}")
+    return ProductGrid(axes, None if max_frequency is None else float(max_frequency))
+
+
 @dataclass(frozen=True, eq=False)
 class HVector:
     """Samples of a square-integrable function at the nodes of a grid."""
@@ -250,7 +340,7 @@ def _require_same_grid(f: HVector, g: HVector) -> None:
         raise ValueError("vectors live on different grids")
 
 
-def integrate(grid: QuadGrid, values) -> complex:
+def integrate(grid: QuadGrid | ProductGrid, values) -> complex:
     """Integral of node samples against dt; the weight rho is not applied."""
     if isinstance(values, HVector):
         if not values.grid.compatible_with(grid):

@@ -7,30 +7,33 @@ close the pair comes to a unitary on the window (norm preservation, mutual
 inversion, and the indefinite-integral identity on N-dimensional boxes).
 Multi-axis sums are evaluated by per-axis kernel contractions, which is
 algebraically the same sum as over the full product grid.
+
+The two boxes are the same kind of object, a
+:class:`~rkhskit.numerics.ProductGrid` from :func:`box_domain`: a time box
+resolving frequencies up to ``max_frequency``, or a frequency box of
+half-width ``radius`` resolving times up to the time half-width.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .numerics import (
+    ProductGrid,
     QuadGrid,
     build_grid,
-    fsum_complex,
+    integrate,
     make_interval,
     panels_for_oscillation,
+    product_grid,
 )
 
 __all__ = [
-    "BoxDomain",
-    "FreqLattice",
     "box_domain",
-    "freq_lattice",
     "sample_on_box",
     "fourier_on_lattice",
     "transform_at",
@@ -54,105 +57,36 @@ def _chunk_rows(ncols: int) -> int:
     return max(1, _CHUNK_ELEMS // max(ncols, 1))
 
 
-def _check_axes(axes: Sequence[QuadGrid], max_ndim: int) -> tuple:
-    axes = tuple(axes)
-    if not 1 <= len(axes) <= max_ndim:
-        raise ValueError(f"dimension must be between 1 and {max_ndim}")
-    total = 1
-    for g in axes:
-        total *= g.size
-    if total > BOX_NODE_CAP:
-        raise ValueError(f"grid would hold {total} nodes, above the cap {BOX_NODE_CAP}")
-    return axes
-
-
-@dataclass(frozen=True, eq=False)
-class BoxDomain:
-    """Product of symmetric windows (-a_j, a_j) with per-axis grids.
-
-    ``max_frequency`` records the resolution the grids were built for; None
-    for hand-assembled boxes, which then skip the radius validation.
-    """
-
-    axes: tuple
-    max_frequency: float | None = None
-
-    @property
-    def ndim(self) -> int:
-        return len(self.axes)
-
-    @property
-    def shape(self) -> tuple:
-        return tuple(g.size for g in self.axes)
-
-    @property
-    def half_widths(self) -> tuple:
-        return tuple(g.interval.hi for g in self.axes)
-
-
-@dataclass(frozen=True, eq=False)
-class FreqLattice:
-    """Per-axis frequency grids on (-radius, radius)."""
-
-    axes: tuple
-
-    @property
-    def ndim(self) -> int:
-        return len(self.axes)
-
-    @property
-    def shape(self) -> tuple:
-        return tuple(g.size for g in self.axes)
-
-
 def box_domain(
     half_widths: Sequence[float],
     *,
     max_frequency: float,
     nodes_per_panel: int = 8,
     min_panels: int = 8,
-) -> BoxDomain:
-    """Box with per-axis grids fine enough for exp(-i t x) factors up to
-    |x| = max_frequency; pick max_frequency at least the frequency radius
-    the transform will be evaluated on."""
-    axes = []
-    for a in half_widths:
+) -> ProductGrid:
+    """Box prod_j (-a_j, a_j) with per-axis grids fine enough for
+    exp(-i t x) factors up to |x| = max_frequency; pick max_frequency at
+    least the frequency radius the transform will be evaluated on.
+
+    Axes with equal half-widths share one grid.  A frequency box is built
+    the same way, with the time half-width as its ``max_frequency``.
+    """
+    hws = tuple(half_widths)
+    if not 1 <= len(hws) <= 3:
+        raise ValueError("dimension must be between 1 and 3")
+    grids = {}
+    for a in hws:
         if not (math.isfinite(a) and a > 0):
             raise ValueError("half-widths must be positive and finite")
-        panels = panels_for_oscillation(2.0 * a, max_frequency, minimum=min_panels)
-        axes.append(build_grid(make_interval(-a, a), panels, nodes_per_panel))
-    return BoxDomain(_check_axes(axes, 3), max_frequency=float(max_frequency))
+        if a not in grids:
+            panels = panels_for_oscillation(2.0 * a, max_frequency, minimum=min_panels)
+            grids[a] = build_grid(make_interval(-a, a), panels, nodes_per_panel)
+    return product_grid([grids[a] for a in hws], cap=BOX_NODE_CAP, max_frequency=max_frequency)
 
 
-def freq_lattice(
-    radius: float,
-    ndim: int,
-    *,
-    rate: float,
-    nodes_per_panel: int = 8,
-    min_panels: int = 8,
-) -> FreqLattice:
-    """Frequency box (-radius, radius)^ndim resolving exp(i t x) factors with
-    |t| up to ``rate`` (normally the largest time half-width involved)."""
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError("radius must be positive and finite")
-    panels = panels_for_oscillation(2.0 * radius, rate, minimum=min_panels)
-    axis = build_grid(make_interval(-radius, radius), panels, nodes_per_panel)
-    return FreqLattice(_check_axes([axis] * ndim, 3))
-
-
-def _require_resolution(box: BoxDomain, radius: float) -> None:
-    if box.max_frequency is not None and radius > box.max_frequency * (1.0 + 1e-12):
-        raise ValueError(
-            f"box resolves frequencies up to {box.max_frequency:g}, "
-            f"below the requested radius {radius:g}"
-        )
-
-
-def sample_on_box(box: BoxDomain, fn: Callable) -> np.ndarray:
+def sample_on_box(box: ProductGrid, fn: Callable) -> np.ndarray:
     """Sample a vectorized callable of ndim arguments on the box grid."""
-    mesh = np.meshgrid(*[g.nodes for g in box.axes], indexing="ij")
-    return np.asarray(fn(*mesh), dtype=complex)
+    return np.asarray(fn(*box.mesh()), dtype=complex)
 
 
 def _axis_apply(arr: np.ndarray, axis: int, dst_nodes: np.ndarray, src: QuadGrid, sign: float) -> np.ndarray:
@@ -170,7 +104,7 @@ def _axis_apply(arr: np.ndarray, axis: int, dst_nodes: np.ndarray, src: QuadGrid
     return np.moveaxis(out, 0, axis)
 
 
-def fourier_on_lattice(values: np.ndarray, box: BoxDomain, lattice: FreqLattice) -> np.ndarray:
+def fourier_on_lattice(values: np.ndarray, box: ProductGrid, lattice: ProductGrid) -> np.ndarray:
     """Truncated Fourier transform of box samples, tabulated on the lattice.
 
     (2 pi)^(-N/2) * integral over the box of f(t) exp(-i t.x) dt, one kernel
@@ -191,8 +125,8 @@ def transform_at(values: np.ndarray, src_axes: Sequence[QuadGrid], points, sign:
     samples; ``sign=+1`` is the conjugate kernel integrated over frequency
     samples.  Points are an (M, N) array (or scalars for N = 1).
     """
-    axes = tuple(src_axes)
-    n = len(axes)
+    grid = product_grid(src_axes, cap=BOX_NODE_CAP)
+    n = grid.ndim
     pts = np.asarray(points, dtype=float)
     scalar = pts.ndim == 0
     if pts.ndim <= 1 and n == 1:
@@ -200,10 +134,8 @@ def transform_at(values: np.ndarray, src_axes: Sequence[QuadGrid], points, sign:
     pts = np.atleast_2d(pts)
     if pts.shape[1] != n:
         raise ValueError("point arity must match the grid dimension")
-    mesh = np.meshgrid(*[g.nodes for g in axes], indexing="ij")
-    nodes = np.stack([m.ravel() for m in mesh], axis=0)
-    wfull = reduce(np.kron, [g.weights for g in axes])
-    weighted = np.asarray(values, dtype=complex).ravel() * wfull
+    nodes = grid.nodes.T
+    weighted = np.asarray(values, dtype=complex).ravel() * grid.weights
     out = np.empty(pts.shape[0], dtype=complex)
     step = _chunk_rows(weighted.size)
     for i in range(0, pts.shape[0], step):
@@ -218,18 +150,30 @@ def indicator_hat(t: float, x) -> np.ndarray:
     """(exp(i t x) - 1) / (i x), the oriented transform of the indicator of
     (0, t), with the removable singularity filled by its series."""
     xs = np.asarray(x, dtype=float)
-    small = np.abs(xs) < 1e-4
-    safe = np.where(small, 1.0, xs)
     z = t * xs
+    small = np.abs(z) < 1e-4
+    safe = np.where(small, 1.0, xs)
     series = t * (1.0 + 1j * z / 2.0 - z ** 2 / 6.0 - 1j * z ** 3 / 24.0)
     out = np.where(small, series, (np.exp(1j * t * safe) - 1.0) / (1j * safe))
     return out if xs.ndim else complex(out)
 
 
-def _lattice_norm(values: np.ndarray, axes: Sequence[QuadGrid]) -> float:
+def _forward(fn: Callable, box: ProductGrid, radius: float, rate: float, nodes_per_panel: int):
+    """Samples of fn on the box, the frequency box (-radius, radius)^N
+    resolving times up to ``rate``, and the transform tabulated on it."""
+    if box.max_frequency is not None and radius > box.max_frequency * (1.0 + 1e-12):
+        raise ValueError(
+            f"box resolves frequencies up to {box.max_frequency:g}, "
+            f"below the requested radius {radius:g}"
+        )
+    vals = sample_on_box(box, fn)
+    lattice = box_domain((radius,) * box.ndim, max_frequency=rate, nodes_per_panel=nodes_per_panel)
+    return vals, lattice, fourier_on_lattice(vals, box, lattice)
+
+
+def _lattice_norm(values: np.ndarray, grid: ProductGrid) -> float:
     # lattices run to millions of nodes; pairwise summation is plenty here
-    wfull = reduce(np.kron, [g.weights for g in axes])
-    sq = float(np.sum(np.abs(np.asarray(values).ravel()) ** 2 * wfull))
+    sq = float(np.sum(np.abs(np.asarray(values).ravel()) ** 2 * grid.weights))
     return math.sqrt(max(sq, 0.0))
 
 
@@ -246,7 +190,7 @@ class PlancherelNormReport:
 
 def plancherel_norm_check(
     fn: Callable,
-    box: BoxDomain,
+    box: ProductGrid,
     radius: float,
     *,
     freq_rate: float | None = None,
@@ -257,15 +201,12 @@ def plancherel_norm_check(
 
     The box must have been built with max_frequency >= radius.
     """
-    _require_resolution(box, radius)
-    vals = sample_on_box(box, fn)
     rate = freq_rate if freq_rate is not None else max(box.half_widths)
-    lattice = freq_lattice(radius, box.ndim, rate=rate, nodes_per_panel=nodes_per_panel)
-    F = fourier_on_lattice(vals, box, lattice)
+    vals, lattice, F = _forward(fn, box, radius, rate, nodes_per_panel)
     return PlancherelNormReport(
         radius=radius,
-        norm_time=_lattice_norm(vals, box.axes),
-        norm_freq=_lattice_norm(F, lattice.axes),
+        norm_time=_lattice_norm(vals, box),
+        norm_freq=_lattice_norm(F, lattice),
     )
 
 
@@ -276,7 +217,7 @@ class MutualInverseReport:
     max_abs_err: float
 
 
-def default_probes(box: BoxDomain, n_probes: int = 50, margin: float = 0.1) -> np.ndarray:
+def default_probes(box: ProductGrid, n_probes: int = 50, margin: float = 0.1) -> np.ndarray:
     """Probe lattice strictly inside the box, margin*a_j away from the edges."""
     per_axis = max(2, int(round(n_probes ** (1.0 / box.ndim))))
     if box.ndim == 1:
@@ -291,7 +232,7 @@ def default_probes(box: BoxDomain, n_probes: int = 50, margin: float = 0.1) -> n
 
 def mutual_inverse_check(
     fn: Callable,
-    box: BoxDomain,
+    box: ProductGrid,
     radius: float,
     probes: np.ndarray | None = None,
     *,
@@ -305,11 +246,8 @@ def mutual_inverse_check(
     discrepancy carries the inversion tail (roughly 1/radius scaled by the
     smoothness of f) on top of quadrature error.
     """
-    _require_resolution(box, radius)
-    vals = sample_on_box(box, fn)
     rate = freq_rate if freq_rate is not None else max(box.half_widths)
-    lattice = freq_lattice(radius, box.ndim, rate=rate, nodes_per_panel=nodes_per_panel)
-    F = fourier_on_lattice(vals, box, lattice)
+    vals, lattice, F = _forward(fn, box, radius, rate, nodes_per_panel)
     if probes is None:
         probes = default_probes(box, n_probes=n_probes)
     back = transform_at(F, lattice.axes, probes, sign=+1.0)
@@ -332,7 +270,7 @@ class BoxInversionReport:
 
 def box_inversion_check(
     fn: Callable,
-    box: BoxDomain,
+    box: ProductGrid,
     radius: float,
     t: Sequence[float],
     *,
@@ -350,7 +288,6 @@ def box_inversion_check(
 
     over the frequency box.  Their gap carries the O(1/radius) tail.
     """
-    _require_resolution(box, radius)
     ts = tuple(float(v) for v in t)
     if len(ts) != box.ndim:
         raise ValueError("t arity must match the box dimension")
@@ -358,18 +295,14 @@ def box_inversion_check(
         if not 0.0 < tj < a:
             raise ValueError("t must lie strictly inside the positive box")
 
-    lhs_axes = [build_grid(make_interval(0.0, tj), lhs_panels, 16) for tj in ts]
-    mesh = np.meshgrid(*[g.nodes for g in lhs_axes], indexing="ij")
-    lhs_vals = np.asarray(fn(*mesh), dtype=complex).ravel()
-    lhs_w = reduce(np.kron, [g.weights for g in lhs_axes])
-    lhs = fsum_complex(lhs_vals * lhs_w)
+    lhs_box = product_grid(
+        [build_grid(make_interval(0.0, tj), lhs_panels, 16) for tj in ts], cap=BOX_NODE_CAP
+    )
+    lhs = integrate(lhs_box, np.asarray(fn(*lhs_box.mesh()), dtype=complex).ravel())
 
-    vals = sample_on_box(box, fn)
     rate = freq_rate if freq_rate is not None else 2.0 * max(box.half_widths)
-    lattice = freq_lattice(radius, box.ndim, rate=rate, nodes_per_panel=nodes_per_panel)
-    F = fourier_on_lattice(vals, box, lattice)
-    arr = F
-    for j, (tj, g) in enumerate(zip(ts, lattice.axes)):
+    _, lattice, arr = _forward(fn, box, radius, rate, nodes_per_panel)
+    for tj, g in zip(ts, lattice.axes):
         hat = indicator_hat(tj, g.nodes) * g.weights
         arr = np.tensordot(arr, hat, axes=([0], [0]))
         # contracting axis 0 each round walks through the original axes in order

@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .numerics import (
+    PRODUCT_NODE_CAP,
     HVector,
     Interval,
     QuadGrid,
@@ -27,6 +28,7 @@ from .numerics import (
     make_interval,
     med3,
     panels_for_oscillation,
+    product_grid,
     truncate_line,
 )
 from .transforms import FeatureMap
@@ -38,11 +40,8 @@ __all__ = [
     "sinc_ratio",
     "SincIdentityReport",
     "sinc_identity_check",
-    "ProductGrid",
-    "product_grid",
     "tensor_feature",
     "tensor_kernel",
-    "PRODUCT_NODE_CAP",
 ]
 
 RHO_REGISTRY: dict[str, Callable] = {
@@ -220,7 +219,7 @@ class PaleyWienerSpace:
         """Closed-form kernel; accepts complex arguments."""
         d = complex(x) - complex(y).conjugate()
         z = self.a * d
-        if abs(d) < 1e-4:
+        if abs(z) < 1e-4:
             # Taylor branch through the removable singularity at x = conj(y)
             return (self.a / math.pi) * (1.0 - z * z / 6.0 + z ** 4 / 120.0)
         return complex(np.sin(z) / (math.pi * d))
@@ -251,9 +250,9 @@ class PaleyWienerSpace:
 def sinc_ratio(a: float, u) -> np.ndarray:
     """sin(a u) / u with the removable singularity filled by its series."""
     arr = np.asarray(u, dtype=float)
-    small = np.abs(arr) < 1e-4
-    safe = np.where(small, 1.0, arr)
     z = a * arr
+    small = np.abs(z) < 1e-4
+    safe = np.where(small, 1.0, arr)
     series = a * (1.0 - z * z / 6.0 + z ** 4 / 120.0)
     out = np.where(small, series, np.sin(a * safe) / safe)
     return out if arr.ndim else float(out)
@@ -286,54 +285,6 @@ def sinc_identity_check(
     lhs = float(integrate(g, vals).real)
     rhs = float(math.pi * sinc_ratio(a, y - x))
     return SincIdentityReport(a, x, y, radius, lhs, rhs, abs(lhs - rhs))
-
-
-PRODUCT_NODE_CAP = 10 ** 6
-
-
-@dataclass(frozen=True, eq=False)
-class ProductGrid:
-    """Cartesian product of one-dimensional grids, row-major node ordering."""
-
-    factors: tuple
-    nodes: np.ndarray
-    weights: np.ndarray
-    rho_at_nodes: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.weights.size
-
-    @property
-    def n_factors(self) -> int:
-        return len(self.factors)
-
-    def compatible_with(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            type(other) is ProductGrid
-            and self.n_factors == other.n_factors
-            and all(a.compatible_with(b) for a, b in zip(self.factors, other.factors))
-        )
-
-
-def product_grid(grids: Sequence[QuadGrid], cap: int = PRODUCT_NODE_CAP) -> ProductGrid:
-    gs = tuple(grids)
-    if not gs:
-        raise ValueError("need at least one factor grid")
-    total = 1
-    for g in gs:
-        total *= g.size
-    if total > cap:
-        raise ValueError(f"product grid would hold {total} nodes, above the cap {cap}")
-    mesh = np.meshgrid(*[g.nodes for g in gs], indexing="ij")
-    nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-    weights = reduce(np.kron, [g.weights for g in gs])
-    rho = reduce(np.kron, [g.rho_at_nodes for g in gs])
-    for arr in (nodes, weights, rho):
-        arr.setflags(write=False)
-    return ProductGrid(gs, nodes, weights, rho)
 
 
 def tensor_feature(maps: Sequence[FeatureMap], cap: int = PRODUCT_NODE_CAP) -> FeatureMap:

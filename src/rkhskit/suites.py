@@ -9,9 +9,10 @@ override the knobs that stay meaningful (radius, grid sizes, seed).
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, get_args, get_type_hints
 
 import numpy as np
 
@@ -56,16 +57,13 @@ class RunConfig:
     panels: int | None = None
     nodes_per_panel: int | None = None
     a: float = 1.0
-    ndim: int = 1
-    rho: str = "const"
-    lo: float = -1.0
-    hi: float = 1.0
-    c: float = 0.0
     basis_size: int = 15
     probe_count: int = 50
     out: str | None = None
 
     def validate(self) -> "RunConfig":
+        for name, hint in get_type_hints(RunConfig).items():
+            _require_type(name, getattr(self, name), hint)
         if self.radius is not None and not (math.isfinite(self.radius) and self.radius > 0):
             raise ConfigError("radius must be positive and finite")
         for name in ("panels", "nodes_per_panel"):
@@ -74,17 +72,23 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a positive integer")
         if not (math.isfinite(self.a) and self.a > 0):
             raise ConfigError("a must be positive and finite")
-        if self.ndim not in (1, 2, 3):
-            raise ConfigError("ndim must be 1, 2, or 3")
-        if self.rho not in RHO_REGISTRY:
-            raise ConfigError(f"unknown rho '{self.rho}'; known: {sorted(RHO_REGISTRY)}")
-        if not self.lo < self.hi:
-            raise ConfigError("need lo < hi")
         if self.basis_size < 1:
             raise ConfigError("basis_size must be positive")
         if self.probe_count < 0:
             raise ConfigError("probe_count must be nonnegative")
         return self
+
+
+# JSON numbers arrive as int or float; a float field takes either
+_ACCEPTS = {int: numbers.Integral, float: numbers.Real, str: str}
+
+
+def _require_type(name: str, value, hint) -> None:
+    kinds = get_args(hint) or (hint,)
+    if value is None and type(None) in kinds:
+        return
+    if isinstance(value, bool) or not isinstance(value, _ACCEPTS[kinds[0]]):
+        raise ConfigError(f"{name} must be of type {kinds[0].__name__}, got {value!r}")
 
 
 # Smooth test functions vanishing at 0, with their derivatives.
@@ -159,7 +163,7 @@ def suite_isometry(cfg: RunConfig) -> Report:
     return rep
 
 
-def _sobolev_setup(cfg: RunConfig, n_points: int):
+def _sobolev_setup(n_points: int):
     space = SobolevSpace(make_interval(-1.0, 1.0), 0.0)
     pts = np.linspace(-0.9, 0.9, n_points)
     fm = space.feature_map(pts)
@@ -170,7 +174,7 @@ def _sobolev_setup(cfg: RunConfig, n_points: int):
 def suite_contraction(cfg: RunConfig) -> Report:
     """Transforming never grows the norm; span members keep it exactly."""
     rep = Report("contraction", cfg.seed, {"random_draws": 100, "basis_size": cfg.basis_size})
-    space, fm, basis = _sobolev_setup(cfg, cfg.basis_size)
+    space, fm, basis = _sobolev_setup(cfg.basis_size)
     rng = np.random.default_rng(cfg.seed)
     min_slack = math.inf
     for _ in range(100):
@@ -269,7 +273,7 @@ def suite_sinc(cfg: RunConfig) -> Report:
 def suite_inversion(cfg: RunConfig) -> Report:
     """Round trip: transform a span member, evaluate it back pointwise."""
     rep = Report("inversion", cfg.seed, {"basis_size": cfg.basis_size, "probes": cfg.probe_count})
-    space, fm, basis = _sobolev_setup(cfg, cfg.basis_size)
+    space, fm, basis = _sobolev_setup(cfg.basis_size)
     h_space = inv.EvaluableRKHS(
         fm.domain_label, kernel=lambda x, y: complex(space.kernel(x, y))
     )
@@ -608,16 +612,6 @@ def run_suite(name: str, cfg: RunConfig) -> Report:
         return SUITES[name](cfg)
     merged = Report("all", cfg.seed, {"suites": list(SUITES)})
     for sub, fn in SUITES.items():
-        part = fn(cfg)
-        for rec in part.records:
-            merged.add(
-                type(rec)(
-                    name=f"{sub}: {rec.name}",
-                    measured=rec.measured,
-                    expected=rec.expected,
-                    tolerance=rec.tolerance,
-                    passed=rec.passed,
-                    detail=rec.detail,
-                )
-            )
+        for rec in fn(cfg).records:
+            merged.add(replace(rec, name=f"{sub}: {rec.name}"))
     return merged

@@ -141,6 +141,48 @@ def test_verify_config_rejects_unknown_keys(tmp_path, capsys):
     assert "radiu" in err
 
 
+@pytest.mark.parametrize(
+    "config, word",
+    [
+        ({"radius": "5"}, "radius"),
+        ({"seed": "x"}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"basis_size": 2.5}, "basis_size"),
+        ({"out": 3}, "out"),
+        ({"ndim": 3, "lo": 5, "hi": 6}, "ndim"),
+    ],
+)
+def test_verify_config_rejects_bad_values(tmp_path, capsys, config, word):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, "verify", "--suite", "kernels", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and word in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("invert", "--mode", "sobolev-span", "--probe-count", "-1"),
+        ("kernel", "--family", "pw", "--grid-probe", "-1"),
+        ("transform", "--family", "pw", "--grid-probe", "-1"),
+        ("transform", "--family", "pw", "--grid-probe", "two"),
+    ],
+)
+def test_negative_counts_rejected_at_parsing(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "nonnegative integer" in capsys.readouterr().err
+
+
+def test_config_accepts_integer_radius(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suite": "generalized-inversion", "radius": 100}))
+    code, out, _ = run(capsys, "verify", "--config", str(cfg))
+    assert code == 0 and "suite generalized-inversion: PASS" in out
+
+
 def test_thread_env_must_be_positive(monkeypatch, capsys):
     monkeypatch.setenv("RKHS_THREADS", "zero")
     code, _, err = run(capsys, "verify", "--suite", "kernels")

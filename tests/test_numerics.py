@@ -1,5 +1,6 @@
 """Quadrature grids, medians, intervals, and the grid calculus."""
 
+import importlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from rkhskit.numerics import (
     HVector,
+    ProductGrid,
     build_grid,
     cumulative_integral,
     derivative_values,
@@ -19,6 +21,7 @@ from rkhskit.numerics import (
     med3,
     norm_weighted,
     panels_for_oscillation,
+    product_grid,
     sample,
     truncate_line,
 )
@@ -197,3 +200,32 @@ def test_refinement_improves_smooth_integrand():
         errs.append(abs(integrate(g, np.exp(g.nodes)) - exact))
     assert errs[2] <= errs[1] <= errs[0]
     assert errs[2] < 1e-10
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["rkhskit", "numerics", "transforms", "spaces", "inversion", "plancherel", "reporting", "suites"],
+)
+def test_every_public_name_resolves(module):
+    mod = importlib.import_module(module if module == "rkhskit" else f"rkhskit.{module}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing
+
+
+def test_product_grid_shape_and_size_are_lazy():
+    gx = build_grid(make_interval(-1.0, 1.0), 3, 4)
+    gy = build_grid(make_interval(0.0, 2.0), 5, 2, rho=lambda t: 1.0 + t)
+    grid = product_grid([gx, gy], max_frequency=7)
+    assert isinstance(grid, ProductGrid)
+    assert grid.ndim == 2 and grid.shape == (12, 10) and grid.size == 120
+    assert grid.max_frequency == 7.0 and grid.half_widths == (1.0, 2.0)
+    assert not {"nodes", "weights", "rho_at_nodes"} & set(vars(grid))
+    # row-major: the last axis runs fastest
+    assert grid.nodes.shape == (120, 2)
+    np.testing.assert_array_equal(grid.nodes[:10, 1], gy.nodes)
+    np.testing.assert_array_equal(grid.nodes[::10, 0], gx.nodes)
+    np.testing.assert_array_equal(grid.weights, np.outer(gx.weights, gy.weights).ravel())
+    np.testing.assert_array_equal(grid.rho_at_nodes, np.outer(gx.rho_at_nodes, gy.rho_at_nodes).ravel())
+    assert abs(integrate(grid, np.ones(grid.size)) - 4.0) < 1e-14
+    assert grid.compatible_with(product_grid([gx, gy]))
+    assert not grid.compatible_with(product_grid([gy, gx]))

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -30,7 +31,20 @@ def test_box_dimension_cap():
 
 def test_node_cap_enforced():
     with pytest.raises(ValueError, match="cap"):
-        pl.freq_lattice(5000.0, 2, rate=50.0)
+        pl.box_domain((5000.0, 5000.0), max_frequency=50.0)
+
+
+def test_box_cap_message():
+    # 312 nodes per axis: the 3-d box would hold 30 M nodes
+    with pytest.raises(ValueError, match="would hold 30371328 nodes, above the cap"):
+        pl.box_domain((3.0, 3.0, 3.0), max_frequency=5.0)
+
+
+def test_equal_half_widths_share_one_axis():
+    box = pl.box_domain((2.0, 2.0, 3.0), max_frequency=5.0, nodes_per_panel=2)
+    assert box.axes[0] is box.axes[1]
+    assert box.axes[2] is not box.axes[0]
+    assert box.shape == (box.axes[0].size, box.axes[0].size, box.axes[2].size)
 
 
 def test_resolution_guard():
@@ -53,6 +67,15 @@ def test_indicator_hat_series_matches_formula():
     want = complex(math.sin(t * x) / x, (1.0 - math.cos(t * x)) / x)
     assert abs(pl.indicator_hat(t, x) - want) < 1e-12
     assert pl.indicator_hat(t, 0.0) == pytest.approx(t)
+
+
+@pytest.mark.parametrize("t, x", [(1e4, 9e-5), (1e-6, 1.0)])
+def test_indicator_hat_against_mpmath(t, x):
+    # the series branch is keyed on t*x, so large t with small x takes the
+    # closed form and tiny t with ordinary x takes the series
+    with mpmath.workdps(40):
+        want = (mpmath.exp(1j * mpmath.mpf(t) * mpmath.mpf(x)) - 1) / (1j * mpmath.mpf(x))
+        assert float(abs(pl.indicator_hat(t, x) - want) / abs(want)) <= 2e-16
 
 
 def test_flat_window_transform_oracle():
@@ -138,8 +161,8 @@ def test_box_inversion_validates_t():
 def test_forward_transform_factorizes_in_2d():
     box1 = pl.box_domain((1.0,), max_frequency=10.0)
     box2 = pl.box_domain((1.0, 1.0), max_frequency=10.0)
-    lat1 = pl.freq_lattice(10.0, 1, rate=1.0)
-    lat2 = pl.freq_lattice(10.0, 2, rate=1.0)
+    lat1 = pl.box_domain((10.0,), max_frequency=1.0)
+    lat2 = pl.box_domain((10.0, 10.0), max_frequency=1.0)
     f1 = pl.fourier_on_lattice(
         pl.sample_on_box(box1, lambda t: np.ones_like(t)), box1, lat1
     )

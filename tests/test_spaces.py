@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,12 +11,12 @@ from rkhskit.numerics import (
     inner_weighted,
     make_interval,
     norm_weighted,
+    product_grid,
     sample,
 )
 from rkhskit.spaces import (
     PaleyWienerSpace,
     SobolevSpace,
-    product_grid,
     sinc_identity_check,
     sinc_ratio,
     tensor_feature,
@@ -162,6 +163,16 @@ def test_sinc_ratio_series_branch():
     assert sinc_ratio(a, u) == pytest.approx(math.sin(a * u) / u, abs=1e-12)
 
 
+@pytest.mark.parametrize("a, u", [(1e4, 9e-5), (1e-6, 1.0)])
+def test_sinc_ratio_and_pw_kernel_against_mpmath(a, u):
+    # the series branches are keyed on the scaled argument a*u
+    with mpmath.workdps(40):
+        want = mpmath.sin(mpmath.mpf(a) * mpmath.mpf(u)) / mpmath.mpf(u)
+        assert float(abs(sinc_ratio(a, u) - want) / want) <= 2e-16
+        got = PaleyWienerSpace(a).kernel(u, 0.0)
+        assert float(abs(got - want / mpmath.pi) / (want / mpmath.pi)) <= 2e-16
+
+
 def test_sinc_identity_at_unit_offset():
     rep = sinc_identity_check(1.0, 0.0, 1.0, 1000.0)
     assert rep.rhs == pytest.approx(PI_SIN1, abs=1e-12)
@@ -214,3 +225,9 @@ def test_product_grid_cap():
     g = build_grid(make_interval(0.0, 1.0), 200, 10)
     with pytest.raises(ValueError, match="would hold"):
         product_grid([g, g])
+
+
+def test_tensor_feature_cap_message():
+    fm = SobolevSpace(make_interval(-1.0, 1.0), 0.0).feature_map()
+    with pytest.raises(ValueError, match="would hold .* above the cap"):
+        tensor_feature([fm, fm, fm])
