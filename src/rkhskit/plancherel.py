@@ -1,12 +1,24 @@
 """Truncated Fourier transform pairs on boxes.
 
-Everything here is direct quadrature: the forward transform integrates
-f(t) exp(-i t.x) over a finite box, the conjugate transform integrates
-against exp(+i t.x) over a finite frequency box, and the checks measure how
-close the pair comes to a unitary on the window (norm preservation, mutual
-inversion, and the indefinite-integral identity on N-dimensional boxes).
-Multi-axis sums are evaluated by per-axis kernel contractions, which is
-algebraically the same sum as over the full product grid.
+The forward transform integrates f(t) exp(-i t.x) over a finite box by
+quadrature, the conjugate transform integrates against exp(+i t.x) over a
+finite frequency box, and the checks measure how close the pair comes to a
+unitary on the window (norm preservation, mutual inversion, and the
+indefinite-integral identity on N-dimensional boxes).
+
+Multi-axis sums are evaluated one axis at a time, which is algebraically
+the same sum as over the full product grid.  Each axis contraction has two
+routes to the same quadrature sum.  The dense one materializes the kernel
+exp(+-i x t) w(t) in blocks.  The chirp-z one serves composite
+Gauss-Legendre grids with uniform panels on both sides: there x t splits
+into per-node phases and a term in the panel lag q - p alone, so the sum
+over source panels is a convolution done by FFT, with no approximation.
+:func:`fourier_on_lattice` takes the chirp-z route when both grids have
+uniform panels and a cost model fitted to timings of both routes says it is
+cheaper; grids with breakpoints and very small grids stay dense, and the
+dense route is the tests' oracle.  :func:`transform_at` evaluates the dense
+sum at arbitrary points, and :func:`mutual_inverse_check` evaluates its
+default probe lattice one axis at a time.
 
 The two boxes are the same kind of object, a
 :class:`~rkhskit.numerics.ProductGrid` from :func:`box_domain`: a time box
@@ -49,8 +61,12 @@ __all__ = [
 
 BOX_NODE_CAP = 10 ** 7
 _TWO_PI = 2.0 * math.pi
+_TWO_PI_EXT = 8 * np.arctan(np.longdouble(1))
 # kernel blocks are materialized at most this many complex entries at a time
 _CHUNK_ELEMS = 1 << 22
+# nodes off the uniform-panel model by more than this many ulps of the
+# interval end mean the panels are not uniform
+_UNIFORM_ULPS = 64
 
 
 def _chunk_rows(ncols: int) -> int:
@@ -104,6 +120,135 @@ def _axis_apply(arr: np.ndarray, axis: int, dst_nodes: np.ndarray, src: QuadGrid
     return np.moveaxis(out, 0, axis)
 
 
+def _panel_model(g: QuadGrid):
+    """(centre, panel width, offsets) with nodes = centre + h (p - (P-1)/2 + beta_k)
+    for panel p and node k, or None when the panels are not uniform.
+
+    Uniform means the model reproduces every node up to rounding, so a grid
+    built with interior breakpoints (unequal panels) gets None.
+    """
+    P, n = g.n_panels, g.nodes_per_panel
+    lo, hi = float(g.panel_edges[0]), float(g.panel_edges[-1])
+    centre, h = 0.5 * (lo + hi), (hi - lo) / P
+    shift = np.arange(P) - (P - 1) / 2.0
+    # offsets from the middle panel, where h * shift is smallest and the
+    # subtraction below cancels least
+    mid = P // 2
+    beta = (g.nodes[mid * n : (mid + 1) * n] - centre) / h - shift[mid]
+    model = centre + h * (shift[:, None] + beta)
+    err = np.max(np.abs(model - g.nodes.reshape(P, n)))
+    if err > _UNIFORM_ULPS * np.finfo(float).eps * max(abs(lo), abs(hi)):
+        return None
+    return centre, h, beta
+
+
+def _fft_len(n: int) -> int:
+    """Smallest 2^a 3^b >= n, a length numpy's FFT handles at full speed."""
+    best, p3 = 1 << (n - 1).bit_length(), 1
+    while p3 < best:
+        best = min(best, p3 << (-(-n // p3) - 1).bit_length())
+        p3 *= 3
+    return best
+
+
+def _cis(arg) -> np.ndarray:
+    """exp(i arg) for an extended-precision argument, reduced mod 2 pi
+    before it is rounded to double."""
+    turns = np.round(arg / _TWO_PI_EXT)
+    return np.exp(1j * (arg - turns * _TWO_PI_EXT).astype(float))
+
+
+def _axis_chirp(arr: np.ndarray, axis: int, dst: QuadGrid, src: QuadGrid, sign: float, models) -> np.ndarray:
+    """The contraction of :func:`_axis_apply` over uniform-panel grids, by
+    chirp-z transforms over the panel index.
+
+    With t = tc + h tau, tau = p' + beta_k, and x = xc + H sigma,
+    sigma = q' + alpha_l (p', q' centred panel indices),
+
+        x t = xc t + tc (x - xc) + theta (tau^2 + sigma^2 - (sigma - tau)^2) / 2,
+
+    theta = H h.  The last term depends on the panel pair only through
+    q - p, so the sum over source panels is a linear convolution, done by
+    FFT; the sum over the n source offsets is an (n x m) product per
+    frequency bin.  The identity is exact; what is left is rounding.
+
+    The quadratic phases reach about theta (P + Q)^2 / 8 radians, so they
+    are formed in extended precision.  The target nodes sit off the model
+    by the rounding of their panel edges, which is systematic (nodes near
+    the centre carry the rounding of the far edge); that offset e is put
+    back to first order, exp(i s e (t - tc)) ~ 1 + i s e (t - tc), by
+    transforming (t - tc) f alongside f.  The second-order term is of
+    order (e t)^2, far below double precision.
+    """
+    (tc, h, beta), (xc, H, alpha) = models
+    P, n = src.n_panels, src.nodes_per_panel
+    Q, m = dst.n_panels, dst.nodes_per_panel
+    ext = np.longdouble
+    theta = sign * ext(H) * ext(h)
+    L = _fft_len(P + Q - 1)
+
+    tau = (np.arange(P, dtype=ext) - ext(P - 1) / 2)[:, None] + beta.astype(ext)
+    t = src.nodes.reshape(P, n)
+    pre = src.weights.reshape(P, n) * _cis(sign * ext(xc) * t.astype(ext) + theta * tau ** 2 / 2)
+    lever = h * tau.astype(float)
+    sigma = (np.arange(Q, dtype=ext) - ext(Q - 1) / 2)[:, None] + alpha.astype(ext)
+    x = dst.nodes.reshape(Q, m)
+    post = _cis(sign * ext(tc) * (x.astype(ext) - ext(xc)) + theta * sigma ** 2 / 2)
+    drift = 1j * sign * (x.astype(ext) - (ext(xc) + ext(H) * sigma)).astype(float)
+    # chirp over the panel lag j = q - p, wrapped into the circular buffer
+    lag = np.arange(-(P - 1), Q)
+    gap = (lag.astype(ext) - ext(Q - P) / 2)[:, None, None] + (alpha.astype(ext) - beta.astype(ext)[:, None])
+    chirp = np.zeros((L, n, m), dtype=complex)
+    chirp[lag % L] = _cis(-theta * gap ** 2 / 2)
+    spec = np.fft.fft(chirp, axis=0).transpose(0, 2, 1)  # (L, m, n)
+
+    moved = np.moveaxis(arr, axis, -1)
+    flat = moved.reshape(-1, P, n)
+    out = np.empty((flat.shape[0], Q, m), dtype=complex)
+    # about four (L, n or m, 2 columns) arrays are live per chunk
+    step = max(1, _CHUNK_ELEMS // (8 * L * max(n, m)))
+    for c in range(0, flat.shape[0], step):
+        cols = flat[c : c + step] * pre
+        k = cols.shape[0]
+        block = np.fft.fft(np.concatenate([cols, cols * lever]), n=L, axis=1)  # (2k, L, n)
+        mixed = np.matmul(spec, block.transpose(1, 2, 0))  # (L, m, 2k)
+        back = np.fft.ifft(mixed, axis=0)[:Q]  # (Q, m, 2k)
+        back = back[..., :k] + drift[..., None] * back[..., k:]
+        out[c : c + step] = back.transpose(2, 0, 1) * post
+    out = out.reshape(moved.shape[:-1] + (dst.size,))
+    return np.moveaxis(out, -1, axis)
+
+
+def _chirp_pays(P: int, n: int, Q: int, m: int, cols: int) -> bool:
+    """Whether :func:`_axis_chirp` beats :func:`_axis_apply` for P panels of
+    n source nodes, Q panels of m target nodes and ``cols`` columns.
+
+    Costs in ns, fitted to 161 timings of both routes (numpy 2.4, OpenBLAS
+    on one thread, 2-core x86-64): the dense route pays per kernel entry
+    for the exponential and per entry and column for the product; the
+    chirp route pays for its chirp spectrum, and per column (two, with the
+    drift column) for the FFTs, the (n x m) products per bin and the node
+    phases.
+    """
+    L = _fft_len(P + Q - 1)
+    dense = 3.5e4 + P * n * Q * m * (44.0 + 0.2 * cols)
+    per_col = L * (2.0 * n * m + 4.5 * (n + m) * math.log2(L)) + 17.0 * (P * n + Q * m)
+    chirp = 1.9e5 + 124.0 * L * n * m + cols * per_col
+    return chirp < dense
+
+
+def _axis_contract(arr: np.ndarray, axis: int, dst: QuadGrid, src: QuadGrid, sign: float) -> np.ndarray:
+    """One axis of a truncated transform: :func:`_axis_chirp` when both
+    grids have uniform panels and it is the cheaper route, else
+    :func:`_axis_apply`."""
+    cols = arr.size // src.size
+    if _chirp_pays(src.n_panels, src.nodes_per_panel, dst.n_panels, dst.nodes_per_panel, cols):
+        models = (_panel_model(src), _panel_model(dst))
+        if None not in models:
+            return _axis_chirp(arr, axis, dst, src, sign, models)
+    return _axis_apply(arr, axis, dst.nodes, src, sign)
+
+
 def fourier_on_lattice(values: np.ndarray, box: ProductGrid, lattice: ProductGrid) -> np.ndarray:
     """Truncated Fourier transform of box samples, tabulated on the lattice.
 
@@ -114,7 +259,7 @@ def fourier_on_lattice(values: np.ndarray, box: ProductGrid, lattice: ProductGri
         raise ValueError("lattice and box dimensions differ")
     arr = np.asarray(values, dtype=complex).reshape(box.shape)
     for j, (dst, src) in enumerate(zip(lattice.axes, box.axes)):
-        arr = _axis_apply(arr, j, dst.nodes, src, sign=-1.0)
+        arr = _axis_contract(arr, j, dst, src, sign=-1.0)
     return arr * _TWO_PI ** (-box.ndim / 2.0)
 
 
@@ -148,13 +293,18 @@ def transform_at(values: np.ndarray, src_axes: Sequence[QuadGrid], points, sign:
 
 def indicator_hat(t: float, x) -> np.ndarray:
     """(exp(i t x) - 1) / (i x), the oriented transform of the indicator of
-    (0, t), with the removable singularity filled by its series."""
+    (0, t), with the removable singularity filled by its series.
+
+    Away from it the value is taken as 2 sin(z/2) exp(i z/2) / x, z = t x,
+    which does not cancel for small z the way exp(i z) - 1 does.
+    """
     xs = np.asarray(x, dtype=float)
     z = t * xs
     small = np.abs(z) < 1e-4
     safe = np.where(small, 1.0, xs)
+    half = 0.5 * t * safe
     series = t * (1.0 + 1j * z / 2.0 - z ** 2 / 6.0 - 1j * z ** 3 / 24.0)
-    out = np.where(small, series, (np.exp(1j * t * safe) - 1.0) / (1j * safe))
+    out = np.where(small, series, 2.0 * np.sin(half) * np.exp(1j * half) / safe)
     return out if xs.ndim else complex(out)
 
 
@@ -217,17 +367,26 @@ class MutualInverseReport:
     max_abs_err: float
 
 
-def default_probes(box: ProductGrid, n_probes: int = 50, margin: float = 0.1) -> np.ndarray:
-    """Probe lattice strictly inside the box, margin*a_j away from the edges."""
+def default_probes(box: ProductGrid, n_probes: int = 50, margin: float = 0.1) -> list:
+    """Per-axis coordinates of a probe lattice strictly inside the box,
+    margin*a_j away from the edges; the probes are their tensor product."""
     per_axis = max(2, int(round(n_probes ** (1.0 / box.ndim))))
     if box.ndim == 1:
         per_axis = n_probes
-    axes = [
+    return [
         np.linspace(-(1.0 - margin) * a, (1.0 - margin) * a, per_axis)
         for a in box.half_widths
     ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def _conjugate_on_tensor(F: np.ndarray, lattice: ProductGrid, probe_axes: Sequence[np.ndarray]) -> np.ndarray:
+    """``transform_at(F, lattice.axes, points, sign=+1)`` at the tensor
+    lattice of the per-axis probe coordinates, one axis at a time; the
+    result has one axis per probe axis."""
+    back = F
+    for j, (pts, g) in enumerate(zip(probe_axes, lattice.axes)):
+        back = _axis_apply(back, j, pts, g, sign=+1.0)
+    return back * _TWO_PI ** (-lattice.ndim / 2.0)
 
 
 def mutual_inverse_check(
@@ -244,16 +403,22 @@ def mutual_inverse_check(
 
     The conjugate transform runs over the truncated frequency box, so the
     discrepancy carries the inversion tail (roughly 1/radius scaled by the
-    smoothness of f) on top of quadrature error.
+    smoothness of f) on top of quadrature error.  Explicit probes are an
+    (M, N) array evaluated by :func:`transform_at`; the default probe
+    lattice is evaluated one axis at a time.
     """
     rate = freq_rate if freq_rate is not None else max(box.half_widths)
     vals, lattice, F = _forward(fn, box, radius, rate, nodes_per_panel)
     if probes is None:
-        probes = default_probes(box, n_probes=n_probes)
-    back = transform_at(F, lattice.axes, probes, sign=+1.0)
-    ref = np.asarray(fn(*[probes[:, j] for j in range(box.ndim)]), dtype=complex)
+        axes = default_probes(box, n_probes=n_probes)
+        back = _conjugate_on_tensor(F, lattice, axes)
+        coords = np.meshgrid(*axes, indexing="ij")
+    else:
+        back = transform_at(F, lattice.axes, probes, sign=+1.0)
+        coords = [probes[:, j] for j in range(box.ndim)]
+    ref = np.asarray(fn(*coords), dtype=complex)
     err = float(np.max(np.abs(back - ref)))
-    return MutualInverseReport(radius=radius, n_probes=probes.shape[0], max_abs_err=err)
+    return MutualInverseReport(radius=radius, n_probes=back.size, max_abs_err=err)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rkhskit import plancherel as pl
+from rkhskit.numerics import build_grid, make_interval, product_grid
 
 SQRT_2_OVER_PI = 0.7978845608028654
 INV_PI = 0.3183098861837907
@@ -69,10 +70,11 @@ def test_indicator_hat_series_matches_formula():
     assert pl.indicator_hat(t, 0.0) == pytest.approx(t)
 
 
-@pytest.mark.parametrize("t, x", [(1e4, 9e-5), (1e-6, 1.0)])
+@pytest.mark.parametrize("t, x", [(1e4, 9e-5), (1e-6, 1.0), (2.0, 9e-5)])
 def test_indicator_hat_against_mpmath(t, x):
     # the series branch is keyed on t*x, so large t with small x takes the
-    # closed form and tiny t with ordinary x takes the series
+    # closed form and tiny t with ordinary x takes the series; t = 2 lands
+    # just above the cutoff, where exp(itx) - 1 would cancel
     with mpmath.workdps(40):
         want = (mpmath.exp(1j * mpmath.mpf(t) * mpmath.mpf(x)) - 1) / (1j * mpmath.mpf(x))
         assert float(abs(pl.indicator_hat(t, x) - want) / abs(want)) <= 2e-16
@@ -170,3 +172,96 @@ def test_forward_transform_factorizes_in_2d():
         pl.sample_on_box(box2, lambda x, y: np.ones_like(x)), box2, lat2
     )
     np.testing.assert_allclose(f2, np.outer(f1, f1), atol=1e-12)
+
+
+def _via_chirp(arr, axis, dst, src, sign):
+    models = (pl._panel_model(src), pl._panel_model(dst))
+    assert None not in models
+    return pl._axis_chirp(arr, axis, dst, src, sign, models)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("route not expected here")
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+@pytest.mark.parametrize("P, Q", [(40, 12), (12, 40)])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_chirp_route_matches_dense(n, P, Q, sign):
+    # n != m throughout; off-centre intervals exercise the centring phases
+    m = 9 - n
+    src = build_grid(make_interval(-0.7, 1.9), P, n)
+    dst = build_grid(make_interval(-23.0, 17.0), Q, m)
+    rng = np.random.default_rng(100 * P + n)
+    arr = rng.standard_normal((src.size, 3)) + 1j * rng.standard_normal((src.size, 3))
+    got = _via_chirp(arr, 0, dst, src, sign)
+    want = pl._axis_apply(arr, 0, dst.nodes, src, sign)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
+def test_chirp_route_contracts_inner_axis():
+    src = build_grid(make_interval(-2.0, 2.0), 30, 4)
+    dst = build_grid(make_interval(-15.0, 15.0), 21, 3)
+    rng = np.random.default_rng(7)
+    arr = rng.standard_normal((5, src.size, 2)) + 1j * rng.standard_normal((5, src.size, 2))
+    got = _via_chirp(arr, 1, dst, src, 1.0)
+    assert got.shape == (5, dst.size, 2)
+    np.testing.assert_allclose(got, pl._axis_apply(arr, 1, dst.nodes, src, 1.0), rtol=0, atol=1e-9)
+
+
+# (time half-width, frequency radius, time rate) of the pinned
+# plancherel-norm, mutual-inverse and box-inversion transforms at 8 nodes
+PINNED_1D = [(6.0, 200.0, 6.0), (1.0, 200.0, 1.0), (1.0, 100.0, 1.0), (1.0, 50.0, 1.0),
+             (4.0, 30.0, 4.0), (1.0, 200.0, 2.0), (1.0, 50.0, 2.0)]
+
+
+@pytest.mark.parametrize("half_width, radius, rate", PINNED_1D)
+def test_pinned_1d_transforms_take_chirp_route(half_width, radius, rate, monkeypatch):
+    box = pl.box_domain([half_width], max_frequency=radius)
+    lattice = pl.box_domain([radius], max_frequency=rate)
+    rng = np.random.default_rng(3)
+    vals = rng.standard_normal(box.size) + 1j * rng.standard_normal(box.size)
+    # the dense oracle at every 61st lattice node and the last one
+    rows = np.r_[0 : lattice.size : 61, lattice.size - 1]
+    want = pl._axis_apply(vals, 0, lattice.axes[0].nodes[rows], box.axes[0], -1.0) / math.sqrt(2 * math.pi)
+    monkeypatch.setattr(pl, "_axis_apply", _refuse)
+    got = pl.fourier_on_lattice(vals, box, lattice)
+    np.testing.assert_allclose(got[rows], want, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("half_width, radius, rate", [(4.0, 30.0, 4.0), (1.0, 50.0, 2.0)])
+def test_pinned_2d_transforms_take_chirp_route(half_width, radius, rate, monkeypatch):
+    box = pl.box_domain([half_width] * 2, max_frequency=radius)
+    lattice = pl.box_domain([radius] * 2, max_frequency=rate)
+    vals = pl.sample_on_box(box, lambda x, y: np.exp(-(x * x + 2.0 * y * y)) * (1.0 + 0.5j * np.sin(3.0 * x)))
+    rows = np.r_[0 : lattice.shape[0] : 97, lattice.shape[0] - 1]
+    g = lattice.axes[0]
+    want = pl._axis_apply(vals, 0, g.nodes[rows], box.axes[0], -1.0)
+    want = pl._axis_apply(want, 1, g.nodes[rows], box.axes[1], -1.0) / (2 * math.pi)
+    monkeypatch.setattr(pl, "_axis_apply", _refuse)
+    got = pl.fourier_on_lattice(vals, box, lattice)
+    np.testing.assert_allclose(got[np.ix_(rows, rows)], want, rtol=0, atol=1e-9)
+
+
+def test_grid_with_breakpoints_takes_dense_route(monkeypatch):
+    src = build_grid(make_interval(-1.0, 1.0), 40, 8, breakpoints=(0.33,))
+    assert pl._panel_model(src) is None
+    box = product_grid([src])
+    lattice = pl.box_domain((50.0,), max_frequency=1.0)
+    vals = pl.sample_on_box(box, np.cos)
+    want = pl._axis_apply(vals, 0, lattice.axes[0].nodes, src, -1.0) / math.sqrt(2 * math.pi)
+    monkeypatch.setattr(pl, "_axis_chirp", _refuse)
+    np.testing.assert_array_equal(pl.fourier_on_lattice(vals, box, lattice), want)
+
+
+@pytest.mark.parametrize("ndim, n_probes", [(1, 50), (2, 49)])
+def test_separable_back_evaluation_matches_transform_at(ndim, n_probes):
+    box = pl.box_domain((4.0,) * ndim, max_frequency=8.0)
+    lattice = pl.box_domain((8.0,) * ndim, max_frequency=4.0)
+    F = pl.fourier_on_lattice(pl.sample_on_box(box, lambda *t: np.exp(-sum(v * v for v in t) / 2.0)), box, lattice)
+    axes = pl.default_probes(box, n_probes=n_probes)
+    got = pl._conjugate_on_tensor(F, lattice, axes)
+    points = np.stack([c.ravel() for c in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    assert got.size == points.shape[0] == n_probes
+    want = pl.transform_at(F, lattice.axes, points, sign=+1.0)
+    np.testing.assert_allclose(got.ravel(), want, rtol=0, atol=1e-12)
