@@ -19,6 +19,7 @@ from .numerics import (
     cumulative_integral,
     derivative_values,
     inner_weighted,
+    inner_weighted_matrix,
     integrate,
     make_interval,
     med3,
@@ -47,6 +48,7 @@ from .spaces import (
     RHO_REGISTRY,
     PaleyWienerSpace,
     SobolevSpace,
+    sinc_gram,
     sinc_identity_check,
     sinc_ratio,
     tensor_feature,

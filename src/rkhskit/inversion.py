@@ -6,7 +6,9 @@ its image with the transformed kernel sections.  The same recipe survives
 composition with any isometry S into another evaluable RKHS W: the value
 (S f)(t) is the image-space inner product of f-hat with the conjugate of
 the S-composed features at t.  Orthonormal-coefficient recovery is the
-special case W = little-l2 over an index set.
+special case W = little-l2 over an index set.  The pairing in
+:func:`invert_at` and its coarse-basis residual keep ``fsum_complex``:
+coefficients over a near-singular Gram cancel there.
 """
 
 from __future__ import annotations
@@ -21,18 +23,14 @@ import numpy as np
 from .numerics import (
     HVector,
     QuadGrid,
-    build_grid,
     cumulative_integral,
     fsum_complex,
     inner_weighted,
-    integrate,
+    inner_weighted_matrix,
     make_interval,
     med3,
-    panels_for_oscillation,
-    sample,
-    truncate_line,
 )
-from .spaces import PaleyWienerSpace, sinc_identity_check, sinc_ratio
+from .spaces import PaleyWienerSpace, sinc_gram
 from .transforms import (
     FeatureMap,
     SpanBasis,
@@ -133,7 +131,8 @@ def generalized_invert_at(
     """Recover (S f)(t) from the transform of f through the sequence's
     isometry: the image-space inner product with the span projection of the
     pulled-back kernel section, assembled from conj((S phi(x_i))(t))."""
-    b = np.array([complex(seq.s_apply(ft)(t)).conjugate() for ft in basis.features])
+    grid = basis.phi.grid
+    b = np.array([complex(seq.s_apply(HVector(grid, ft))(t)).conjugate() for ft in basis.features])
     d = basis.solve(b)
     c = _as_span_coeffs(image, basis)
     return opr_inner(span_image(basis, c), span_image(basis, d))
@@ -169,34 +168,26 @@ def indefinite_integral_sequence(phi: FeatureMap, anchor: float = 0.0) -> Transf
 
 @dataclass(frozen=True, eq=False)
 class OrthonormalSystem:
-    """Finitely many orthonormal grid vectors used as a coefficient basis."""
+    """Orthonormal grid vectors, the rows of ``members``, used as a coefficient basis."""
 
     grid: QuadGrid
-    members: tuple
+    members: np.ndarray
 
     @property
     def count(self) -> int:
         return len(self.members)
 
     def coefficient(self, f: HVector, n: int) -> complex:
-        return inner_weighted(f, self.members[n])
+        return complex(inner_weighted_matrix(self.grid, f.values, self.members[n]))
 
     def orthonormality_defect(self) -> float:
         """Largest deviation of the pairwise inner products from identity."""
-        worst = 0.0
-        for i, gi in enumerate(self.members):
-            for j in range(i + 1):
-                val = inner_weighted(self.members[j], gi)
-                target = 1.0 if i == j else 0.0
-                worst = max(worst, abs(val - target))
-        return worst
+        P = inner_weighted_matrix(self.grid, self.members, self.members)
+        return float(np.max(np.abs(P - np.eye(self.count))))
 
     def reconstruct(self, coeffs: Sequence[complex], upto: int | None = None) -> HVector:
         n = self.count if upto is None else int(upto)
-        acc = np.zeros(self.grid.size, dtype=complex)
-        for k in range(n):
-            acc = acc + complex(coeffs[k]) * self.members[k].values
-        return HVector(self.grid, acc)
+        return HVector(self.grid, np.asarray(coeffs[:n], dtype=complex) @ self.members[:n])
 
 
 def exponential_system(grid: QuadGrid, count: int, half_width: float) -> OrthonormalSystem:
@@ -208,13 +199,10 @@ def exponential_system(grid: QuadGrid, count: int, half_width: float) -> Orthono
     if count < 1:
         raise ValueError("count must be positive")
     a = float(half_width)
-    members = []
-    for n in range(count):
-        m = (n + 1) // 2 if n % 2 else -(n // 2)
-        # n: 0 -> 0, 1 -> 1, 2 -> -1, 3 -> 2, 4 -> -2, ...
-        omega = math.pi * m / a
-        members.append(sample(grid, lambda t, w=omega: np.exp(1j * w * t) / math.sqrt(2.0 * a)))
-    return OrthonormalSystem(grid, tuple(members))
+    n = np.arange(count)
+    m = np.where(n % 2, (n + 1) // 2, -(n // 2))  # n: 0 -> 0, 1 -> 1, 2 -> -1, 3 -> 2, ...
+    omega = math.pi * m / a
+    return OrthonormalSystem(grid, np.exp(1j * np.outer(omega, grid.nodes)) / math.sqrt(2.0 * a))
 
 
 def cons_sequence(cons: OrthonormalSystem, phi: FeatureMap) -> TransformationSequence:
@@ -259,43 +247,24 @@ def restriction_isometry_check(
     probes: Sequence[float],
     radius: float,
     coeffs: Sequence[complex] | None = None,
-    *,
-    nodes_per_panel: int = 8,
 ) -> RestrictionIsometryReport:
     """Check that restricting bandlimited functions to a window preserves the
     inner product: window L2 pairings of kernel sections reproduce kernel
     values, and the Gram norm of a span combination matches its window L2
-    norm.  Discrepancies carry the O(1/radius) truncation tail.
+    norm.  Both come from one :func:`~rkhskit.spaces.sinc_gram` matrix;
+    discrepancies carry the O(1/radius) truncation tail.
     """
     pts = [float(p) for p in probes]
     if not pts:
         raise ValueError("need at least one probe point")
-    window = truncate_line(radius)
-    max_kernel_err = 0.0
-    for i, xi in enumerate(pts):
-        for yj in pts[: i + 1]:
-            rep = sinc_identity_check(pw.a, xi, yj, radius, nodes_per_panel=nodes_per_panel)
-            pairing = rep.lhs / math.pi ** 2
-            max_kernel_err = max(max_kernel_err, abs(pairing - pw.kernel(xi, yj).real))
-
     cs = np.ones(len(pts), dtype=complex) if coeffs is None else np.asarray(coeffs, dtype=complex)
     if cs.shape != (len(pts),):
         raise ValueError("coefficient length must match probes")
-    gram_sq = fsum_complex(
-        np.array(
-            [
-                cs[i] * np.conj(cs[j]) * pw.kernel(pts[j], pts[i])
-                for i in range(len(pts))
-                for j in range(len(pts))
-            ]
-        )
-    ).real
-    panels = panels_for_oscillation(window.length, 2.0 * pw.a, minimum=16)
-    g = build_grid(window, panels, nodes_per_panel, breakpoints=tuple(pts))
-    fvals = np.zeros(g.size, dtype=complex)
-    for ci, xi in zip(cs, pts):
-        fvals = fvals + ci * sinc_ratio(pw.a, g.nodes - xi) / math.pi
-    window_sq = float(integrate(g, np.abs(fvals) ** 2).real)
+    pairings = sinc_gram(pw.a, pts, radius) / math.pi ** 2
+    K = np.array([[pw.kernel(x, y) for y in pts] for x in pts])
+    max_kernel_err = float(np.max(np.abs(pairings - K.real)))
+    gram_sq = (np.conj(cs) @ K @ cs).real
+    window_sq = (np.conj(cs) @ pairings @ cs).real
     span_norm_gram = math.sqrt(max(gram_sq, 0.0))
     span_norm_window = math.sqrt(max(window_sq, 0.0))
     return RestrictionIsometryReport(

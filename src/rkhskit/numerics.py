@@ -46,6 +46,7 @@ __all__ = [
     "sample",
     "integrate",
     "inner_weighted",
+    "inner_weighted_matrix",
     "norm_weighted",
     "fsum_complex",
     "panels_for_oscillation",
@@ -362,6 +363,13 @@ def inner_weighted(f: HVector, g: HVector) -> complex:
     """
     _require_same_grid(f, g)
     return fsum_complex(f.values * np.conj(g.values) * (f.grid.rho_at_nodes * f.grid.weights))
+
+
+def inner_weighted_matrix(grid: QuadGrid | ProductGrid, rows, others) -> np.ndarray:
+    """Entry (i, j) is :func:`inner_weighted` of ``rows[i]`` and ``others[j]``
+    (node values, (m, N) and (n, N)), all in one matrix product summed in
+    BLAS order; a 1-D argument is one vector and drops its axis."""
+    return (np.asarray(rows) * (grid.rho_at_nodes * grid.weights)) @ np.conj(others).T
 
 
 def norm_weighted(f: HVector) -> float:

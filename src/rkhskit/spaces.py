@@ -3,7 +3,9 @@
 Two families carry most of the weight: first-order weighted Sobolev spaces
 on an interval (members vanish at an anchor point, the norm is the weighted
 L2 norm of the derivative) and bandlimited spaces with the sine-quotient
-kernel.  Tensor products of feature maps close the set under products.
+kernel, whose sections are paired all at once on one window grid
+(:func:`sinc_gram`).  Tensor products of feature maps close the set under
+products.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
     "PaleyWienerSpace",
     "sinc_ratio",
     "SincIdentityReport",
+    "sinc_gram",
     "sinc_identity_check",
     "tensor_feature",
     "tensor_kernel",
@@ -48,6 +51,8 @@ RHO_REGISTRY: dict[str, Callable] = {
     "const": lambda t: np.ones_like(np.asarray(t, dtype=float)),
     "affine": lambda t: 1.0 + np.asarray(t, dtype=float),
 }
+
+_SINC_BLOCK = 1 << 15  # quadrature nodes per block of the sinc Gram sum
 
 
 class SobolevSpace:
@@ -269,20 +274,33 @@ class SincIdentityReport:
     abs_err: float
 
 
-def sinc_identity_check(
-    a: float, x: float, y: float, radius: float, *, nodes_per_panel: int = 8
-) -> SincIdentityReport:
+def sinc_gram(a: float, points: Sequence[float], radius: float) -> np.ndarray:
+    """Entry (i, j) is the integral over (-radius, radius) of s_i s_j, with
+    s_i(t) = sin(a(t - x_i)) / (t - x_i) the sine-quotient sections.
+
+    The integrand is entire, so one grid without breakpoints serves every
+    pair.  Sections are formed over fixed-size blocks of nodes, so none is
+    stored whole on the 0.4-0.8 M-node windows the checks use.
+    """
+    pts = np.asarray(points, dtype=float)
+    window = truncate_line(radius)
+    panels = panels_for_oscillation(window.length, 2.0 * a, minimum=16)
+    g = build_grid(window, panels, nodes_per_panel=8)
+    P = np.zeros((pts.size, pts.size))
+    for lo in range(0, g.size, _SINC_BLOCK):
+        S = sinc_ratio(a, g.nodes[None, lo : lo + _SINC_BLOCK] - pts[:, None])
+        P += (S * g.weights[lo : lo + _SINC_BLOCK]) @ S.T
+    return P
+
+
+def sinc_identity_check(a: float, x: float, y: float, radius: float) -> SincIdentityReport:
     """Quadrature check of the sine-product integral identity.
 
     Integrates sin(a(t-x)) sin(a(t-y)) / ((t-x)(t-y)) over (-radius, radius)
     and compares with pi sin(a(y-x))/(y-x).  The truncated tail is O(1/radius),
     so the discrepancy should sit below 4/radius plus quadrature noise.
     """
-    window = truncate_line(radius)
-    panels = panels_for_oscillation(window.length, 2.0 * a, minimum=16)
-    g = build_grid(window, panels, nodes_per_panel, breakpoints=(x, y))
-    vals = sinc_ratio(a, g.nodes - x) * sinc_ratio(a, g.nodes - y)
-    lhs = float(integrate(g, vals).real)
+    lhs = float(sinc_gram(a, (x, y), radius)[0, 1])
     rhs = float(math.pi * sinc_ratio(a, y - x))
     return SincIdentityReport(a, x, y, radius, lhs, rhs, abs(lhs - rhs))
 

@@ -7,6 +7,10 @@ transform of a vector f is the function x |-> <f, phi(x)>; its image carries
 the unique inner product making the transform a coisometry, and on the span
 of finitely many kernel sections that inner product is computed through the
 Gram matrix of the corresponding feature vectors.
+
+The Gram matrix, projections and span combinations are each one matrix
+product over the basis features; ``fsum_complex`` stays in :func:`opr_inner`,
+where coefficients over a near-singular Gram cancel.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg as sla
 
-from .numerics import HVector, fsum_complex, inner_weighted
+from .numerics import HVector, fsum_complex, inner_weighted, inner_weighted_matrix
 
 __all__ = [
     "FeatureMap",
@@ -67,9 +71,10 @@ def kernel_eval(phi: FeatureMap, x, y) -> complex:
 class SpanBasis:
     """Feature vectors at finitely many points, their Gram matrix, and a solver.
 
-    The ridge is relative, ``RIDGE_SCALE * trace(G) / m``; it absorbs
-    numerically dependent sections (e.g. nearly coincident points) that an
-    exact-arithmetic treatment never sees.
+    ``features`` holds the feature vectors as the rows of one (m, N) array
+    on ``phi.grid``.  The ridge is relative, ``RIDGE_SCALE * trace(G) / m``;
+    it absorbs numerically dependent sections (e.g. nearly coincident
+    points) that an exact-arithmetic treatment never sees.
     """
 
     phi: FeatureMap
@@ -77,7 +82,7 @@ class SpanBasis:
     gram: np.ndarray
     ridge: float
     factor: object = field(repr=False)
-    features: tuple = field(repr=False)
+    features: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -92,17 +97,10 @@ def build_span_basis(phi: FeatureMap, points: Sequence) -> SpanBasis:
     pts = tuple(points)
     if not pts:
         raise ValueError("a span basis needs at least one point")
-    feats = tuple(phi.feature(x) for x in pts)
+    feats = np.stack([phi.feature(x).values for x in pts])
+    G = inner_weighted_matrix(phi.grid, feats, feats).T
+    G = 0.5 * (G + G.conj().T)  # exactly Hermitian, with a real diagonal
     m = len(pts)
-    G = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(i + 1):
-            val = inner_weighted(feats[j], feats[i])
-            if i == j:
-                G[i, i] = complex(val.real, 0.0)
-            else:
-                G[i, j] = val
-                G[j, i] = np.conj(val)
     ridge = RIDGE_SCALE * float(np.trace(G).real) / m
     if ridge <= 0.0:
         raise ValueError("degenerate basis: all features vanish")
@@ -156,16 +154,14 @@ def span_combination(basis: SpanBasis, coeffs) -> HVector:
     c = np.asarray(coeffs, dtype=complex)
     if c.shape != (basis.size,):
         raise ValueError("coefficient length must match basis size")
-    acc = np.zeros(basis.phi.grid.size, dtype=complex)
-    for ci, ft in zip(c, basis.features):
-        acc = acc + ci * ft.values
-    return HVector(basis.phi.grid, acc)
+    return HVector(basis.phi.grid, c @ basis.features)
 
 
 def project_span(f: HVector, basis: SpanBasis) -> np.ndarray:
     """Ridge-regularized coefficients of the projection of f onto the span."""
-    b = np.array([inner_weighted(f, ft) for ft in basis.features])
-    return basis.solve(b)
+    if not f.grid.compatible_with(basis.phi.grid):
+        raise ValueError("vectors live on different grids")
+    return basis.solve(inner_weighted_matrix(f.grid, f.values, basis.features))
 
 
 def projection_residual(f: HVector, basis: SpanBasis, coeffs=None) -> float:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rkhskit import inversion as inv
-from rkhskit.numerics import build_grid, make_interval, sample
+from rkhskit.numerics import HVector, build_grid, inner_weighted, make_interval, sample
 from rkhskit.spaces import PaleyWienerSpace, SobolevSpace
 from rkhskit.transforms import build_span_basis, span_combination, transform
 
@@ -109,6 +109,32 @@ def test_exponential_system_is_orthonormal():
     grid = build_grid(make_interval(-math.pi, math.pi), 24, 12)
     ons = inv.exponential_system(grid, 16, math.pi)
     assert ons.orthonormality_defect() < 1e-10
+
+
+def test_system_products_match_pairwise_loops():
+    # random rows, so the defect is O(1) and every entry of the product counts
+    grid = build_grid(make_interval(-1.0, 1.0), 16, 10)
+    rng = np.random.default_rng(4)
+    rows = rng.standard_normal((6, grid.size)) + 1j * rng.standard_normal((6, grid.size))
+    ons = inv.OrthonormalSystem(grid, rows)
+    vecs = [HVector(grid, r) for r in rows]
+    want = max(
+        abs(inner_weighted(vecs[j], vecs[i]) - (1.0 if i == j else 0.0))
+        for i in range(len(vecs))
+        for j in range(i + 1)
+    )
+    assert abs(ons.orthonormality_defect() - want) <= 1e-13 * want
+
+    coeffs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    for upto in (1, 4, None):
+        acc = np.zeros(grid.size, dtype=complex)
+        for k in range(6 if upto is None else upto):
+            acc = acc + coeffs[k] * rows[k]
+        np.testing.assert_allclose(ons.reconstruct(coeffs, upto).values, acc, rtol=0, atol=1e-14)
+
+    f = HVector(grid, rng.standard_normal(grid.size) + 0j)
+    for n, v in enumerate(vecs):
+        assert abs(ons.coefficient(f, n) - inner_weighted(f, v)) <= 1e-13
 
 
 def test_exponential_system_rejects_empty():

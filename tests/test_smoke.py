@@ -1,10 +1,12 @@
-"""Whole-program smoke checks: the Fourier demo runs to completion, and
-importing the package stays light."""
+"""Whole-program smoke checks: the demos run to completion, and importing
+the package stays light."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -16,10 +18,18 @@ def _env():
     return env
 
 
-def test_fourier_demo_runs():
-    # its 8-wide box at radius 25 has 4075 time panels against 510
-    # frequency panels, a geometry no suite pins
-    demo = ROOT / "demos" / "05_fourier_unitarity.py"
+@pytest.mark.parametrize(
+    "name",
+    [
+        "03_bandlimited_sinc.py",  # sinc_gram through sinc_identity_check
+        "04_inversion_walkthrough.py",  # span bases and inversion on feature matrices
+        # its 8-wide box at radius 25 has 4075 time panels against 510
+        # frequency panels, a geometry no suite pins
+        "05_fourier_unitarity.py",
+    ],
+)
+def test_demo_runs(name):
+    demo = ROOT / "demos" / name
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, env=_env(), timeout=600)
     assert proc.returncode == 0, proc.stderr.decode()[-2000:]
 

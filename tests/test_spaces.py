@@ -9,14 +9,18 @@ import pytest
 from rkhskit.numerics import (
     build_grid,
     inner_weighted,
+    integrate,
     make_interval,
     norm_weighted,
+    panels_for_oscillation,
     product_grid,
     sample,
+    truncate_line,
 )
 from rkhskit.spaces import (
     PaleyWienerSpace,
     SobolevSpace,
+    sinc_gram,
     sinc_identity_check,
     sinc_ratio,
     tensor_feature,
@@ -183,6 +187,25 @@ def test_sinc_identity_coincident_points_give_pi():
     rep = sinc_identity_check(1.0, 0.0, 0.0, 1000.0)
     assert rep.rhs == pytest.approx(math.pi, abs=1e-12)
     assert abs(rep.lhs - math.pi) < 3e-3
+
+
+def _sinc_pairing_on_own_grid(a, x, y, radius):
+    # the per-pair reference: a fresh grid with breakpoints at x and y,
+    # integrated by compensated summation
+    window = truncate_line(radius)
+    panels = panels_for_oscillation(window.length, 2.0 * a, minimum=16)
+    g = build_grid(window, panels, 8, breakpoints=(x, y))
+    return integrate(g, sinc_ratio(a, g.nodes - x) * sinc_ratio(a, g.nodes - y)).real
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0])
+def test_sinc_gram_matches_per_pair_quadrature(a):
+    # 41-81 k nodes, so the blocked sum crosses block boundaries
+    pts = [-2.0, 0.0, 0.4, math.pi]
+    P = sinc_gram(a, pts, 1e3)
+    for i, x in enumerate(pts):
+        for j, y in enumerate(pts):
+            assert abs(P[i, j] - _sinc_pairing_on_own_grid(a, x, y, 1e3)) <= 1e-12
 
 
 # ----------------------------------------------------------------- tensor

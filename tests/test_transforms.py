@@ -155,3 +155,40 @@ def test_contraction_equality_for_span_members(sobolev):
     c = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
     rep = contraction_check(span_combination(basis, c), fm, basis)
     assert abs(rep.slack) < 1e-6
+
+
+@pytest.fixture(params=["sobolev", "paley-wiener"])
+def any_basis(request, sobolev):
+    if request.param == "sobolev":
+        return sobolev[2]
+    pw = PaleyWienerSpace(1.0, max_frequency=12.0)
+    return build_span_basis(pw.feature_map(), [-2.0, -1.0, 0.0, 0.5, math.pi])
+
+
+def test_feature_matrix_products_match_pairwise_loops(any_basis):
+    # the one-product Gram, projection and combination against the
+    # pairwise inner_weighted loops they replace
+    basis = any_basis
+    grid = basis.phi.grid
+    feats = [HVector(grid, row) for row in basis.features]
+    gram = np.array([[inner_weighted(fj, fi) for fj in feats] for fi in feats])
+    np.testing.assert_allclose(basis.gram, gram, rtol=0, atol=1e-14)
+
+    rng = np.random.default_rng(3)
+    f = HVector(grid, rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size))
+    rhs = np.array([inner_weighted(f, ft) for ft in feats])
+    # the Paley-Wiener Gram has condition number 3.6e4
+    np.testing.assert_allclose(project_span(f, basis), basis.solve(rhs), rtol=0, atol=1e-11)
+
+    c = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+    acc = np.zeros(grid.size, dtype=complex)
+    for ci, ft in zip(c, feats):
+        acc = acc + ci * ft.values
+    np.testing.assert_allclose(span_combination(basis, c).values, acc, rtol=0, atol=1e-14)
+
+
+def test_project_span_grid_mismatch(sobolev):
+    _, _, basis = sobolev
+    other = build_grid(make_interval(-1.0, 1.0), 3, 4)
+    with pytest.raises(ValueError, match="grid"):
+        project_span(sample(other, np.cos), basis)
