@@ -6,9 +6,13 @@ its image with the transformed kernel sections.  The same recipe survives
 composition with any isometry S into another evaluable RKHS W: the value
 (S f)(t) is the image-space inner product of f-hat with the conjugate of
 the S-composed features at t.  Orthonormal-coefficient recovery is the
-special case W = little-l2 over an index set.  The pairing in
-:func:`invert_at` and its coarse-basis residual keep ``fsum_complex``:
-coefficients over a near-singular Gram cancel there.
+special case W = little-l2 over an index set.
+
+:func:`invert_at` and :func:`generalized_invert_at` take one point or a 1-D
+array of points.  All kernel sections of a batch come from one solve with
+the Gram factor; the pairing with the image and the coarse-basis residual
+stay per point on ``fsum_complex``, because coefficients over a
+near-singular Gram cancel there.
 """
 
 from __future__ import annotations
@@ -93,6 +97,23 @@ def _as_span_coeffs(image: TransformImage, basis: SpanBasis) -> np.ndarray:
     raise ValueError("image was built over a different span basis")
 
 
+def _batch(t) -> tuple:
+    """(points, scalar): a 1-D array is a batch of points, anything else one point."""
+    if isinstance(t, np.ndarray) and t.ndim == 1:
+        return t.tolist(), False
+    return [t], True
+
+
+def _pair_with_sections(
+    image: TransformImage, basis: SpanBasis, D: np.ndarray, scalar: bool
+) -> complex | np.ndarray:
+    """Pair the image with each column of section coefficients D by
+    :func:`~rkhskit.transforms.opr_inner`."""
+    u = span_image(basis, _as_span_coeffs(image, basis))
+    vals = [opr_inner(u, span_image(basis, d)) for d in D.T]
+    return vals[0] if scalar else np.array(vals, dtype=complex)
+
+
 def invert_at(
     image: TransformImage,
     t,
@@ -100,8 +121,9 @@ def invert_at(
     basis: SpanBasis,
     *,
     coarse_warn: float | None = 1e-3,
-) -> complex:
-    """Evaluate the source of a transformed vector at t.
+) -> complex | np.ndarray:
+    """Evaluate the source of a transformed vector at t, one point or a 1-D
+    array of points (then an array of values).
 
     Pairs the image with the transform of the kernel section at t, both
     projected onto the span basis.  The section's projection coefficients
@@ -110,32 +132,39 @@ def invert_at(
     ridge when the source lies in the span; for anything else this
     evaluates the span projection of the source, and the kernel-section
     projection residual (relative, against ||k_t||) is worth watching,
-    hence the warning.
+    hence the warning, raised once per offending point.
     """
-    b = np.array([complex(h_space.kernel(x, t)) for x in basis.points])
-    d = basis.solve(b)
+    ts, scalar = _batch(t)
+    B = np.array([[complex(h_space.kernel(x, s)) for s in ts] for x in basis.points])
+    D = basis.solve(B)
     if coarse_warn is not None:
-        ktt = complex(h_space.kernel(t, t)).real
-        if ktt > 0.0:
-            proj_sq = fsum_complex(np.conj(d)[:, None] * basis.gram * d[None, :]).real
-            resid = math.sqrt(max(ktt - proj_sq, 0.0))
-            if resid > coarse_warn * math.sqrt(ktt):
-                warnings.warn(f"basis too coarse for t={t!r}", RuntimeWarning, stacklevel=2)
-    c = _as_span_coeffs(image, basis)
-    return opr_inner(span_image(basis, c), span_image(basis, d))
+        for s, d in zip(ts, D.T):
+            ktt = complex(h_space.kernel(s, s)).real
+            if ktt > 0.0:
+                proj_sq = fsum_complex(np.conj(d)[:, None] * basis.gram * d[None, :]).real
+                resid = math.sqrt(max(ktt - proj_sq, 0.0))
+                if resid > coarse_warn * math.sqrt(ktt):
+                    warnings.warn(f"basis too coarse for t={s!r}", RuntimeWarning, stacklevel=2)
+    return _pair_with_sections(image, basis, D, scalar)
 
 
 def generalized_invert_at(
     seq: TransformationSequence, image: TransformImage, t, basis: SpanBasis
-) -> complex:
+) -> complex | np.ndarray:
     """Recover (S f)(t) from the transform of f through the sequence's
     isometry: the image-space inner product with the span projection of the
-    pulled-back kernel section, assembled from conj((S phi(x_i))(t))."""
+    pulled-back kernel section, assembled from conj((S phi(x_i))(t)).
+
+    t is one point or a 1-D array of points (then an array of values);
+    ``s_apply`` runs once per basis feature and is evaluated at every point.
+    """
+    ts, scalar = _batch(t)
     grid = basis.phi.grid
-    b = np.array([complex(seq.s_apply(HVector(grid, ft))(t)).conjugate() for ft in basis.features])
-    d = basis.solve(b)
-    c = _as_span_coeffs(image, basis)
-    return opr_inner(span_image(basis, c), span_image(basis, d))
+    B = []
+    for ft in basis.features:
+        g = seq.s_apply(HVector(grid, ft))
+        B.append([complex(g(s)).conjugate() for s in ts])
+    return _pair_with_sections(image, basis, basis.solve(np.array(B)), scalar)
 
 
 def identity_sequence(phi: FeatureMap, h_space: EvaluableRKHS) -> TransformationSequence:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -164,6 +164,14 @@ def _sample_positive(fn: Callable, nodes: np.ndarray) -> np.ndarray:
     return vals
 
 
+@lru_cache(maxsize=64)
+def _gauss_rule(n: int) -> tuple:
+    """Read-only Gauss-Legendre nodes, weights and Vandermonde matrix
+    ``legvander(nodes, n - 1)`` of order n, built once per order."""
+    xi, om = legendre.leggauss(n)
+    return tuple(_frozen(arr) for arr in (xi, om, legendre.legvander(xi, n - 1)))
+
+
 def build_grid(
     interval: Interval,
     panels: int,
@@ -210,7 +218,7 @@ def build_grid(
     ]
     panel_edges = np.append(np.concatenate(pieces), hi)
 
-    xi, om = legendre.leggauss(nodes_per_panel)
+    xi, om, _ = _gauss_rule(nodes_per_panel)
     lefts = panel_edges[:-1, None]
     widths = np.diff(panel_edges)[:, None]
     nodes = (lefts + widths * (xi + 1.0) / 2.0).ravel()
@@ -396,8 +404,7 @@ def _panel_coeffs(grid: QuadGrid, values) -> np.ndarray:
     coefficients of any polynomial of degree n-1 exactly.
     """
     n = grid.nodes_per_panel
-    xi, om = legendre.leggauss(n)
-    V = legendre.legvander(xi, n - 1)
+    _, om, V = _gauss_rule(n)
     v = np.asarray(values, dtype=complex).reshape(grid.n_panels, n)
     coeffs = ((v * om) @ V) * ((2.0 * np.arange(n) + 1.0) / 2.0)
     return coeffs.T
@@ -412,7 +419,7 @@ def derivative_values(grid: QuadGrid, values) -> np.ndarray:
     n = grid.nodes_per_panel
     if n < 2:
         raise ValueError("need at least 2 nodes per panel to differentiate")
-    xi, _ = legendre.leggauss(n)
+    xi = _gauss_rule(n)[0]
     C = _panel_coeffs(grid, values)
     D = legendre.legval(xi, legendre.legder(C, axis=0), tensor=True)
     widths = np.diff(grid.panel_edges)

@@ -9,8 +9,11 @@ of finitely many kernel sections that inner product is computed through the
 Gram matrix of the corresponding feature vectors.
 
 The Gram matrix, projections and span combinations are each one matrix
-product over the basis features; ``fsum_complex`` stays in :func:`opr_inner`,
-where coefficients over a near-singular Gram cancel.
+product over the basis features, and :meth:`TransformImage.at_many`
+evaluates an image at many points the same way.  ``fsum_complex`` stays in
+the single pairings (:meth:`TransformImage.at`, :func:`kernel_eval`), the
+oracles of the batched calls, and in :func:`opr_inner`, where coefficients
+over a near-singular Gram cancel.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
 ]
 
 RIDGE_SCALE = 1e-10
+_EVAL_BLOCK = 1 << 15  # feature entries stacked per block in TransformImage.at_many
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,6 +128,7 @@ class TransformImage:
     coeffs: np.ndarray | None = None
 
     def at(self, x) -> complex:
+        """Value at one point, summed exactly by ``fsum_complex``."""
         if self.raw is not None:
             return inner_weighted(self.raw, self.phi.feature(x))
         k = self.phi.closed_kernel
@@ -132,6 +137,27 @@ class TransformImage:
         else:
             vals = np.array([kernel_eval(self.phi, x, p) for p in self.basis.points])
         return fsum_complex(vals * self.coeffs)
+
+    def at_many(self, points) -> np.ndarray:
+        """Values at a sequence of points, each of the kind :meth:`at`
+        accepts, as one complex array summed in BLAS order.
+
+        Point features are stacked in blocks of at most ``_EVAL_BLOCK``
+        entries, so a large product feature is never held more than once.
+        """
+        pts = list(points)
+        k = self.phi.closed_kernel
+        if self.raw is None and k is not None:
+            K = np.array([[k(x, p) for p in self.basis.points] for x in pts], dtype=complex)
+            return K.reshape(len(pts), self.basis.size) @ self.coeffs
+        rows = self.raw.values if self.raw is not None else self.basis.features
+        grid = self.phi.grid
+        per = max(1, _EVAL_BLOCK // grid.size)
+        vals = np.empty(rows.shape[:-1] + (len(pts),), dtype=complex)
+        for lo in range(0, len(pts), per):
+            feats = np.stack([self.phi.feature(x).values for x in pts[lo : lo + per]])
+            vals[..., lo : lo + per] = inner_weighted_matrix(grid, rows, feats)
+        return vals if self.raw is not None else self.coeffs @ vals
 
 
 def transform(f: HVector, phi: FeatureMap) -> TransformImage:

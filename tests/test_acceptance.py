@@ -52,11 +52,11 @@ def test_05_sine_product_integral_identity():
 
 
 def test_06_span_inversion_round_trip():
-    _run("inversion", 10.0, "06 inversion")
+    _run("inversion", 2.0, "06 inversion")
 
 
 def test_07_generalized_inversion_primitives():
-    _run("generalized-inversion", 30.0, "07 generalized inversion")
+    _run("generalized-inversion", 2.0, "07 generalized inversion")
 
 
 def test_08_orthonormal_coefficients():

@@ -208,3 +208,46 @@ def test_cons_sequence_kernel_is_kronecker():
     seq = inv.cons_sequence(ons, pw.feature_map())
     assert seq.w_space.kernel(2, 2) == 1.0
     assert seq.w_space.kernel(1, 3) == 0.0
+
+
+def _assert_batch_matches_points(recover, ts):
+    got = recover(ts)
+    want = np.array([recover(t) for t in ts.tolist()])
+    assert isinstance(recover(ts.tolist()[0]), complex)
+    assert got.shape == ts.shape and got.dtype == complex
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_batched_invert_at_matches_points(sobolev_setup):
+    space, fm, basis, h_space = sobolev_setup
+    coeffs = np.random.default_rng(7).standard_normal(basis.size) + 0.3j
+    image = transform(span_combination(basis, coeffs), fm)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _assert_batch_matches_points(
+            lambda t: inv.invert_at(image, t, h_space, basis), np.linspace(-0.95, 0.95, 12)
+        )
+
+
+def test_batched_generalized_inversion_matches_points(pw_setup):
+    pw, fm, basis = pw_setup
+    image = transform(sample(fm.grid, np.cos), fm)
+    h_space = inv.EvaluableRKHS(fm.domain_label, kernel=pw.kernel, section=fm.feature)
+    cons = inv.exponential_system(fm.grid, 16, 1.0)
+    cases = [
+        (inv.indefinite_integral_sequence(fm, anchor=0.0), np.array([-0.5, 0.25, 0.5, 1.0])),
+        (inv.identity_sequence(fm, h_space), np.linspace(-0.8, 0.8, 5)),
+        (inv.cons_sequence(cons, fm), np.arange(16)),
+    ]
+    for seq, ts in cases:
+        _assert_batch_matches_points(lambda t: inv.generalized_invert_at(seq, image, t, basis), ts)
+
+
+def test_batched_invert_at_warns_for_the_off_basis_point(sobolev_setup):
+    space, fm, basis, h_space = sobolev_setup
+    image = transform(span_combination(basis, np.ones(basis.size, dtype=complex)), fm)
+    # 0.3857... is a basis point, 0.31 lies between two
+    ts = np.array([basis.points[10], 0.31])
+    with pytest.warns(RuntimeWarning, match="coarse") as caught:
+        inv.invert_at(image, ts, h_space, basis)
+    assert [str(w.message) for w in caught] == ["basis too coarse for t=0.31"]

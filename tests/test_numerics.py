@@ -2,12 +2,15 @@
 
 import importlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import legendre
 
+from rkhskit import numerics
 from rkhskit.numerics import (
     HVector,
     ProductGrid,
@@ -25,6 +28,7 @@ from rkhskit.numerics import (
     sample,
     truncate_line,
 )
+from rkhskit.suites import RunConfig, run_suite
 
 LN2 = 0.6931471805599453  # integral of 1/(1+t) over (0,1)
 
@@ -229,3 +233,37 @@ def test_product_grid_shape_and_size_are_lazy():
     assert abs(integrate(grid, np.ones(grid.size)) - 4.0) < 1e-14
     assert grid.compatible_with(product_grid([gx, gy]))
     assert not grid.compatible_with(product_grid([gy, gx]))
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_cached_gauss_rule_builds_the_same_grid(n):
+    interval = make_interval(-0.7, 1.3)
+    edges = np.append(np.linspace(-0.7, 1.3, 6)[:-1], 1.3)
+    xi, om = legendre.leggauss(n)
+    nodes = (edges[:-1, None] + np.diff(edges)[:, None] * (xi + 1.0) / 2.0).ravel()
+    weights = (np.diff(edges)[:, None] * om / 2.0).ravel()
+    numerics._gauss_rule.cache_clear()
+    for _ in range(2):  # the build that fills the cache, then one served from it
+        g = build_grid(interval, 5, n)
+        np.testing.assert_array_equal(g.nodes, nodes)
+        np.testing.assert_array_equal(g.weights, weights)
+
+
+def test_cached_gauss_rule_is_read_only():
+    for arr in numerics._gauss_rule(6):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
+def test_gauss_rule_built_once_per_order(monkeypatch):
+    calls = Counter()
+    leggauss = legendre.leggauss
+
+    def counting(n):
+        calls[n] += 1
+        return leggauss(n)
+
+    monkeypatch.setattr(numerics.legendre, "leggauss", counting)
+    numerics._gauss_rule.cache_clear()
+    run_suite("inversion", RunConfig(suite="inversion"))
+    assert calls and max(calls.values()) == 1

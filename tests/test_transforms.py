@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from rkhskit.numerics import HVector, build_grid, inner_weighted, make_interval, sample
-from rkhskit.spaces import PaleyWienerSpace, SobolevSpace
+from rkhskit.spaces import PaleyWienerSpace, SobolevSpace, tensor_feature
 from rkhskit.transforms import (
+    FeatureMap,
     build_span_basis,
     contraction_check,
     kernel_eval,
@@ -99,6 +100,56 @@ def test_raw_image_at_agrees_with_inner_product(sobolev):
     img = transform(f, fm)
     x = 0.55
     assert img.at(x) == inner_weighted(f, fm.feature(x))
+
+
+def _assert_matches_at(img, points):
+    got = img.at_many(points)
+    want = np.array([img.at(x) for x in points])
+    assert got.shape == (len(points),) and got.dtype == complex
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def test_at_many_matches_at_on_raw_sobolev_image(sobolev):
+    space, fm, _ = sobolev
+    img = transform(sample(fm.grid, lambda t: np.exp(t) + 1j * t), fm)
+    # more points than one stacked block of features holds
+    _assert_matches_at(img, list(np.linspace(-0.95, 0.95, 101)))
+
+
+def test_at_many_matches_at_on_tensor_image():
+    fm = PaleyWienerSpace(1.0, max_frequency=4.0).feature_map()
+    prod = tensor_feature([fm, fm])
+    g1 = sample(fm.grid, lambda t: np.exp(1j * t))
+    g2 = sample(fm.grid, lambda t: np.cos(2.0 * t) + t)
+    img = transform(HVector(prod.grid, np.kron(g1.values, g2.values)), prod)
+    pts = [tuple(p) for p in np.random.default_rng(3).uniform(-4.0, 4.0, size=(7, 2))]
+    _assert_matches_at(img, pts)
+
+
+def test_at_many_matches_at_on_span_image(sobolev):
+    space, fm, basis = sobolev
+    coeffs = np.random.default_rng(5).standard_normal(basis.size) + 0.5j
+    pts = [-0.8, -0.3, 0.1, 0.45, 0.9]
+    _assert_matches_at(span_image(basis, coeffs), pts)
+    # without a closed kernel the kernel rows come from the features
+    bare = FeatureMap(fm.domain_label, fm.grid, fm.evaluate)
+    _assert_matches_at(span_image(build_span_basis(bare, basis.points), coeffs), pts)
+
+
+def test_at_many_of_nothing_is_empty(sobolev):
+    space, fm, basis = sobolev
+    for img in (transform(sample(fm.grid, np.cos), fm), span_image(basis, np.ones(basis.size))):
+        got = img.at_many([])
+        assert got.shape == (0,) and got.dtype == complex
+
+
+def test_at_many_rejects_out_of_range_frequency_like_at():
+    fm = PaleyWienerSpace(1.0, max_frequency=4.0).feature_map()
+    img = transform(sample(fm.grid, np.cos), fm)
+    with pytest.raises(ValueError, match="beyond declared grid resolution"):
+        img.at(4.5)
+    with pytest.raises(ValueError, match="beyond declared grid resolution"):
+        img.at_many([0.0, 4.5])
 
 
 def test_project_span_recovers_member_coeffs():
