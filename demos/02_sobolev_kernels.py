@@ -21,7 +21,7 @@ def main():
 
     print("closed-form kernel values, rho = 1, c = 0 on (-1, 1)")
     for x, y in [(0.3, 0.7), (0.7, 0.3), (-0.5, 0.2), (-0.4, -0.9)]:
-        print(f"  k({x:5.2f}, {y:5.2f}) = {space.kernel(x, y).real:+.12f}")
+        print(f"  k({x:5.2f}, {y:5.2f}) = {space.kernel(x, y):+.12f}")
 
     # reproducing property: f(y) - f(c) = <f', slope section at y> in the
     # derivative space.  Evaluation points must be declared to the feature
@@ -49,9 +49,9 @@ def main():
     # a weight that vanishes at the anchor makes the kernel grow without
     # bound under refinement: the diagonal is int_0^x dt/t
     print("\nrho = t on (0, 1), c = 0: k(0.5, 0.5) under panel refinement (divergent)")
-    grow = SobolevSpace(make_interval(0.0, 1.0), c=0.0, rho=lambda t: t)
     for panels in (8, 32, 128):
-        print(f"  panels = {panels:4d}:  k = {grow.kernel(0.5, 0.5, panels=panels).real:.6f}")
+        grow = SobolevSpace(make_interval(0.0, 1.0), c=0.0, rho=lambda t: t, panels=panels)
+        print(f"  panels = {panels:4d}:  k = {grow.kernel(0.5, 0.5):.6f}")
 
 
 if __name__ == "__main__":

@@ -53,6 +53,7 @@ from .spaces import (
     sinc_ratio,
     tensor_feature,
     tensor_kernel,
+    Weight,
 )
 from .inversion import (
     EvaluableRKHS,

@@ -9,10 +9,11 @@ the S-composed features at t.  Orthonormal-coefficient recovery is the
 special case W = little-l2 over an index set.
 
 :func:`invert_at` and :func:`generalized_invert_at` take one point or a 1-D
-array of points.  All kernel sections of a batch come from one solve with
-the Gram factor; the pairing with the image and the coarse-basis residual
-stay per point on ``fsum_complex``, because coefficients over a
-near-singular Gram cancel there.
+array of points.  A transformation sequence maps the whole feature matrix
+at every point of the batch in one call, and all kernel sections of the
+batch come from one solve with the Gram factor; the pairing with the image
+and the coarse-basis residual stay per point on ``fsum_complex``, because
+coefficients over a near-singular Gram cancel there.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .numerics import (
     QuadGrid,
     cumulative_integral,
     fsum_complex,
-    inner_weighted,
     inner_weighted_matrix,
     make_interval,
     med3,
@@ -67,9 +67,9 @@ class EvaluableRKHS:
 
     ``section(t)`` must satisfy <section(t), phi(x)> = k(x, t); for the
     canonical map that is the feature vector at t itself, not a derivative
-    or other surrogate.  Pointwise evaluation of arbitrary grid vectors
-    (identity sequences) goes through ``section``; span inversion needs
-    only ``kernel``.
+    or other surrogate.  The identity sequence evaluates grid vectors by
+    pairing them with ``section``, called once per point; span inversion
+    needs only ``kernel``.
     """
 
     domain_label: str
@@ -80,11 +80,15 @@ class EvaluableRKHS:
 @dataclass(frozen=True)
 class TransformationSequence:
     """A feature map phi into H followed by an isometry S from H into an
-    evaluable RKHS W; ``s_apply`` sends grid vectors to functions on W's
-    domain."""
+    evaluable RKHS W.
+
+    ``s_apply(rows, ts)`` takes grid vectors as the rows of an (m, N) array
+    on ``phi.grid`` and a list of T points of W's domain, and returns the
+    (m, T) complex array of (S rows[i])(ts[j]).
+    """
 
     phi: FeatureMap
-    s_apply: Callable[[HVector], Callable]
+    s_apply: Callable[[np.ndarray, list], np.ndarray]
     w_space: EvaluableRKHS
     label: str = ""
 
@@ -156,15 +160,11 @@ def generalized_invert_at(
     pulled-back kernel section, assembled from conj((S phi(x_i))(t)).
 
     t is one point or a 1-D array of points (then an array of values);
-    ``s_apply`` runs once per basis feature and is evaluated at every point.
+    ``s_apply`` runs once, on the whole feature matrix and every point.
     """
     ts, scalar = _batch(t)
-    grid = basis.phi.grid
-    B = []
-    for ft in basis.features:
-        g = seq.s_apply(HVector(grid, ft))
-        B.append([complex(g(s)).conjugate() for s in ts])
-    return _pair_with_sections(image, basis, basis.solve(np.array(B)), scalar)
+    D = basis.solve(np.conj(seq.s_apply(basis.features, ts)))
+    return _pair_with_sections(image, basis, D, scalar)
 
 
 def identity_sequence(phi: FeatureMap, h_space: EvaluableRKHS) -> TransformationSequence:
@@ -172,8 +172,9 @@ def identity_sequence(phi: FeatureMap, h_space: EvaluableRKHS) -> Transformation
     if h_space.section is None:
         raise ValueError("h_space must provide kernel sections")
 
-    def s_apply(h: HVector) -> Callable:
-        return lambda t: inner_weighted(h, h_space.section(t))
+    def s_apply(rows: np.ndarray, ts: list) -> np.ndarray:
+        sections = np.reshape([h_space.section(t).values for t in ts], (len(ts), phi.grid.size))
+        return inner_weighted_matrix(phi.grid, rows, sections)
 
     return TransformationSequence(phi, s_apply, h_space, label="identity")
 
@@ -183,10 +184,13 @@ def indefinite_integral_sequence(phi: FeatureMap, anchor: float = 0.0) -> Transf
     into the unit-weight Sobolev-type space anchored there, whose kernel is
     the overlap length |(anchor, med{t, u, anchor})|."""
 
-    def s_apply(h: HVector) -> Callable:
-        F = cumulative_integral(h.grid, h.values)
-        Fa = F(anchor)
-        return lambda t: F(t) - Fa
+    def s_apply(rows: np.ndarray, ts: list) -> np.ndarray:
+        xs = np.asarray(ts, dtype=float)
+        out = np.empty((len(rows), xs.size), dtype=complex)
+        for i, row in enumerate(rows):
+            F = cumulative_integral(phi.grid, row)
+            out[i] = F(xs) - F(anchor)
+        return out
 
     def w_kernel(t, u) -> complex:
         return complex(make_interval(anchor, med3(float(t), float(u), anchor)).length)
@@ -238,8 +242,9 @@ def cons_sequence(cons: OrthonormalSystem, phi: FeatureMap) -> TransformationSeq
     """S maps h to its orthonormal coefficient sequence; W is little-l2 over
     the index set with the Kronecker-delta kernel."""
 
-    def s_apply(h: HVector) -> Callable:
-        return lambda n: cons.coefficient(h, int(n))
+    def s_apply(rows: np.ndarray, ns: list) -> np.ndarray:
+        members = cons.members[[int(n) for n in ns]]
+        return inner_weighted_matrix(cons.grid, rows, members)
 
     def w_kernel(m, n) -> complex:
         return complex(1.0 if int(m) == int(n) else 0.0)
@@ -249,11 +254,14 @@ def cons_sequence(cons: OrthonormalSystem, phi: FeatureMap) -> TransformationSeq
 
 
 def fourier_coeff_invert(
-    cons: OrthonormalSystem, phi: FeatureMap, image: TransformImage, n: int, basis: SpanBasis
-) -> complex:
+    cons: OrthonormalSystem, phi: FeatureMap, image: TransformImage, n, basis: SpanBasis
+) -> complex | np.ndarray:
     """n-th orthonormal coefficient of the source, recovered through the
-    transform side rather than a direct inner product (0-based index)."""
-    if not 0 <= n < cons.count:
+    transform side rather than a direct inner product (0-based index).
+
+    n is one index or a 1-D array of indices (then an array of values)."""
+    ns = np.asarray(n)
+    if np.any((ns < 0) | (ns >= cons.count)):
         raise IndexError("coefficient index out of range")
     return generalized_invert_at(cons_sequence(cons, phi), image, n, basis)
 

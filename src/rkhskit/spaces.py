@@ -36,6 +36,7 @@ from .numerics import (
 from .transforms import FeatureMap
 
 __all__ = [
+    "Weight",
     "RHO_REGISTRY",
     "SobolevSpace",
     "PaleyWienerSpace",
@@ -47,9 +48,22 @@ __all__ = [
     "tensor_kernel",
 ]
 
-RHO_REGISTRY: dict[str, Callable] = {
-    "const": lambda t: np.ones_like(np.asarray(t, dtype=float)),
-    "affine": lambda t: 1.0 + np.asarray(t, dtype=float),
+
+@dataclass(frozen=True)
+class Weight:
+    """A weight rho with a primitive of 1/rho, so that Sobolev kernels under
+    it come in closed form; calling it samples rho."""
+
+    rho: Callable
+    inv_primitive: Callable[[float], float]
+
+    def __call__(self, t):
+        return self.rho(t)
+
+
+RHO_REGISTRY: dict[str, Weight] = {
+    "const": Weight(lambda t: np.ones_like(np.asarray(t, dtype=float)), lambda t: t),
+    "affine": Weight(lambda t: 1.0 + np.asarray(t, dtype=float), math.log1p),
 }
 
 _SINC_BLOCK = 1 << 15  # quadrature nodes per block of the sinc Gram sum
@@ -60,11 +74,14 @@ class SobolevSpace:
     derivative in the rho-weighted L2 space of a finite open interval.
 
     The kernel at (x, y) is the integral of 1/rho over the interval from c
-    to the median of {x, y, c}; features are the scaled indicators
-    chi_(c,x)/rho, so kernel values, transforms, and evaluations are all
-    small quadratures.  Integrability of 1/rho toward c is checked at grid
-    resolution only: a weight that fails it shows up as kernel values that
-    keep growing under grid refinement rather than as a constructor error.
+    to the median of {x, y, c}.  A :class:`Weight` (every registry weight)
+    carries a primitive P of 1/rho, and the kernel is then |P(med) - P(c)|;
+    any other weight is integrated by Gauss quadrature with the space's
+    ``panels`` and ``nodes_per_panel``.  Features are the scaled indicators
+    chi_(c,x)/rho, so transforms and evaluations are small quadratures.
+    Integrability of 1/rho toward c is checked at grid resolution only: a
+    weight that fails it shows up as kernel values that keep growing as
+    ``panels`` is refined rather than as a constructor error.
     """
 
     def __init__(
@@ -95,19 +112,26 @@ class SobolevSpace:
             raise ValueError("point outside the interval")
         return x
 
-    def kernel(self, x: float, y: float, *, panels: int = 8, nodes_per_panel: int = 16) -> float:
-        """Kernel value by quadrature of 1/rho over (c, med{x, y, c}).
+    def kernel(
+        self, x: float, y: float, *, panels: int | None = None, nodes_per_panel: int | None = None
+    ) -> float:
+        """Kernel value, the integral of 1/rho over (c, med{x, y, c}).
 
-        Endpoint arguments are allowed and mean the continuous extension.
+        Closed form when the weight carries the primitive of 1/rho and no
+        grid size is given; otherwise Gauss quadrature over (c, med) with
+        ``panels`` and ``nodes_per_panel`` (each defaulting to the space's
+        own).  Endpoint arguments are allowed and mean the continuous
+        extension.
         """
-        x = self._require_point(x)
-        y = self._require_point(y)
-        seg = make_interval(self.c, med3(x, y, self.c))
+        m = med3(self._require_point(x), self._require_point(y), self.c)
+        if isinstance(self.rho, Weight) and panels is None and nodes_per_panel is None:
+            P = self.rho.inv_primitive
+            return abs(float(P(m)) - float(P(self.c)))
+        seg = make_interval(self.c, m)
         if seg.empty:
             return 0.0
-        g = build_grid(seg, panels, nodes_per_panel)
-        vals = 1.0 / np.asarray(self.rho(g.nodes), dtype=float)
-        return float(integrate(g, vals).real)
+        g = build_grid(seg, panels or self.panels, nodes_per_panel or self.nodes_per_panel, self.rho)
+        return float(integrate(g, 1.0 / g.rho_at_nodes).real)
 
     def _feature_values(self, x, grid: QuadGrid) -> np.ndarray:
         x = self._require_point(x)
@@ -144,11 +168,6 @@ class SobolevSpace:
             closed_kernel=lambda x, y: complex(self.kernel(x, y)),
         )
 
-    def feature(self, x: float) -> HVector:
-        """One-off feature vector on a grid with breaks at c and x."""
-        fm = self.feature_map((x,))
-        return fm.feature(x)
-
     def kernel_section_slope(self, y: float, grid: QuadGrid) -> HVector:
         """Derivative representative of the kernel section at y:
         sign(y - c) * chi_(c,y)/rho.
@@ -173,10 +192,6 @@ class SobolevSpace:
             return complex(out[0]) if xs.ndim == 0 else out
 
         return fhat
-
-    def oriented_integral(self, f: HVector) -> Callable:
-        """Plain signed primitive x maps to integral from c to x of f."""
-        return self._primitive(f)
 
     def _primitive(self, f: HVector) -> Callable:
         if not (f.grid.interval.lo == self.interval.lo and f.grid.interval.hi == self.interval.hi):

@@ -75,7 +75,7 @@ def test_09_plancherel_at_desk_scale():
 
 def test_10_verification_is_deterministic():
     # two full runs of the everything-suite must print identical bytes
-    env = dict(os.environ, RKHS_THREADS="1")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     cmd = [sys.executable, "-m", "rkhskit.cli", "verify", "--suite", "all", "--seed", "42"]
     first = subprocess.run(cmd, capture_output=True, env=env)
     second = subprocess.run(cmd, capture_output=True, env=env)

@@ -183,11 +183,29 @@ def test_config_accepts_integer_radius(tmp_path, capsys):
     assert code == 0 and "suite generalized-inversion: PASS" in out
 
 
-def test_thread_env_must_be_positive(monkeypatch, capsys):
-    monkeypatch.setenv("RKHS_THREADS", "zero")
-    code, _, err = run(capsys, "verify", "--suite", "kernels")
-    assert code == 2
-    assert "RKHS_THREADS" in err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("invert", "--mode", "sobolev-span", "--probes", "1.5"),
+        ("invert", "--mode", "pw-primitive", "--f", "cos", "--probes", "250"),
+        ("invert", "--mode", "pw-primitive", "--f", "cos", "--probes", "nan"),
+        ("invert", "--mode", "pw-primitive", "--f", "cos", "--probes", "0.5,inf"),
+        ("kernel", "--family", "sobolev", "--points", "0.5,1.5"),
+        ("kernel", "--family", "pw", "--a", "-1"),
+        ("transform", "--family", "pw", "--points", "50"),
+    ],
+)
+def test_bad_input_exits_2_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("mode, source", [("sobolev-span", "span"), ("pw-primitive", "cos")])
+def test_invert_without_probes_prints_only_the_header(capsys, mode, source):
+    code, out, _ = run(capsys, "invert", "--mode", mode, "--f", source, "--probes", "")
+    assert code == 0
+    assert out == "t,recovered_re,recovered_im,reference_re,reference_im,abs_err\n"
 
 
 def test_report_schema_subcommand(capsys):

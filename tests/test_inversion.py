@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rkhskit import inversion as inv
-from rkhskit.numerics import HVector, build_grid, inner_weighted, make_interval, sample
+from rkhskit.numerics import HVector, build_grid, cumulative_integral, inner_weighted, make_interval, sample
 from rkhskit.spaces import PaleyWienerSpace, SobolevSpace
 from rkhskit.transforms import build_span_basis, span_combination, transform
 
@@ -251,3 +251,71 @@ def test_batched_invert_at_warns_for_the_off_basis_point(sobolev_setup):
     with pytest.warns(RuntimeWarning, match="coarse") as caught:
         inv.invert_at(image, ts, h_space, basis)
     assert [str(w.message) for w in caught] == ["basis too coarse for t=0.31"]
+
+
+def test_identity_sequence_forms_one_section_per_point(pw_setup):
+    pw, fm, basis = pw_setup
+    calls = []
+
+    def section(t):
+        calls.append(t)
+        return fm.feature(t)
+
+    h_space = inv.EvaluableRKHS(fm.domain_label, kernel=pw.kernel, section=section)
+    image = transform(sample(fm.grid, np.cos), fm)
+    ts = np.linspace(-0.8, 0.8, 9)
+    inv.generalized_invert_at(inv.identity_sequence(fm, h_space), image, ts, basis)
+    assert calls == ts.tolist()  # 9 sections, not one per (feature row, point)
+
+
+def test_s_apply_returns_the_row_by_point_matrix(pw_setup):
+    pw, fm, basis = pw_setup
+    h_space = inv.EvaluableRKHS(fm.domain_label, kernel=pw.kernel, section=fm.feature)
+    cons = inv.exponential_system(fm.grid, 16, 1.0)
+    rows = basis.features[:3]
+    vecs = [HVector(fm.grid, r) for r in rows]
+    ts = [-0.5, 0.25, 1.0]
+    F = [cumulative_integral(fm.grid, r) for r in rows]
+    cases = [
+        (inv.identity_sequence(fm, h_space), ts, lambda i, t: inner_weighted(vecs[i], fm.feature(t))),
+        (inv.indefinite_integral_sequence(fm, anchor=0.0), ts, lambda i, t: F[i](t) - F[i](0.0)),
+        (inv.cons_sequence(cons, fm), [0, 5, 15], lambda i, n: cons.coefficient(vecs[i], n)),
+    ]
+    for seq, pts, want in cases:
+        got = seq.s_apply(rows, pts)
+        assert got.shape == (3, 3) and got.dtype == complex
+        ref = np.array([[want(i, t) for t in pts] for i in range(3)])
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13)
+
+
+def test_empty_points_give_empty_arrays(sobolev_setup, pw_setup):
+    space, sfm, sbasis, sh = sobolev_setup
+    simage = transform(span_combination(sbasis, np.ones(sbasis.size, dtype=complex)), sfm)
+    got = inv.invert_at(simage, np.array([]), sh, sbasis)
+    assert got.shape == (0,) and got.dtype == complex
+    pw, fm, basis = pw_setup
+    image = transform(sample(fm.grid, np.cos), fm)
+    h_space = inv.EvaluableRKHS(fm.domain_label, kernel=pw.kernel, section=fm.feature)
+    for seq in (
+        inv.identity_sequence(fm, h_space),
+        inv.indefinite_integral_sequence(fm, anchor=0.0),
+        inv.cons_sequence(inv.exponential_system(fm.grid, 4, 1.0), fm),
+    ):
+        got = inv.generalized_invert_at(seq, image, np.array([]), basis)
+        assert got.shape == (0,) and got.dtype == complex
+
+
+def test_batched_coefficients_match_per_index_calls():
+    pts = math.pi * np.arange(-8.0, 9.0)
+    pw = PaleyWienerSpace(1.0, max_frequency=30.0)
+    fm = pw.feature_map()
+    basis = build_span_basis(fm, pts)
+    ons = inv.exponential_system(fm.grid, 12, 1.0)
+    image = transform(ons.reconstruct(np.linspace(1.0, 0.1, 12) + 0.3j), fm)
+    got = inv.fourier_coeff_invert(ons, fm, image, np.arange(12), basis)
+    want = [inv.fourier_coeff_invert(ons, fm, image, n, basis) for n in range(12)]
+    assert got.shape == (12,) and got.dtype == complex
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    for bad in (np.array([0, 12]), np.array([-1, 3])):
+        with pytest.raises(IndexError):
+            inv.fourier_coeff_invert(ons, fm, image, bad, basis)

@@ -21,6 +21,8 @@ def _env():
 @pytest.mark.parametrize(
     "name",
     [
+        "01_weighted_quadrature.py",
+        "02_sobolev_kernels.py",  # closed-form kernels and refinement through the constructor
         "03_bandlimited_sinc.py",  # sinc_gram through sinc_identity_check
         "04_inversion_walkthrough.py",  # span bases and inversion on feature matrices
         # its 8-wide box at radius 25 has 4075 time panels against 510

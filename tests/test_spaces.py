@@ -18,6 +18,7 @@ from rkhskit.numerics import (
     truncate_line,
 )
 from rkhskit.spaces import (
+    RHO_REGISTRY,
     PaleyWienerSpace,
     SobolevSpace,
     sinc_gram,
@@ -103,10 +104,49 @@ def test_interval_must_be_finite():
 def test_nonintegrable_weight_grows_under_refinement():
     # integrability of 1/rho toward c is only seen at grid resolution; a
     # failing weight shows up as diagonal kernel values that keep climbing
-    s = SobolevSpace(make_interval(0.0, 1.0), 0.0, rho=lambda t: t)
-    ks = [s.kernel(0.5, 0.5, panels=p) for p in (8, 32, 128)]
+    ks = [
+        SobolevSpace(make_interval(0.0, 1.0), 0.0, rho=lambda t: t, panels=p).kernel(0.5, 0.5)
+        for p in (8, 32, 128)
+    ]
     assert ks[0] < ks[1] < ks[2]
     assert ks[2] - ks[0] > 0.5
+
+
+@pytest.mark.parametrize(
+    "lo, hi, c, rho_name",
+    [
+        (-1.0, 1.0, 0.0, "const"),
+        (0.0, 2.0, 0.7, "const"),
+        (0.0, 1.0, 0.0, "affine"),
+        (-1.0, 1.0, 0.0, "affine"),
+        (-0.5, 3.0, 1.25, "affine"),
+    ],
+)
+def test_registry_kernels_against_mpmath(lo, hi, c, rho_name):
+    # the integral of 1/rho over (c, med{x, y, c}), across the whole interval;
+    # affine on (-1, 1) at x = -0.999 sits next to the zero of rho
+    s = SobolevSpace(make_interval(lo, hi), c, RHO_REGISTRY[rho_name])
+    pts = [lo, lo + 0.001 * (hi - lo), *np.linspace(lo, hi, 9)[1:-1].tolist(), hi]
+    if rho_name == "affine" and lo == -1.0:
+        pts[0] = -0.999
+    inv_rho = {"const": lambda t: 1, "affine": lambda t: 1 / (1 + t)}[rho_name]
+    with mpmath.workdps(30):
+        for x in pts:
+            for y in pts:
+                m = sorted((x, y, c))[1]
+                want = float(abs(mpmath.quad(inv_rho, [mpmath.mpf(c), mpmath.mpf(m)])))
+                assert abs(s.kernel(x, y) - want) <= 1e-14 * max(want, 1e-300)
+
+
+def test_kernel_quadrature_route_matches_closed_form():
+    # an explicit grid size integrates 1/rho by Gauss quadrature instead
+    s = SobolevSpace(make_interval(0.0, 1.0), 0.0, RHO_REGISTRY["affine"])
+    for x, y in [(0.3, 0.9), (0.95, 0.95), (0.05, 0.6)]:
+        assert s.kernel(x, y, panels=16) == pytest.approx(s.kernel(x, y), rel=1e-14)
+        assert s.kernel(x, y, nodes_per_panel=4) == pytest.approx(s.kernel(x, y), rel=1e-13)
+    # a coarse grid is visibly worse next to the zero of rho
+    near = SobolevSpace(make_interval(-1.0, 1.0), 0.0, RHO_REGISTRY["affine"])
+    assert abs(near.kernel(-0.999, -0.999, panels=8) - math.log(1000.0)) > 1e-2
 
 
 def test_negative_weight_rejected():
