@@ -84,7 +84,8 @@ class TransformationSequence:
 
     ``s_apply(rows, ts)`` takes grid vectors as the rows of an (m, N) array
     on ``phi.grid`` and a list of T points of W's domain, and returns the
-    (m, T) complex array of (S rows[i])(ts[j]).
+    (m, T) complex array of (S rows[i])(ts[j]); pairing the rows with a
+    vector on another grid raises ``ValueError``.
     """
 
     phi: FeatureMap
@@ -162,6 +163,8 @@ def generalized_invert_at(
     t is one point or a 1-D array of points (then an array of values);
     ``s_apply`` runs once, on the whole feature matrix and every point.
     """
+    if not basis.phi.grid.compatible_with(seq.phi.grid):
+        raise ValueError("basis features and sequence live on different grids")
     ts, scalar = _batch(t)
     D = basis.solve(np.conj(seq.s_apply(basis.features, ts)))
     return _pair_with_sections(image, basis, D, scalar)
@@ -173,8 +176,11 @@ def identity_sequence(phi: FeatureMap, h_space: EvaluableRKHS) -> Transformation
         raise ValueError("h_space must provide kernel sections")
 
     def s_apply(rows: np.ndarray, ts: list) -> np.ndarray:
-        sections = np.reshape([h_space.section(t).values for t in ts], (len(ts), phi.grid.size))
-        return inner_weighted_matrix(phi.grid, rows, sections)
+        sections = [h_space.section(t) for t in ts]
+        if not all(v.grid.compatible_with(phi.grid) for v in sections):
+            raise ValueError("kernel sections live on a different grid than the features")
+        values = np.reshape([v.values for v in sections], (len(ts), phi.grid.size))
+        return inner_weighted_matrix(phi.grid, rows, values)
 
     return TransformationSequence(phi, s_apply, h_space, label="identity")
 
@@ -186,11 +192,8 @@ def indefinite_integral_sequence(phi: FeatureMap, anchor: float = 0.0) -> Transf
 
     def s_apply(rows: np.ndarray, ts: list) -> np.ndarray:
         xs = np.asarray(ts, dtype=float)
-        out = np.empty((len(rows), xs.size), dtype=complex)
-        for i, row in enumerate(rows):
-            F = cumulative_integral(phi.grid, row)
-            out[i] = F(xs) - F(anchor)
-        return out
+        Fs = (cumulative_integral(phi.grid, row) for row in rows)
+        return np.array([F(xs) - F(anchor) for F in Fs], dtype=complex).reshape(len(rows), xs.size)
 
     def w_kernel(t, u) -> complex:
         return complex(make_interval(anchor, med3(float(t), float(u), anchor)).length)
@@ -243,6 +246,8 @@ def cons_sequence(cons: OrthonormalSystem, phi: FeatureMap) -> TransformationSeq
     the index set with the Kronecker-delta kernel."""
 
     def s_apply(rows: np.ndarray, ns: list) -> np.ndarray:
+        if not cons.grid.compatible_with(phi.grid):
+            raise ValueError("orthonormal system and features live on different grids")
         members = cons.members[[int(n) for n in ns]]
         return inner_weighted_matrix(cons.grid, rows, members)
 

@@ -117,16 +117,19 @@ class SobolevSpace:
     ) -> float:
         """Kernel value, the integral of 1/rho over (c, med{x, y, c}).
 
-        Closed form when the weight carries the primitive of 1/rho and no
-        grid size is given; otherwise Gauss quadrature over (c, med) with
-        ``panels`` and ``nodes_per_panel`` (each defaulting to the space's
-        own).  Endpoint arguments are allowed and mean the continuous
-        extension.
+        Closed form for a :class:`Weight`; any other weight is integrated by
+        Gauss quadrature with ``panels`` and ``nodes_per_panel``, each
+        defaulting to the space's own.  Endpoint arguments mean the
+        continuous extension; where that is infinite (1/rho not integrable
+        up to the point) the closed form raises ``ValueError``.
         """
         m = med3(self._require_point(x), self._require_point(y), self.c)
-        if isinstance(self.rho, Weight) and panels is None and nodes_per_panel is None:
+        if isinstance(self.rho, Weight):
             P = self.rho.inv_primitive
-            return abs(float(P(m)) - float(P(self.c)))
+            try:
+                return abs(float(P(m)) - float(P(self.c)))
+            except ValueError:
+                raise ValueError(f"1/rho is not integrable from c = {self.c:g} to {m:g}") from None
         seg = make_interval(self.c, m)
         if seg.empty:
             return 0.0

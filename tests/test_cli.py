@@ -191,6 +191,7 @@ def test_config_accepts_integer_radius(tmp_path, capsys):
         ("invert", "--mode", "pw-primitive", "--f", "cos", "--probes", "nan"),
         ("invert", "--mode", "pw-primitive", "--f", "cos", "--probes", "0.5,inf"),
         ("kernel", "--family", "sobolev", "--points", "0.5,1.5"),
+        ("kernel", "--family", "sobolev", "--rho", "affine", "--points=-1,0.5"),
         ("kernel", "--family", "pw", "--a", "-1"),
         ("transform", "--family", "pw", "--points", "50"),
     ],

@@ -1,5 +1,6 @@
 """Inverse-transform formulas: direct, through isometries, and coefficients."""
 
+import dataclasses
 import math
 import warnings
 
@@ -319,3 +320,26 @@ def test_batched_coefficients_match_per_index_calls():
     for bad in (np.array([0, 12]), np.array([-1, 3])):
         with pytest.raises(IndexError):
             inv.fourier_coeff_invert(ons, fm, image, bad, basis)
+
+
+def test_sequences_refuse_vectors_on_another_grid(pw_setup):
+    pw, fm, basis = pw_setup
+    image = transform(sample(fm.grid, np.cos), fm)
+    same_size = dataclasses.replace(fm.grid, nodes=fm.grid.nodes + 0.5)
+    for grid in (same_size, build_grid(make_interval(-1.0, 1.0), 8, 8)):
+        section = lambda t, grid=grid: HVector(grid, np.ones(grid.size, dtype=complex))
+        h_space = inv.EvaluableRKHS(fm.domain_label, kernel=pw.kernel, section=section)
+        with pytest.raises(ValueError, match="different grid"):
+            inv.generalized_invert_at(inv.identity_sequence(fm, h_space), image, np.array([0.2]), basis)
+        cons = inv.exponential_system(grid, 4, 1.0)
+        with pytest.raises(ValueError, match="different grids"):
+            inv.fourier_coeff_invert(cons, fm, image, 1, basis)
+
+
+def test_generalized_inversion_refuses_a_basis_on_another_grid(pw_setup):
+    pw, fm, basis = pw_setup
+    image = transform(sample(fm.grid, np.cos), fm)
+    other = PaleyWienerSpace(1.0, max_frequency=10.0).feature_map()
+    seq = inv.indefinite_integral_sequence(other, anchor=0.0)
+    with pytest.raises(ValueError, match="different grids"):
+        inv.generalized_invert_at(seq, image, 0.5, basis)

@@ -139,14 +139,25 @@ def test_registry_kernels_against_mpmath(lo, hi, c, rho_name):
 
 
 def test_kernel_quadrature_route_matches_closed_form():
-    # an explicit grid size integrates 1/rho by Gauss quadrature instead
-    s = SobolevSpace(make_interval(0.0, 1.0), 0.0, RHO_REGISTRY["affine"])
-    for x, y in [(0.3, 0.9), (0.95, 0.95), (0.05, 0.6)]:
-        assert s.kernel(x, y, panels=16) == pytest.approx(s.kernel(x, y), rel=1e-14)
-        assert s.kernel(x, y, nodes_per_panel=4) == pytest.approx(s.kernel(x, y), rel=1e-13)
+    # the bare rho callable carries no primitive, so the kernel integrates
+    # 1/rho by Gauss quadrature on the space's own grid size
+    affine = RHO_REGISTRY["affine"]
+    closed = SobolevSpace(make_interval(0.0, 1.0), 0.0, affine)
+    for panels, npp, rel in [(16, 16, 1e-14), (32, 4, 1e-13)]:
+        quad = SobolevSpace(make_interval(0.0, 1.0), 0.0, affine.rho, panels=panels, nodes_per_panel=npp)
+        for x, y in [(0.3, 0.9), (0.95, 0.95), (0.05, 0.6)]:
+            assert quad.kernel(x, y) == pytest.approx(closed.kernel(x, y), rel=rel)
     # a coarse grid is visibly worse next to the zero of rho
-    near = SobolevSpace(make_interval(-1.0, 1.0), 0.0, RHO_REGISTRY["affine"])
-    assert abs(near.kernel(-0.999, -0.999, panels=8) - math.log(1000.0)) > 1e-2
+    near = SobolevSpace(make_interval(-1.0, 1.0), 0.0, affine.rho, panels=8)
+    assert abs(near.kernel(-0.999, -0.999) - math.log(1000.0)) > 1e-2
+
+
+def test_closed_kernel_refuses_a_nonintegrable_endpoint():
+    # rho = 1 + t vanishes at -1, where the integral of 1/rho diverges
+    s = SobolevSpace(make_interval(-1.0, 1.0), 0.0, RHO_REGISTRY["affine"])
+    assert s.kernel(-1.0, 0.5) == 0.0  # med{-1, 0.5, 0} is the anchor
+    with pytest.raises(ValueError, match="not integrable"):
+        s.kernel(-1.0, -1.0)
 
 
 def test_negative_weight_rejected():
