@@ -91,7 +91,6 @@ class TransformationSequence:
     phi: FeatureMap
     s_apply: Callable[[np.ndarray, list], np.ndarray]
     w_space: EvaluableRKHS
-    label: str = ""
 
 
 def _as_span_coeffs(image: TransformImage, basis: SpanBasis) -> np.ndarray:
@@ -124,8 +123,6 @@ def invert_at(
     t,
     h_space: EvaluableRKHS,
     basis: SpanBasis,
-    *,
-    coarse_warn: float | None = 1e-3,
 ) -> complex | np.ndarray:
     """Evaluate the source of a transformed vector at t, one point or a 1-D
     array of points (then an array of values).
@@ -137,19 +134,18 @@ def invert_at(
     ridge when the source lies in the span; for anything else this
     evaluates the span projection of the source, and the kernel-section
     projection residual (relative, against ||k_t||) is worth watching,
-    hence the warning, raised once per offending point.
+    hence the warning, raised once per point where it exceeds 1e-3.
     """
     ts, scalar = _batch(t)
     B = np.array([[complex(h_space.kernel(x, s)) for s in ts] for x in basis.points])
     D = basis.solve(B)
-    if coarse_warn is not None:
-        for s, d in zip(ts, D.T):
-            ktt = complex(h_space.kernel(s, s)).real
-            if ktt > 0.0:
-                proj_sq = fsum_complex(np.conj(d)[:, None] * basis.gram * d[None, :]).real
-                resid = math.sqrt(max(ktt - proj_sq, 0.0))
-                if resid > coarse_warn * math.sqrt(ktt):
-                    warnings.warn(f"basis too coarse for t={s!r}", RuntimeWarning, stacklevel=2)
+    for s, d in zip(ts, D.T):
+        ktt = complex(h_space.kernel(s, s)).real
+        if ktt > 0.0:
+            proj_sq = fsum_complex(np.conj(d)[:, None] * basis.gram * d[None, :]).real
+            resid = math.sqrt(max(ktt - proj_sq, 0.0))
+            if resid > 1e-3 * math.sqrt(ktt):
+                warnings.warn(f"basis too coarse for t={s!r}", RuntimeWarning, stacklevel=2)
     return _pair_with_sections(image, basis, D, scalar)
 
 
@@ -182,7 +178,7 @@ def identity_sequence(phi: FeatureMap, h_space: EvaluableRKHS) -> Transformation
         values = np.reshape([v.values for v in sections], (len(ts), phi.grid.size))
         return inner_weighted_matrix(phi.grid, rows, values)
 
-    return TransformationSequence(phi, s_apply, h_space, label="identity")
+    return TransformationSequence(phi, s_apply, h_space)
 
 
 def indefinite_integral_sequence(phi: FeatureMap, anchor: float = 0.0) -> TransformationSequence:
@@ -199,7 +195,7 @@ def indefinite_integral_sequence(phi: FeatureMap, anchor: float = 0.0) -> Transf
         return complex(make_interval(anchor, med3(float(t), float(u), anchor)).length)
 
     w = EvaluableRKHS("primitives anchored at %g" % anchor, w_kernel)
-    return TransformationSequence(phi, s_apply, w, label="indefinite integral")
+    return TransformationSequence(phi, s_apply, w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,7 +251,7 @@ def cons_sequence(cons: OrthonormalSystem, phi: FeatureMap) -> TransformationSeq
         return complex(1.0 if int(m) == int(n) else 0.0)
 
     w = EvaluableRKHS("coefficient indices", w_kernel)
-    return TransformationSequence(phi, s_apply, w, label="orthonormal coefficients")
+    return TransformationSequence(phi, s_apply, w)
 
 
 def fourier_coeff_invert(

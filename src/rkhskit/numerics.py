@@ -164,6 +164,13 @@ def _sample_positive(fn: Callable, nodes: np.ndarray) -> np.ndarray:
     return vals
 
 
+# size limits of one grid, checked before anything is allocated: as many
+# nodes as the largest Fourier box (plancherel.BOX_NODE_CAP), and Gauss
+# orders whose (n x n) Vandermonde matrix stays small
+_GRID_NODE_CAP = 10 ** 7
+_MAX_GAUSS_ORDER = 128
+
+
 @lru_cache(maxsize=64)
 def _gauss_rule(n: int) -> tuple:
     """Read-only Gauss-Legendre nodes, weights and Vandermonde matrix
@@ -193,6 +200,7 @@ def build_grid(
     nodes_per_panel:
         Gauss-Legendre order per panel; polynomials of degree up to
         ``2 * nodes_per_panel - 1`` are integrated exactly panelwise.
+        At most 128, and at most 10^7 nodes in all.
     rho:
         Optional weight function sampled at the nodes; must be finite and
         strictly positive there.  Defaults to 1.
@@ -206,12 +214,18 @@ def build_grid(
         raise ValueError("requires truncated interval")
     if panels < 1 or nodes_per_panel < 1:
         raise ValueError("panels and nodes_per_panel must be positive")
+    if nodes_per_panel > _MAX_GAUSS_ORDER:
+        raise ValueError(f"nodes_per_panel {nodes_per_panel} exceeds the limit of {_MAX_GAUSS_ORDER}")
 
     lo, hi = interval.lo, interval.hi
     cuts = sorted({float(b) for b in breakpoints if lo < b < hi})
     seg_edges = np.array([lo, *cuts, hi])
     seg_len = np.diff(seg_edges)
-    counts = np.maximum(1, np.rint(panels * seg_len / (hi - lo)).astype(int))
+    counts = np.maximum(1.0, np.rint(panels * seg_len / (hi - lo)))
+    size = float(counts.sum()) * nodes_per_panel
+    if size > _GRID_NODE_CAP:
+        raise ValueError(f"grid of {size:.3g} nodes exceeds the limit of {_GRID_NODE_CAP:.0e}")
+    counts = counts.astype(int)
     pieces = [
         np.linspace(left, right, k + 1)[:-1]
         for left, right, k in zip(seg_edges[:-1], seg_edges[1:], counts)

@@ -12,13 +12,15 @@ routes to the same quadrature sum.  The dense one materializes the kernel
 exp(+-i x t) w(t) in blocks.  The chirp-z one serves composite
 Gauss-Legendre grids with uniform panels on both sides: there x t splits
 into per-node phases and a term in the panel lag q - p alone, so the sum
-over source panels is a convolution done by FFT, with no approximation.
+over source panels is a convolution done by FFT (Bluestein's chirp-z
+identity), one FFT column per data column and with no approximation; its
+error is rounding of the same order as the dense route's rounding of x t.
 :func:`fourier_on_lattice` takes the chirp-z route when both grids have
 uniform panels and a cost model fitted to timings of both routes says it is
 cheaper; grids with breakpoints and very small grids stay dense, and the
 dense route is the tests' oracle.  :func:`transform_at` evaluates the dense
-sum at arbitrary points, and :func:`mutual_inverse_check` evaluates its
-default probe lattice one axis at a time.
+sum at arbitrary points, and :func:`mutual_inverse_check` evaluates the
+same sum on its probe lattice one axis at a time.
 
 The two boxes are the same kind of object, a
 :class:`~rkhskit.numerics.ProductGrid` from :func:`box_domain`: a time box
@@ -78,7 +80,6 @@ def box_domain(
     *,
     max_frequency: float,
     nodes_per_panel: int = 8,
-    min_panels: int = 8,
 ) -> ProductGrid:
     """Box prod_j (-a_j, a_j) with per-axis grids fine enough for
     exp(-i t x) factors up to |x| = max_frequency; pick max_frequency at
@@ -95,7 +96,7 @@ def box_domain(
         if not (math.isfinite(a) and a > 0):
             raise ValueError("half-widths must be positive and finite")
         if a not in grids:
-            panels = panels_for_oscillation(2.0 * a, max_frequency, minimum=min_panels)
+            panels = panels_for_oscillation(2.0 * a, max_frequency, minimum=8)
             grids[a] = build_grid(make_interval(-a, a), panels, nodes_per_panel)
     return product_grid([grids[a] for a in hws], cap=BOX_NODE_CAP, max_frequency=max_frequency)
 
@@ -174,11 +175,9 @@ def _axis_chirp(arr: np.ndarray, axis: int, dst: QuadGrid, src: QuadGrid, sign: 
 
     The quadratic phases reach about theta (P + Q)^2 / 8 radians, so they
     are formed in extended precision.  The target nodes sit off the model
-    by the rounding of their panel edges, which is systematic (nodes near
-    the centre carry the rounding of the far edge); that offset e is put
-    back to first order, exp(i s e (t - tc)) ~ 1 + i s e (t - tc), by
-    transforming (t - tc) f alongside f.  The second-order term is of
-    order (e t)^2, far below double precision.
+    by the rounding of their panel edges, an offset e of a few ulps of x,
+    so the phase error e (t - tc) is of the same order as the rounding of
+    x t that the dense route makes too.
     """
     (tc, h, beta), (xc, H, alpha) = models
     P, n = src.n_panels, src.nodes_per_panel
@@ -190,11 +189,9 @@ def _axis_chirp(arr: np.ndarray, axis: int, dst: QuadGrid, src: QuadGrid, sign: 
     tau = (np.arange(P, dtype=ext) - ext(P - 1) / 2)[:, None] + beta.astype(ext)
     t = src.nodes.reshape(P, n)
     pre = src.weights.reshape(P, n) * _cis(sign * ext(xc) * t.astype(ext) + theta * tau ** 2 / 2)
-    lever = h * tau.astype(float)
     sigma = (np.arange(Q, dtype=ext) - ext(Q - 1) / 2)[:, None] + alpha.astype(ext)
     x = dst.nodes.reshape(Q, m)
     post = _cis(sign * ext(tc) * (x.astype(ext) - ext(xc)) + theta * sigma ** 2 / 2)
-    drift = 1j * sign * (x.astype(ext) - (ext(xc) + ext(H) * sigma)).astype(float)
     # chirp over the panel lag j = q - p, wrapped into the circular buffer
     lag = np.arange(-(P - 1), Q)
     gap = (lag.astype(ext) - ext(Q - P) / 2)[:, None, None] + (alpha.astype(ext) - beta.astype(ext)[:, None])
@@ -205,15 +202,13 @@ def _axis_chirp(arr: np.ndarray, axis: int, dst: QuadGrid, src: QuadGrid, sign: 
     moved = np.moveaxis(arr, axis, -1)
     flat = moved.reshape(-1, P, n)
     out = np.empty((flat.shape[0], Q, m), dtype=complex)
-    # about four (L, n or m, 2 columns) arrays are live per chunk
+    # about four (L, n or m) arrays per column are live; a chunk keeps them
+    # under half of _CHUNK_ELEMS entries
     step = max(1, _CHUNK_ELEMS // (8 * L * max(n, m)))
     for c in range(0, flat.shape[0], step):
-        cols = flat[c : c + step] * pre
-        k = cols.shape[0]
-        block = np.fft.fft(np.concatenate([cols, cols * lever]), n=L, axis=1)  # (2k, L, n)
-        mixed = np.matmul(spec, block.transpose(1, 2, 0))  # (L, m, 2k)
-        back = np.fft.ifft(mixed, axis=0)[:Q]  # (Q, m, 2k)
-        back = back[..., :k] + drift[..., None] * back[..., k:]
+        block = np.fft.fft(flat[c : c + step] * pre, n=L, axis=1)  # (k, L, n)
+        mixed = np.matmul(spec, block.transpose(1, 2, 0))  # (L, m, k)
+        back = np.fft.ifft(mixed, axis=0)[:Q]  # (Q, m, k)
         out[c : c + step] = back.transpose(2, 0, 1) * post
     out = out.reshape(moved.shape[:-1] + (dst.size,))
     return np.moveaxis(out, -1, axis)
@@ -226,9 +221,15 @@ def _chirp_pays(P: int, n: int, Q: int, m: int, cols: int) -> bool:
     Costs in ns, fitted to 161 timings of both routes (numpy 2.4, OpenBLAS
     on one thread, 2-core x86-64): the dense route pays per kernel entry
     for the exponential and per entry and column for the product; the
-    chirp route pays for its chirp spectrum, and per column (two, with the
-    drift column) for the FFTs, the (n x m) products per bin and the node
-    phases.
+    chirp route pays for its chirp spectrum, and per column for the FFTs,
+    the (n x m) products per bin and the node phases.
+
+    The per-column term was fitted when the chirp route transformed two
+    FFT columns per data column; it now transforms one, so the model
+    overstates the chirp cost and keeps borderline axes dense on purpose.
+    Halving the term sends the 2-D axes of boxes at 2 nodes per panel
+    (306 panels a side) to the chirp route, whose chunk buffers then raise
+    the peak memory of a pass over them by about a fifth.
     """
     L = _fft_len(P + Q - 1)
     dense = 3.5e4 + P * n * Q * m * (44.0 + 0.2 * cols)
@@ -367,14 +368,14 @@ class MutualInverseReport:
     max_abs_err: float
 
 
-def default_probes(box: ProductGrid, n_probes: int = 50, margin: float = 0.1) -> list:
+def default_probes(box: ProductGrid, n_probes: int = 50) -> list:
     """Per-axis coordinates of a probe lattice strictly inside the box,
-    margin*a_j away from the edges; the probes are their tensor product."""
+    0.1 a_j away from the edges; the probes are their tensor product."""
     per_axis = max(2, int(round(n_probes ** (1.0 / box.ndim))))
     if box.ndim == 1:
         per_axis = n_probes
     return [
-        np.linspace(-(1.0 - margin) * a, (1.0 - margin) * a, per_axis)
+        np.linspace(-0.9 * a, 0.9 * a, per_axis)
         for a in box.half_widths
     ]
 
@@ -393,30 +394,25 @@ def mutual_inverse_check(
     fn: Callable,
     box: ProductGrid,
     radius: float,
-    probes: np.ndarray | None = None,
     *,
     freq_rate: float | None = None,
     nodes_per_panel: int = 8,
     n_probes: int = 50,
 ) -> MutualInverseReport:
-    """Forward then conjugate transform, compared with f at interior probes.
+    """Forward then conjugate transform, compared with f at the
+    :func:`default_probes` lattice.
 
     The conjugate transform runs over the truncated frequency box, so the
     discrepancy carries the inversion tail (roughly 1/radius scaled by the
-    smoothness of f) on top of quadrature error.  Explicit probes are an
-    (M, N) array evaluated by :func:`transform_at`; the default probe
-    lattice is evaluated one axis at a time.
+    smoothness of f) on top of quadrature error.  The probe lattice is
+    evaluated one axis at a time, the same sum as :func:`transform_at` at
+    each probe.
     """
     rate = freq_rate if freq_rate is not None else max(box.half_widths)
-    vals, lattice, F = _forward(fn, box, radius, rate, nodes_per_panel)
-    if probes is None:
-        axes = default_probes(box, n_probes=n_probes)
-        back = _conjugate_on_tensor(F, lattice, axes)
-        coords = np.meshgrid(*axes, indexing="ij")
-    else:
-        back = transform_at(F, lattice.axes, probes, sign=+1.0)
-        coords = [probes[:, j] for j in range(box.ndim)]
-    ref = np.asarray(fn(*coords), dtype=complex)
+    _, lattice, F = _forward(fn, box, radius, rate, nodes_per_panel)
+    axes = default_probes(box, n_probes=n_probes)
+    back = _conjugate_on_tensor(F, lattice, axes)
+    ref = np.asarray(fn(*np.meshgrid(*axes, indexing="ij")), dtype=complex)
     err = float(np.max(np.abs(back - ref)))
     return MutualInverseReport(radius=radius, n_probes=back.size, max_abs_err=err)
 
@@ -441,7 +437,6 @@ def box_inversion_check(
     *,
     freq_rate: float | None = None,
     nodes_per_panel: int = 8,
-    lhs_panels: int = 16,
 ) -> BoxInversionReport:
     """Indefinite-integral inversion identity on a box.
 
@@ -461,7 +456,7 @@ def box_inversion_check(
             raise ValueError("t must lie strictly inside the positive box")
 
     lhs_box = product_grid(
-        [build_grid(make_interval(0.0, tj), lhs_panels, 16) for tj in ts], cap=BOX_NODE_CAP
+        [build_grid(make_interval(0.0, tj), 16, 16) for tj in ts], cap=BOX_NODE_CAP
     )
     lhs = integrate(lhs_box, np.asarray(fn(*lhs_box.mesh()), dtype=complex).ravel())
 

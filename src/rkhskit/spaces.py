@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .numerics import (
-    PRODUCT_NODE_CAP,
     HVector,
     Interval,
     QuadGrid,
@@ -142,28 +141,17 @@ class SobolevSpace:
         ind = (grid.nodes > lo) & (grid.nodes < hi)
         return np.where(ind, 1.0 / grid.rho_at_nodes, 0.0).astype(complex)
 
-    def feature_map(
-        self,
-        points: Sequence[float] = (),
-        *,
-        panels: int | None = None,
-        nodes_per_panel: int | None = None,
-    ) -> FeatureMap:
-        """Feature map phi(x) = chi_(c,x)/rho on a grid with panel breaks at c
-        and at every declared point.
+    def feature_map(self, points: Sequence[float] = ()) -> FeatureMap:
+        """Feature map phi(x) = chi_(c,x)/rho on a grid of the space's
+        ``panels`` and ``nodes_per_panel``, with panel breaks at c and at
+        every declared point.
 
         Kernels and transforms between declared points are then panel-exact;
         undeclared points pick up an O(panel width) indicator error, so
         declare every point that accuracy depends on.
         """
         pts = tuple(self._require_point(p) for p in points)
-        g = build_grid(
-            self.interval,
-            panels or self.panels,
-            nodes_per_panel or self.nodes_per_panel,
-            self.rho,
-            breakpoints=(self.c, *pts),
-        )
+        g = build_grid(self.interval, self.panels, self.nodes_per_panel, self.rho, breakpoints=(self.c, *pts))
         return FeatureMap(
             domain_label=f"({self.interval.lo:g}, {self.interval.hi:g}) anchored at {self.c:g}",
             grid=g,
@@ -221,22 +209,22 @@ class SobolevSpace:
 class PaleyWienerSpace:
     """Bandlimited functions: the image of the windowed oscillatory transform
     on L2(-a, a), with kernel sin(a(x - conj(y))) / (pi (x - conj(y))).
+
+    The kernel is closed-form; the grid that features live on is built on
+    first use, so a wide window costs nothing until features are needed.
     """
 
-    def __init__(
-        self,
-        a: float,
-        *,
-        max_frequency: float = 40.0,
-        nodes_per_panel: int = 16,
-        min_panels: int = 8,
-    ) -> None:
+    def __init__(self, a: float, *, max_frequency: float = 40.0) -> None:
         if not (math.isfinite(a) and a > 0):
             raise ValueError("half-width a must be positive and finite")
         self.a = float(a)
         self.max_frequency = float(max_frequency)
-        panels = panels_for_oscillation(2.0 * self.a, self.max_frequency, minimum=min_panels)
-        self.grid = build_grid(make_interval(-self.a, self.a), panels, nodes_per_panel)
+
+    @cached_property
+    def grid(self) -> QuadGrid:
+        """Grid on (-a, a) resolving exp(i t x) up to |x| = max_frequency."""
+        panels = panels_for_oscillation(2.0 * self.a, self.max_frequency, minimum=8)
+        return build_grid(make_interval(-self.a, self.a), panels, 16)
 
     def kernel(self, x, y) -> complex:
         """Closed-form kernel; accepts complex arguments."""
@@ -323,7 +311,7 @@ def sinc_identity_check(a: float, x: float, y: float, radius: float) -> SincIden
     return SincIdentityReport(a, x, y, radius, lhs, rhs, abs(lhs - rhs))
 
 
-def tensor_feature(maps: Sequence[FeatureMap], cap: int = PRODUCT_NODE_CAP) -> FeatureMap:
+def tensor_feature(maps: Sequence[FeatureMap]) -> FeatureMap:
     """Feature map of the product: phi(x_1..x_N) is the outer product of the
     factor features, flattened to match the product grid ordering.
 
@@ -333,7 +321,7 @@ def tensor_feature(maps: Sequence[FeatureMap], cap: int = PRODUCT_NODE_CAP) -> F
     ms = tuple(maps)
     if not ms:
         raise ValueError("need at least one factor map")
-    pgrid = product_grid([m.grid for m in ms], cap=cap)
+    pgrid = product_grid([m.grid for m in ms])
 
     def evaluate(xs):
         xs = tuple(xs)

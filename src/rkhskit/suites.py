@@ -76,8 +76,8 @@ class RunConfig:
             raise ConfigError("a must be positive and finite")
         if self.basis_size < 1:
             raise ConfigError("basis_size must be positive")
-        if self.probe_count < 0:
-            raise ConfigError("probe_count must be nonnegative")
+        if self.probe_count < 1:
+            raise ConfigError("probe_count must be positive")
         return self
 
 

@@ -70,7 +70,7 @@ def test_09_plancherel_at_desk_scale():
     _run("box-inversion", 300.0, "09c box inversion")
     total = time.perf_counter() - t0
     print(f"acceptance 09 plancherel total: {total:.1f}s")
-    assert total < 60.0
+    assert total < 30.0
 
 
 def test_10_verification_is_deterministic():

@@ -150,6 +150,7 @@ def test_verify_config_rejects_unknown_keys(tmp_path, capsys):
         ({"basis_size": 2.5}, "basis_size"),
         ({"out": 3}, "out"),
         ({"ndim": 3, "lo": 5, "hi": 6}, "ndim"),
+        ({"probe_count": 0}, "probe_count"),
     ],
 )
 def test_verify_config_rejects_bad_values(tmp_path, capsys, config, word):
@@ -194,6 +195,10 @@ def test_config_accepts_integer_radius(tmp_path, capsys):
         ("kernel", "--family", "sobolev", "--rho", "affine", "--points=-1,0.5"),
         ("kernel", "--family", "pw", "--a", "-1"),
         ("transform", "--family", "pw", "--points", "50"),
+        # grids beyond the node cap and the Gauss order limit are refused
+        # before anything is allocated
+        ("verify", "--suite", "sinc", "--radius", "1e9"),
+        ("verify", "--suite", "isometry", "--nodes-per-panel", "100000"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv):
