@@ -31,7 +31,7 @@ from . import inversion as inv
 from .numerics import HVector, cumulative_integral, make_interval, sample
 from .reporting import REPORT_SCHEMA
 from .spaces import RHO_REGISTRY, PaleyWienerSpace, SobolevSpace
-from .suites import ConfigError, RunConfig, _pw_setup, _sobolev_setup, run_suite, suite_names
+from .suites import SOURCES, ConfigError, RunConfig, _pw_setup, _sobolev_setup, run_suite, suite_names
 from .transforms import project_span, span_combination, transform
 
 PASS_EXIT, FAIL_EXIT, CONFIG_EXIT = 0, 1, 2
@@ -99,33 +99,20 @@ def cmd_kernel(args) -> int:
             pts = list(np.linspace(lo + pad, hi - pad, args.grid_probe))
     if not pts:
         raise ConfigError("no probe points")
-    if args.family == "pw":
-        space = PaleyWienerSpace(args.a)
-        kfun = space.kernel
-    else:
-        space = _sobolev_from_args(args)
-        kfun = lambda x, y: complex(space.kernel(x, y))
+    space = PaleyWienerSpace(args.a) if args.family == "pw" else _sobolev_from_args(args)
     rows = []
     for x in pts:
         for y in pts:
-            k = complex(kfun(x, y))
+            k = complex(space.kernel(x, y))
             rows.append([_fmt(x), _fmt(y), _fmt(k.real), _fmt(k.imag)])
     _write_csv(args.out, ["x", "y", "re", "im"], rows)
     return PASS_EXIT
 
 
-_BUILTIN_SOURCES = {
-    "one": lambda t: np.ones_like(t),
-    "cos": np.cos,
-    "window": lambda t: np.ones_like(t) / math.sqrt(2.0 * math.pi),
-    "wave": lambda t: np.exp(1j * math.pi * t) / math.sqrt(2.0),
-}
-
-
 def cmd_transform(args) -> int:
-    if args.f not in _BUILTIN_SOURCES:
-        raise ConfigError(f"unknown source '{args.f}'; known: {sorted(_BUILTIN_SOURCES)}")
-    fn = _BUILTIN_SOURCES[args.f]
+    if args.f not in SOURCES:
+        raise ConfigError(f"unknown source '{args.f}'; known: {sorted(SOURCES)}")
+    fn = SOURCES[args.f]
     if args.family == "pw":
         space = PaleyWienerSpace(args.a, max_frequency=args.max_frequency)
         fm = space.feature_map()
@@ -168,10 +155,12 @@ def _read_samples_csv(path, grid) -> np.ndarray:
         if len(row) != 3:
             raise ConfigError(f"row {i + 2}: expected 3 fields")
         try:
-            ts[i] = float(row[0])
-            vals[i] = complex(float(row[1]), float(row[2]))
+            t, re, im = (float(v) for v in row)
         except ValueError:
             raise ConfigError(f"row {i + 2}: could not parse floats") from None
+        if not all(math.isfinite(v) for v in (t, re, im)):
+            raise ConfigError(f"row {i + 2}: non-finite value")
+        ts[i], vals[i] = t, complex(re, im)
     if not np.allclose(ts, grid.nodes, rtol=0.0, atol=1e-9):
         raise ConfigError("sample abscissae do not match the grid nodes; use --emit-grid")
     return vals
@@ -188,9 +177,7 @@ def cmd_invert(args) -> int:
         return PASS_EXIT
     source = HVector(fm.grid, _read_samples_csv(args.input, fm.grid)) if args.input else None
     if args.mode == "sobolev-span":
-        h_space = inv.EvaluableRKHS(
-            fm.domain_label, kernel=lambda x, y: complex(space.kernel(x, y))
-        )
+        h_space = inv.EvaluableRKHS(fm.domain_label, kernel=fm.closed_kernel)
         if source is not None:
             coeffs = project_span(source, basis)
         elif args.f == "span":
@@ -209,7 +196,7 @@ def cmd_invert(args) -> int:
             F0 = F(0.0)
             reference = lambda t: F(t) - F0
         elif args.f in ("one", "cos"):
-            source = sample(fm.grid, _BUILTIN_SOURCES[args.f])
+            source = sample(fm.grid, SOURCES[args.f])
             reference = (lambda t: complex(t)) if args.f == "one" else (lambda t: complex(math.sin(t)))
         else:
             raise ConfigError("mode pw-primitive needs --f one, --f cos, or --input FILE")
@@ -318,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tr = sub.add_parser("transform", help="tabulate a transformed vector as CSV (x,re,im)")
     p_tr.add_argument("--family", choices=["pw", "sobolev"], required=True)
-    p_tr.add_argument("--f", default="window", help=f"source name: {sorted(_BUILTIN_SOURCES)}")
+    p_tr.add_argument("--f", default="window", help=f"source name: {sorted(SOURCES)}")
     p_tr.add_argument("--a", type=float, default=1.0)
     p_tr.add_argument("--max-frequency", type=float, default=40.0)
     p_tr.add_argument("--rho", default="const")

@@ -154,16 +154,6 @@ class QuadGrid:
         )
 
 
-def _sample_positive(fn: Callable, nodes: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(fn(nodes), dtype=float)
-        if vals.shape != nodes.shape:
-            raise ValueError
-    except (TypeError, ValueError):
-        vals = np.array([float(fn(t)) for t in nodes])
-    return vals
-
-
 # size limits of one grid, checked before anything is allocated: as many
 # nodes as the largest Fourier box (plancherel.BOX_NODE_CAP), and Gauss
 # orders whose (n x n) Vandermonde matrix stays small
@@ -202,8 +192,9 @@ def build_grid(
         ``2 * nodes_per_panel - 1`` are integrated exactly panelwise.
         At most 128, and at most 10^7 nodes in all.
     rho:
-        Optional weight function sampled at the nodes; must be finite and
-        strictly positive there.  Defaults to 1.
+        Optional vectorized weight function, called once on the node
+        array; it must return one finite, strictly positive value per
+        node.  Defaults to 1.
     breakpoints:
         Interior points forced onto panel boundaries, so that indicator
         factors switching there are constant on every panel.
@@ -238,10 +229,9 @@ def build_grid(
     nodes = (lefts + widths * (xi + 1.0) / 2.0).ravel()
     weights = (widths * om / 2.0).ravel()
 
-    if rho is None:
-        rho_vals = np.ones_like(nodes)
-    else:
-        rho_vals = _sample_positive(rho, nodes)
+    rho_vals = np.ones_like(nodes) if rho is None else np.asarray(rho(nodes), dtype=float)
+    if rho_vals.shape != nodes.shape:
+        raise ValueError("weight function must return one value per node")
     if not np.all(np.isfinite(rho_vals)) or np.any(rho_vals <= 0.0):
         raise ValueError("invalid weight function")
 
@@ -342,14 +332,9 @@ class HVector:
 
 
 def sample(grid: QuadGrid, fn: Callable) -> HVector:
-    """Sample a callable at the grid nodes."""
-    try:
-        vals = np.asarray(fn(grid.nodes), dtype=complex)
-        if vals.shape != grid.nodes.shape:
-            raise ValueError
-    except (TypeError, ValueError):
-        vals = np.array([complex(fn(t)) for t in grid.nodes])
-    return HVector(grid, vals)
+    """Sample a vectorized callable at the grid nodes (one call on the
+    node array, which must return one value per node)."""
+    return HVector(grid, fn(grid.nodes))
 
 
 def fsum_complex(terms: np.ndarray) -> complex:

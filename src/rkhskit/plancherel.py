@@ -25,7 +25,12 @@ same sum on its probe lattice one axis at a time.
 The two boxes are the same kind of object, a
 :class:`~rkhskit.numerics.ProductGrid` from :func:`box_domain`: a time box
 resolving frequencies up to ``max_frequency``, or a frequency box of
-half-width ``radius`` resolving times up to the time half-width.
+half-width ``radius`` resolving times up to the time half-width.  The
+checks take everything but the radius from the time box: the frequency box
+gets the Gauss order of the time box's axes, and resolves times up to its
+largest half-width; :func:`box_inversion_check` doubles that, since its
+integrand F(x) times the indicator transforms oscillates at up to
+a_j + t_j < 2 a_j.
 """
 
 from __future__ import annotations
@@ -309,16 +314,19 @@ def indicator_hat(t: float, x) -> np.ndarray:
     return out if xs.ndim else complex(out)
 
 
-def _forward(fn: Callable, box: ProductGrid, radius: float, rate: float, nodes_per_panel: int):
+def _forward(fn: Callable, box: ProductGrid, radius: float, rate: float):
     """Samples of fn on the box, the frequency box (-radius, radius)^N
-    resolving times up to ``rate``, and the transform tabulated on it."""
+    resolving times up to ``rate`` at the box's Gauss order, and the
+    transform tabulated on it."""
     if box.max_frequency is not None and radius > box.max_frequency * (1.0 + 1e-12):
         raise ValueError(
             f"box resolves frequencies up to {box.max_frequency:g}, "
             f"below the requested radius {radius:g}"
         )
     vals = sample_on_box(box, fn)
-    lattice = box_domain((radius,) * box.ndim, max_frequency=rate, nodes_per_panel=nodes_per_panel)
+    lattice = box_domain(
+        (radius,) * box.ndim, max_frequency=rate, nodes_per_panel=box.axes[0].nodes_per_panel
+    )
     return vals, lattice, fourier_on_lattice(vals, box, lattice)
 
 
@@ -339,21 +347,14 @@ class PlancherelNormReport:
         return abs(self.norm_freq - self.norm_time) / self.norm_time
 
 
-def plancherel_norm_check(
-    fn: Callable,
-    box: ProductGrid,
-    radius: float,
-    *,
-    freq_rate: float | None = None,
-    nodes_per_panel: int = 8,
-) -> PlancherelNormReport:
+def plancherel_norm_check(fn: Callable, box: ProductGrid, radius: float) -> PlancherelNormReport:
     """Window L2 norm of f against the L2 norm of its truncated transform
     over the frequency box; rel_err carries truncation tails plus quadrature.
 
-    The box must have been built with max_frequency >= radius.
+    The box must have been built with max_frequency >= radius; the
+    frequency box resolves times up to the largest time half-width.
     """
-    rate = freq_rate if freq_rate is not None else max(box.half_widths)
-    vals, lattice, F = _forward(fn, box, radius, rate, nodes_per_panel)
+    vals, lattice, F = _forward(fn, box, radius, max(box.half_widths))
     return PlancherelNormReport(
         radius=radius,
         norm_time=_lattice_norm(vals, box),
@@ -391,13 +392,7 @@ def _conjugate_on_tensor(F: np.ndarray, lattice: ProductGrid, probe_axes: Sequen
 
 
 def mutual_inverse_check(
-    fn: Callable,
-    box: ProductGrid,
-    radius: float,
-    *,
-    freq_rate: float | None = None,
-    nodes_per_panel: int = 8,
-    n_probes: int = 50,
+    fn: Callable, box: ProductGrid, radius: float, *, n_probes: int = 50
 ) -> MutualInverseReport:
     """Forward then conjugate transform, compared with f at the
     :func:`default_probes` lattice.
@@ -406,10 +401,9 @@ def mutual_inverse_check(
     discrepancy carries the inversion tail (roughly 1/radius scaled by the
     smoothness of f) on top of quadrature error.  The probe lattice is
     evaluated one axis at a time, the same sum as :func:`transform_at` at
-    each probe.
+    each probe.  The frequency box is the one of :func:`plancherel_norm_check`.
     """
-    rate = freq_rate if freq_rate is not None else max(box.half_widths)
-    _, lattice, F = _forward(fn, box, radius, rate, nodes_per_panel)
+    _, lattice, F = _forward(fn, box, radius, max(box.half_widths))
     axes = default_probes(box, n_probes=n_probes)
     back = _conjugate_on_tensor(F, lattice, axes)
     ref = np.asarray(fn(*np.meshgrid(*axes, indexing="ij")), dtype=complex)
@@ -430,13 +424,7 @@ class BoxInversionReport:
 
 
 def box_inversion_check(
-    fn: Callable,
-    box: ProductGrid,
-    radius: float,
-    t: Sequence[float],
-    *,
-    freq_rate: float | None = None,
-    nodes_per_panel: int = 8,
+    fn: Callable, box: ProductGrid, radius: float, t: Sequence[float]
 ) -> BoxInversionReport:
     """Indefinite-integral inversion identity on a box.
 
@@ -446,7 +434,8 @@ def box_inversion_check(
 
         (2 pi)^(-N/2) * integral of F(x) prod_j (exp(i t_j x_j) - 1)/(i x_j) dx
 
-    over the frequency box.  Their gap carries the O(1/radius) tail.
+    over the frequency box, which resolves times up to twice the largest
+    time half-width.  Their gap carries the O(1/radius) tail.
     """
     ts = tuple(float(v) for v in t)
     if len(ts) != box.ndim:
@@ -460,8 +449,7 @@ def box_inversion_check(
     )
     lhs = integrate(lhs_box, np.asarray(fn(*lhs_box.mesh()), dtype=complex).ravel())
 
-    rate = freq_rate if freq_rate is not None else 2.0 * max(box.half_widths)
-    _, lattice, arr = _forward(fn, box, radius, rate, nodes_per_panel)
+    _, lattice, arr = _forward(fn, box, radius, 2.0 * max(box.half_widths))
     for tj, g in zip(ts, lattice.axes):
         hat = indicator_hat(tj, g.nodes) * g.weights
         arr = np.tensordot(arr, hat, axes=([0], [0]))

@@ -217,6 +217,8 @@ class PaleyWienerSpace:
     def __init__(self, a: float, *, max_frequency: float = 40.0) -> None:
         if not (math.isfinite(a) and a > 0):
             raise ValueError("half-width a must be positive and finite")
+        if not (math.isfinite(max_frequency) and max_frequency > 0):
+            raise ValueError("max_frequency must be positive and finite")
         self.a = float(a)
         self.max_frequency = float(max_frequency)
 

@@ -44,7 +44,7 @@ from .transforms import (
     transform,
 )
 
-__all__ = ["RunConfig", "ConfigError", "SUITES", "run_suite", "suite_names"]
+__all__ = ["RunConfig", "ConfigError", "SOURCES", "SUITES", "run_suite", "suite_names"]
 
 
 class ConfigError(ValueError):
@@ -93,9 +93,27 @@ def _require_type(name: str, value, hint) -> None:
         raise ConfigError(f"{name} must be of type {kinds[0].__name__}, got {value!r}")
 
 
+# Named scenario sources of the suites and of the command line; "one"
+# takes one array per axis, so it also serves the 2-d boxes.
+SOURCES: dict[str, Callable] = {
+    "one": lambda *t: np.ones_like(t[0]),
+    "cos": np.cos,
+    "window": lambda t: np.ones_like(t) / math.sqrt(2.0 * math.pi),
+    "wave": lambda t: np.exp(1j * math.pi * t) / math.sqrt(2.0),
+}
+
+
+def _gauss(t):
+    return np.exp(-(t * t))
+
+
+def _gauss2(t1, t2):
+    return _gauss(t1) * _gauss(t2)
+
+
 # Smooth test functions vanishing at 0, with their derivatives.
 _SMOOTH_PAIRS = (
-    ("t", lambda t: t, lambda t: np.ones_like(t)),
+    ("t", lambda t: t, SOURCES["one"]),
     ("t^2", lambda t: t * t, lambda t: 2.0 * t),
     ("sin", np.sin, np.cos),
 )
@@ -228,15 +246,23 @@ def suite_kernels(cfg: RunConfig) -> Report:
     pw_fm = pw.feature_map()
     prod = tensor_feature([pw_fm, sob_fm])
     pairs = [((0.5, 0.3), (1.0, -0.5)), ((0.0, 0.8), (0.0, 0.8)), ((2.0, -0.5), (-1.0, 0.3))]
+    worst_rel = _worst_factorization(prod, pw_fm, sob_fm, pairs)
+    rep.add(make_record("tensor kernel factorization (relative)", worst_rel, 0.0, 1e-12))
+    return rep
+
+
+def _worst_factorization(prod, fm1, fm2, pairs) -> float:
+    """Largest relative gap between the kernel of ``prod``, the tensor
+    feature map of fm1 and fm2, and the product of their kernels, over
+    (X, Y) point pairs."""
     worst_rel = 0.0
     for X, Y in pairs:
         k2 = kernel_eval(prod, X, Y)
-        k11 = kernel_eval(pw_fm, X[0], Y[0])
-        k12 = kernel_eval(sob_fm, X[1], Y[1])
+        k11 = kernel_eval(fm1, X[0], Y[0])
+        k12 = kernel_eval(fm2, X[1], Y[1])
         scale = max(abs(k2), abs(k11 * k12), 1e-30)
         worst_rel = max(worst_rel, abs(k2 - k11 * k12) / scale)
-    rep.add(make_record("tensor kernel factorization (relative)", worst_rel, 0.0, 1e-12))
-    return rep
+    return worst_rel
 
 
 def suite_sinc(cfg: RunConfig) -> Report:
@@ -257,9 +283,7 @@ def suite_inversion(cfg: RunConfig) -> Report:
     """Round trip: transform a span member, evaluate it back pointwise."""
     rep = Report("inversion", cfg.seed, {"basis_size": cfg.basis_size, "probes": cfg.probe_count})
     space, fm, basis = _sobolev_setup(cfg.basis_size)
-    h_space = inv.EvaluableRKHS(
-        fm.domain_label, kernel=lambda x, y: complex(space.kernel(x, y))
-    )
+    h_space = inv.EvaluableRKHS(fm.domain_label, kernel=fm.closed_kernel)
     rng = np.random.default_rng(cfg.seed)
     coeffs = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
     member = span_combination(basis, coeffs)
@@ -300,8 +324,8 @@ def suite_generalized_inversion(cfg: RunConfig) -> Report:
     seq = inv.indefinite_integral_sequence(fm, anchor=0.0)
 
     cases = [
-        ("f = 1", lambda t: np.ones_like(t), lambda t: t),
-        ("f = cos", np.cos, np.sin),
+        ("f = 1", SOURCES["one"], lambda t: t),
+        ("f = cos", SOURCES["cos"], np.sin),
     ]
     ts = np.array([0.25, 0.5, 1.0])
     for name, f, primitive in cases:
@@ -378,17 +402,13 @@ def suite_restriction(cfg: RunConfig) -> Report:
     return rep
 
 
-def _gauss(t):
-    return np.exp(-(t * t))
-
-
 def suite_plancherel_norm(cfg: RunConfig) -> Report:
     """Norm preservation of the truncated transform."""
     radius = cfg.radius or 200.0
     npp = cfg.nodes_per_panel or 8
     rep = Report("plancherel-norm", cfg.seed, {"radius": radius})
     box = pl.box_domain([6.0], max_frequency=radius, nodes_per_panel=npp)
-    res = pl.plancherel_norm_check(_gauss, box, radius, nodes_per_panel=npp)
+    res = pl.plancherel_norm_check(_gauss, box, radius)
     rep.add(make_record("gaussian norm preserved (rel err)", res.rel_err, 0.0, 5e-3))
     rep.add(
         make_record(
@@ -400,11 +420,8 @@ def suite_plancherel_norm(cfg: RunConfig) -> Report:
     )
 
     boxw = pl.box_domain([1.0], max_frequency=radius, nodes_per_panel=npp)
-
-    def flat(t):
-        return np.ones_like(t) / math.sqrt(2.0 * math.pi)
-
-    res2 = pl.plancherel_norm_check(flat, boxw, radius, freq_rate=1.0, nodes_per_panel=npp)
+    window = SOURCES["window"]
+    res2 = pl.plancherel_norm_check(window, boxw, radius)
     rep.add(make_record("window feature: time squared norm", res2.norm_time ** 2, 1.0 / math.pi, 1e-10))
     rep.add(make_record("window feature: freq squared norm", res2.norm_freq ** 2, 1.0 / math.pi, 3e-3))
 
@@ -412,7 +429,7 @@ def suite_plancherel_norm(cfg: RunConfig) -> Report:
     rels = [
         res2.rel_err
         if r == radius
-        else pl.plancherel_norm_check(flat, boxw, r, freq_rate=1.0, nodes_per_panel=npp).rel_err
+        else pl.plancherel_norm_check(window, boxw, r).rel_err
         for r in (50.0, 100.0, 200.0)
     ]
     worst_inc = max(0.0, max(rels[i + 1] - rels[i] for i in range(len(rels) - 1)))
@@ -428,13 +445,9 @@ def suite_plancherel_norm(cfg: RunConfig) -> Report:
 
     radius2 = 30.0
     box1 = pl.box_domain([4.0], max_frequency=radius2, nodes_per_panel=npp)
-    res1 = pl.plancherel_norm_check(_gauss, box1, radius2, nodes_per_panel=npp)
+    res1 = pl.plancherel_norm_check(_gauss, box1, radius2)
     box2 = pl.box_domain([4.0, 4.0], max_frequency=radius2, nodes_per_panel=npp)
-
-    def gauss2(t1, t2):
-        return _gauss(t1) * _gauss(t2)
-
-    res2d = pl.plancherel_norm_check(gauss2, box2, radius2, nodes_per_panel=npp)
+    res2d = pl.plancherel_norm_check(_gauss2, box2, radius2)
     rep.add(make_record("2-d gaussian norm preserved (rel err)", res2d.rel_err, 0.0, 1e-2))
     rep.add(
         make_record(
@@ -453,26 +466,16 @@ def suite_mutual_inverse(cfg: RunConfig) -> Report:
     npp = cfg.nodes_per_panel or 8
     rep = Report("mutual-inverse", cfg.seed, {"radius": radius})
     box = pl.box_domain([6.0], max_frequency=radius, nodes_per_panel=npp)
-    res = pl.mutual_inverse_check(_gauss, box, radius, nodes_per_panel=npp, n_probes=cfg.probe_count)
+    res = pl.mutual_inverse_check(_gauss, box, radius, n_probes=cfg.probe_count)
     rep.add(make_record("gaussian round trip (max err)", res.max_abs_err, 0.0, 5e-3))
 
     boxw = pl.box_domain([1.0], max_frequency=radius, nodes_per_panel=npp)
-
-    def wave(t):
-        return np.exp(1j * math.pi * t) / math.sqrt(2.0)
-
-    resw = pl.mutual_inverse_check(
-        wave, boxw, radius, freq_rate=1.0, nodes_per_panel=npp, n_probes=cfg.probe_count
-    )
+    resw = pl.mutual_inverse_check(SOURCES["wave"], boxw, radius, n_probes=cfg.probe_count)
     rep.add(make_record("windowed wave round trip (max err)", resw.max_abs_err, 0.0, 2e-2))
 
     radius2 = 30.0
     box2 = pl.box_domain([4.0, 4.0], max_frequency=radius2, nodes_per_panel=npp)
-
-    def gauss2(t1, t2):
-        return _gauss(t1) * _gauss(t2)
-
-    res2 = pl.mutual_inverse_check(gauss2, box2, radius2, nodes_per_panel=npp, n_probes=49)
+    res2 = pl.mutual_inverse_check(_gauss2, box2, radius2, n_probes=49)
     rep.add(make_record("2-d gaussian round trip (max err)", res2.max_abs_err, 0.0, 1e-2))
     return rep
 
@@ -483,11 +486,8 @@ def suite_box_inversion(cfg: RunConfig) -> Report:
     npp = cfg.nodes_per_panel or 8
     rep = Report("box-inversion", cfg.seed, {"radius": radius})
     box = pl.box_domain([1.0], max_frequency=radius, nodes_per_panel=npp)
-
-    def flat(t):
-        return np.ones_like(np.asarray(t, dtype=float))
-
-    res = pl.box_inversion_check(flat, box, radius, [0.5], nodes_per_panel=npp)
+    one = SOURCES["one"]
+    res = pl.box_inversion_check(one, box, radius, [0.5])
     rep.add(
         make_record(
             "1-d constant: identity gap",
@@ -499,24 +499,20 @@ def suite_box_inversion(cfg: RunConfig) -> Report:
     )
     rep.add(make_record("1-d constant: lhs oracle", res.lhs.real, 0.5, 1e-12))
 
-    resc = pl.box_inversion_check(np.cos, box, radius, [0.5], nodes_per_panel=npp)
+    resc = pl.box_inversion_check(SOURCES["cos"], box, radius, [0.5])
     rep.add(make_record("1-d cosine: identity gap", resc.abs_err, 0.0, 5e-3))
     rep.add(make_record("1-d cosine: lhs oracle", resc.lhs.real, math.sin(0.5), 1e-12))
 
     radius2 = 50.0
     box2 = pl.box_domain([1.0, 1.0], max_frequency=radius2, nodes_per_panel=npp)
-
-    def flat2(t1, t2):
-        return np.ones_like(np.asarray(t1, dtype=float))
-
-    res2 = pl.box_inversion_check(flat2, box2, radius2, [0.5, 0.25], nodes_per_panel=npp)
+    res2 = pl.box_inversion_check(one, box2, radius2, [0.5, 0.25])
     rep.add(make_record("2-d constant: identity gap", res2.abs_err, 0.0, 2e-2))
     rep.add(make_record("2-d constant: lhs oracle", res2.lhs.real, 0.125, 1e-12))
 
     points = np.arange(-20.0, 21.0)
     pw, fm, basis = _pw_setup(22.0, points)
     seq = inv.indefinite_integral_sequence(fm, anchor=0.0)
-    image = transform(sample(fm.grid, lambda t: np.ones_like(t)), fm)
+    image = transform(sample(fm.grid, one), fm)
     gen = inv.generalized_invert_at(seq, image, 0.5, basis)
     rep.add(
         make_record(
@@ -549,13 +545,7 @@ def suite_tensor(cfg: RunConfig) -> Report:
     worst = float(np.max(np.abs(got - im1.at_many(pairs[:, 0]) * im2.at_many(pairs[:, 1]))))
     rep.add(make_record("transform of product factorizes", worst, 0.0, 1e-10))
 
-    worst_rel = 0.0
-    for x1, x2 in pairs[:5]:
-        k2 = kernel_eval(prod, (x1, x2), (0.5, -0.25))
-        k11 = kernel_eval(fm, x1, 0.5)
-        k12 = kernel_eval(fm, x2, -0.25)
-        scale = max(abs(k2), abs(k11 * k12), 1e-30)
-        worst_rel = max(worst_rel, abs(k2 - k11 * k12) / scale)
+    worst_rel = _worst_factorization(prod, fm, fm, [((x1, x2), (0.5, -0.25)) for x1, x2 in pairs[:5]])
     rep.add(make_record("product kernel factorizes (relative)", worst_rel, 0.0, 1e-12))
 
     k = tensor_kernel([pw.kernel, pw.kernel], (1.0, math.pi), (0.0, 0.0))

@@ -100,6 +100,20 @@ def test_invert_rejects_mismatched_abscissae(tmp_path, capsys):
     assert "abscissae" in err
 
 
+def test_invert_rejects_nonfinite_sample(tmp_path, capsys):
+    code, out, _ = run(capsys, "invert", "--mode", "pw-primitive", "--emit-grid")
+    rows = rows_of(out)
+    samples = tmp_path / "nan.csv"
+    with open(samples, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["t", "re", "im"])
+        for i, (t, _, _) in enumerate(rows[1:]):
+            writer.writerow([t, "nan" if i == 3 else "1", "0"])
+    code, out, err = run(capsys, "invert", "--mode", "pw-primitive", "--input", str(samples))
+    assert code == 2 and out == ""
+    assert err == "error: row 5: non-finite value\n"
+
+
 def test_verify_writes_valid_report(tmp_path, capsys):
     out_path = tmp_path / "rep.json"
     code, out, _ = run(capsys, "verify", "--suite", "kernels", "--out", str(out_path))
@@ -199,6 +213,8 @@ def test_config_accepts_integer_radius(tmp_path, capsys):
         # before anything is allocated
         ("verify", "--suite", "sinc", "--radius", "1e9"),
         ("verify", "--suite", "isometry", "--nodes-per-panel", "100000"),
+        ("transform", "--family", "pw", "--max-frequency", "inf"),
+        ("transform", "--family", "pw", "--max-frequency", "nan"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv):

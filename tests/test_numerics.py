@@ -114,6 +114,12 @@ def test_build_grid_rejects_bad_weight():
         build_grid(make_interval(0.0, 1.0), 4, 8, rho=lambda t: -1.0 - 0.0 * t)
 
 
+def test_build_grid_refuses_a_scalar_weight():
+    # the weight is called once on the node array, never node by node
+    with pytest.raises(ValueError, match="one value per node"):
+        build_grid(make_interval(0.0, 1.0), 4, 8, rho=lambda t: 2.0)
+
+
 def test_breakpoints_land_on_panel_edges():
     g = build_grid(make_interval(-1.0, 1.0), 8, 8, breakpoints=(0.25,))
     assert np.any(np.isclose(g.panel_edges, 0.25))
@@ -163,6 +169,13 @@ def test_hvector_length_mismatch():
     g = build_grid(make_interval(0.0, 1.0), 4, 8)
     with pytest.raises(ValueError, match="length"):
         HVector(g, np.zeros(g.size + 1, dtype=complex))
+
+
+def test_sample_refuses_a_scalar_callable():
+    # the callable is called once on the node array, never node by node
+    g = build_grid(make_interval(0.0, 1.0), 4, 8)
+    with pytest.raises(ValueError, match="length"):
+        sample(g, lambda t: 1.0)
 
 
 def test_fsum_complex_survives_cancellation():
