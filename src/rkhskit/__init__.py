@@ -56,7 +56,6 @@ from .spaces import (
     Weight,
 )
 from .inversion import (
-    EvaluableRKHS,
     OrthonormalSystem,
     TransformationSequence,
     cons_sequence,

@@ -177,7 +177,6 @@ def cmd_invert(args) -> int:
         return PASS_EXIT
     source = HVector(fm.grid, _read_samples_csv(args.input, fm.grid)) if args.input else None
     if args.mode == "sobolev-span":
-        h_space = inv.EvaluableRKHS(fm.domain_label, kernel=fm.closed_kernel)
         if source is not None:
             coeffs = project_span(source, basis)
         elif args.f == "span":
@@ -186,7 +185,7 @@ def cmd_invert(args) -> int:
             source = span_combination(basis, coeffs)
         else:
             raise ConfigError("mode sobolev-span needs --f span or --input FILE")
-        recover = lambda image, t: inv.invert_at(image, t, h_space, basis)
+        recover = lambda image, t: inv.invert_at(image, t, basis)
         reference = lambda t: sum(c * space.kernel(t, float(x)) for c, x in zip(coeffs, basis.points))
         default_probes = np.linspace(-0.95, 0.95, args.probe_count)
     else:

@@ -2,11 +2,13 @@
 
 When the span of the features is itself a reproducing kernel Hilbert space,
 a transformed vector can be evaluated back on the source domain by pairing
-its image with the transformed kernel sections.  The same recipe survives
-composition with any isometry S into another evaluable RKHS W: the value
-(S f)(t) is the image-space inner product of f-hat with the conjugate of
-the S-composed features at t.  Orthonormal-coefficient recovery is the
-special case W = little-l2 over an index set.
+its image with the transformed kernel sections.  The kernel and the
+sections both come from the feature map: the kernel is its closed kernel,
+and the section at t is its own feature phi(t).  The same recipe survives
+composition with any isometry S into another RKHS W: the value (S f)(t) is
+the image-space inner product of f-hat with the conjugate of the S-composed
+features at t.  Orthonormal-coefficient recovery is the special case
+W = little-l2 over an index set.
 
 :func:`invert_at` and :func:`generalized_invert_at` take one point or a 1-D
 array of points.  A transformation sequence maps the whole feature matrix
@@ -31,8 +33,6 @@ from .numerics import (
     cumulative_integral,
     fsum_complex,
     inner_weighted_matrix,
-    make_interval,
-    med3,
 )
 from .spaces import PaleyWienerSpace, sinc_gram
 from .transforms import (
@@ -45,7 +45,6 @@ from .transforms import (
 )
 
 __all__ = [
-    "EvaluableRKHS",
     "TransformationSequence",
     "OrthonormalSystem",
     "invert_at",
@@ -61,26 +60,9 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class EvaluableRKHS:
-    """An RKHS seen operationally: a kernel, plus (optionally) grid-vector
-    representatives of its kernel sections in the source Hilbert space.
-
-    ``section(t)`` must satisfy <section(t), phi(x)> = k(x, t); for the
-    canonical map that is the feature vector at t itself, not a derivative
-    or other surrogate.  The identity sequence evaluates grid vectors by
-    pairing them with ``section``, called once per point; span inversion
-    needs only ``kernel``.
-    """
-
-    domain_label: str
-    kernel: Callable[[object, object], complex]
-    section: Callable[[object], HVector] | None = None
-
-
-@dataclass(frozen=True)
 class TransformationSequence:
     """A feature map phi into H followed by an isometry S from H into an
-    evaluable RKHS W.
+    RKHS W.
 
     ``s_apply(rows, ts)`` takes grid vectors as the rows of an (m, N) array
     on ``phi.grid`` and a list of T points of W's domain, and returns the
@@ -90,7 +72,6 @@ class TransformationSequence:
 
     phi: FeatureMap
     s_apply: Callable[[np.ndarray, list], np.ndarray]
-    w_space: EvaluableRKHS
 
 
 def _as_span_coeffs(image: TransformImage, basis: SpanBasis) -> np.ndarray:
@@ -118,29 +99,28 @@ def _pair_with_sections(
     return vals[0] if scalar else np.array(vals, dtype=complex)
 
 
-def invert_at(
-    image: TransformImage,
-    t,
-    h_space: EvaluableRKHS,
-    basis: SpanBasis,
-) -> complex | np.ndarray:
+def invert_at(image: TransformImage, t, basis: SpanBasis) -> complex | np.ndarray:
     """Evaluate the source of a transformed vector at t, one point or a 1-D
     array of points (then an array of values).
 
     Pairs the image with the transform of the kernel section at t, both
     projected onto the span basis.  The section's projection coefficients
-    come from kernel evaluations at the basis points, so no quadrature
-    against a possibly discontinuous feature enters here.  Exact up to
+    come from the closed kernel of ``basis.phi`` at the basis points, so no
+    quadrature against a possibly discontinuous feature enters here; a
+    feature map without a closed kernel raises ``ValueError``.  Exact up to
     ridge when the source lies in the span; for anything else this
     evaluates the span projection of the source, and the kernel-section
     projection residual (relative, against ||k_t||) is worth watching,
     hence the warning, raised once per point where it exceeds 1e-3.
     """
+    k = basis.phi.closed_kernel
+    if k is None:
+        raise ValueError("invert_at needs a feature map with a closed kernel")
     ts, scalar = _batch(t)
-    B = np.array([[complex(h_space.kernel(x, s)) for s in ts] for x in basis.points])
+    B = np.array([[complex(k(x, s)) for s in ts] for x in basis.points])
     D = basis.solve(B)
     for s, d in zip(ts, D.T):
-        ktt = complex(h_space.kernel(s, s)).real
+        ktt = complex(k(s, s)).real
         if ktt > 0.0:
             proj_sq = fsum_complex(np.conj(d)[:, None] * basis.gram * d[None, :]).real
             resid = math.sqrt(max(ktt - proj_sq, 0.0))
@@ -166,19 +146,15 @@ def generalized_invert_at(
     return _pair_with_sections(image, basis, D, scalar)
 
 
-def identity_sequence(phi: FeatureMap, h_space: EvaluableRKHS) -> TransformationSequence:
-    """S = identity; evaluation goes through h_space's kernel sections."""
-    if h_space.section is None:
-        raise ValueError("h_space must provide kernel sections")
+def identity_sequence(phi: FeatureMap) -> TransformationSequence:
+    """S = identity; a row is evaluated at t by pairing it with phi(t), the
+    kernel section of the image at t, formed once per point."""
 
     def s_apply(rows: np.ndarray, ts: list) -> np.ndarray:
-        sections = [h_space.section(t) for t in ts]
-        if not all(v.grid.compatible_with(phi.grid) for v in sections):
-            raise ValueError("kernel sections live on a different grid than the features")
-        values = np.reshape([v.values for v in sections], (len(ts), phi.grid.size))
+        values = np.reshape([phi.feature(t).values for t in ts], (len(ts), phi.grid.size))
         return inner_weighted_matrix(phi.grid, rows, values)
 
-    return TransformationSequence(phi, s_apply, h_space)
+    return TransformationSequence(phi, s_apply)
 
 
 def indefinite_integral_sequence(phi: FeatureMap, anchor: float = 0.0) -> TransformationSequence:
@@ -191,11 +167,7 @@ def indefinite_integral_sequence(phi: FeatureMap, anchor: float = 0.0) -> Transf
         Fs = (cumulative_integral(phi.grid, row) for row in rows)
         return np.array([F(xs) - F(anchor) for F in Fs], dtype=complex).reshape(len(rows), xs.size)
 
-    def w_kernel(t, u) -> complex:
-        return complex(make_interval(anchor, med3(float(t), float(u), anchor)).length)
-
-    w = EvaluableRKHS("primitives anchored at %g" % anchor, w_kernel)
-    return TransformationSequence(phi, s_apply, w)
+    return TransformationSequence(phi, s_apply)
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,11 +219,7 @@ def cons_sequence(cons: OrthonormalSystem, phi: FeatureMap) -> TransformationSeq
         members = cons.members[[int(n) for n in ns]]
         return inner_weighted_matrix(cons.grid, rows, members)
 
-    def w_kernel(m, n) -> complex:
-        return complex(1.0 if int(m) == int(n) else 0.0)
-
-    w = EvaluableRKHS("coefficient indices", w_kernel)
-    return TransformationSequence(phi, s_apply, w)
+    return TransformationSequence(phi, s_apply)
 
 
 def fourier_coeff_invert(

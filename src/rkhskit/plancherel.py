@@ -96,6 +96,8 @@ def box_domain(
     hws = tuple(half_widths)
     if not 1 <= len(hws) <= 3:
         raise ValueError("dimension must be between 1 and 3")
+    if not (math.isfinite(max_frequency) and max_frequency > 0):
+        raise ValueError("max_frequency must be positive and finite")
     grids = {}
     for a in hws:
         if not (math.isfinite(a) and a > 0):

@@ -153,7 +153,6 @@ class SobolevSpace:
         pts = tuple(self._require_point(p) for p in points)
         g = build_grid(self.interval, self.panels, self.nodes_per_panel, self.rho, breakpoints=(self.c, *pts))
         return FeatureMap(
-            domain_label=f"({self.interval.lo:g}, {self.interval.hi:g}) anchored at {self.c:g}",
             grid=g,
             evaluate=lambda x: self._feature_values(x, g),
             closed_kernel=lambda x, y: complex(self.kernel(x, y)),
@@ -250,7 +249,6 @@ class PaleyWienerSpace:
     def feature_map(self) -> FeatureMap:
         """phi(x)(t) = exp(i t x) / sqrt(2 pi) on (-a, a), real x only."""
         return FeatureMap(
-            domain_label=f"real frequencies up to {self.max_frequency:g}",
             grid=self.grid,
             evaluate=self._feature_values,
             closed_kernel=self.kernel,
@@ -338,8 +336,7 @@ def tensor_feature(maps: Sequence[FeatureMap]) -> FeatureMap:
         def closed(xs, ys):
             return tensor_kernel(kernels, xs, ys)
 
-    label = " x ".join(m.domain_label for m in ms)
-    return FeatureMap(domain_label=label, grid=pgrid, evaluate=evaluate, closed_kernel=closed)
+    return FeatureMap(grid=pgrid, evaluate=evaluate, closed_kernel=closed)
 
 
 def tensor_kernel(kernels: Sequence[Callable], xs, ys) -> complex:

@@ -283,7 +283,6 @@ def suite_inversion(cfg: RunConfig) -> Report:
     """Round trip: transform a span member, evaluate it back pointwise."""
     rep = Report("inversion", cfg.seed, {"basis_size": cfg.basis_size, "probes": cfg.probe_count})
     space, fm, basis = _sobolev_setup(cfg.basis_size)
-    h_space = inv.EvaluableRKHS(fm.domain_label, kernel=fm.closed_kernel)
     rng = np.random.default_rng(cfg.seed)
     coeffs = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
     member = span_combination(basis, coeffs)
@@ -292,7 +291,7 @@ def suite_inversion(cfg: RunConfig) -> Report:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         # the coarse-basis warning is benign here: the source is in the span
-        got = inv.invert_at(image, probes, h_space, basis)
+        got = inv.invert_at(image, probes, basis)
     want = np.array(
         [sum(c * space.kernel(t, x) for c, x in zip(coeffs, basis.points)) for t in probes.tolist()]
     )
@@ -310,17 +309,8 @@ def _pw_setup(max_frequency: float, points: np.ndarray):
 
 def suite_generalized_inversion(cfg: RunConfig) -> Report:
     """Inversion through an isometry into the primitive's Sobolev space."""
-    radius = cfg.radius or 200.0
-    rep = Report(
-        "generalized-inversion",
-        cfg.seed,
-        {"radius": radius, "basis": "integers in [-20, 20]"},
-    )
-    window = make_interval(-radius, radius)
-    points = np.arange(-20.0, 21.0)
-    if not all(window.contains(p) for p in points):
-        raise ConfigError("radius too small for the frequency basis")
-    pw, fm, basis = _pw_setup(22.0, points)
+    rep = Report("generalized-inversion", cfg.seed, {"basis": "integers in [-20, 20]"})
+    _, fm, basis = _pw_setup(22.0, np.arange(-20.0, 21.0))
     seq = inv.indefinite_integral_sequence(fm, anchor=0.0)
 
     cases = [
@@ -336,13 +326,12 @@ def suite_generalized_inversion(cfg: RunConfig) -> Report:
 
     # identity sequence: quadrature and closed-kernel section paths coincide
     # on smooth features
-    h_space = inv.EvaluableRKHS(fm.domain_label, kernel=pw.kernel, section=fm.feature)
-    ident = inv.identity_sequence(fm, h_space)
+    ident = inv.identity_sequence(fm)
     image = transform(sample(fm.grid, np.cos), fm)
     ts = np.linspace(-0.8, 0.8, 9)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        direct = inv.invert_at(image, ts, h_space, basis)
+        direct = inv.invert_at(image, ts, basis)
     viaseq = inv.generalized_invert_at(ident, image, ts, basis)
     worst = float(np.max(np.abs(direct - viaseq)))
     rep.add(make_record("identity sequence agrees with direct inversion", worst, 0.0, 1e-10))

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg as sla
 
 from .numerics import HVector, fsum_complex, inner_weighted, inner_weighted_matrix
 
@@ -57,7 +56,6 @@ class FeatureMap:
     that accepts parameters off the real domain (e.g. complex points).
     """
 
-    domain_label: str
     grid: object
     evaluate: Callable[[object], np.ndarray]
     closed_kernel: Callable[[object, object], complex] | None = None
@@ -78,14 +76,16 @@ class SpanBasis:
     ``features`` holds the feature vectors as the rows of one (m, N) array
     on ``phi.grid``.  The ridge is relative, ``RIDGE_SCALE * trace(G) / m``;
     it absorbs numerically dependent sections (e.g. nearly coincident
-    points) that an exact-arithmetic treatment never sees.
+    points) that an exact-arithmetic treatment never sees.  ``factor`` is
+    the lower Cholesky factor L of G + ridge I, and :meth:`solve` applies
+    (L L^H)^-1 as a solve with L and then one with L^H.
     """
 
     phi: FeatureMap
     points: tuple
     gram: np.ndarray
     ridge: float
-    factor: object = field(repr=False)
+    factor: np.ndarray = field(repr=False)
     features: np.ndarray = field(repr=False)
 
     @property
@@ -93,11 +93,16 @@ class SpanBasis:
         return len(self.points)
 
     def solve(self, b) -> np.ndarray:
-        return sla.cho_solve(self.factor, np.asarray(b, dtype=complex))
+        L = self.factor
+        return np.linalg.solve(L.conj().T, np.linalg.solve(L, np.asarray(b, dtype=complex)))
 
 
 def build_span_basis(phi: FeatureMap, points: Sequence) -> SpanBasis:
-    """Assemble the Gram matrix G_ij = <phi(x_j), phi(x_i)> and factor it."""
+    """Assemble the Gram matrix G_ij = <phi(x_j), phi(x_i)> and factor it.
+
+    A Gram matrix that is not positive definite even with the ridge raises
+    ``numpy.linalg.LinAlgError``, a ``ValueError``.
+    """
     pts = tuple(points)
     if not pts:
         raise ValueError("a span basis needs at least one point")
@@ -108,7 +113,7 @@ def build_span_basis(phi: FeatureMap, points: Sequence) -> SpanBasis:
     ridge = RIDGE_SCALE * float(np.trace(G).real) / m
     if ridge <= 0.0:
         raise ValueError("degenerate basis: all features vanish")
-    factor = sla.cho_factor(G + ridge * np.eye(m))
+    factor = np.linalg.cholesky(G + ridge * np.eye(m))
     return SpanBasis(phi, pts, G, ridge, factor, feats)
 
 

