@@ -41,7 +41,6 @@ from .transforms import (
     project_span,
     projection_residual,
     span_combination,
-    span_image,
     transform,
 )
 from .spaces import (

@@ -169,7 +169,7 @@ def _read_samples_csv(path, grid) -> np.ndarray:
 def cmd_invert(args) -> int:
     probes = _parse_points(args.probes) if args.probes is not None else None
     if args.mode == "sobolev-span":
-        space, fm, basis = _sobolev_setup(15)
+        space, fm, basis = _sobolev_setup()
     else:
         _, fm, basis = _pw_setup(22.0, np.arange(-20.0, 21.0))
     if args.emit_grid:

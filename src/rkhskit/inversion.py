@@ -14,7 +14,8 @@ W = little-l2 over an index set.
 array of points.  A transformation sequence maps the whole feature matrix
 at every point of the batch in one call, and all kernel sections of the
 batch come from one solve with the Gram factor; the pairing with the image
-and the coarse-basis residual stay per point on ``fsum_complex``, because
+and the coarse-basis residual are per-point :func:`~rkhskit.transforms.opr_inner`
+calls on the span coefficients, summed by ``fsum_complex`` because
 coefficients over a near-singular Gram cancel there.
 """
 
@@ -31,7 +32,6 @@ from .numerics import (
     HVector,
     QuadGrid,
     cumulative_integral,
-    fsum_complex,
     inner_weighted_matrix,
 )
 from .spaces import PaleyWienerSpace, sinc_gram
@@ -41,7 +41,6 @@ from .transforms import (
     TransformImage,
     opr_inner,
     project_span,
-    span_image,
 )
 
 __all__ = [
@@ -74,14 +73,6 @@ class TransformationSequence:
     s_apply: Callable[[np.ndarray, list], np.ndarray]
 
 
-def _as_span_coeffs(image: TransformImage, basis: SpanBasis) -> np.ndarray:
-    if image.basis is basis and image.coeffs is not None:
-        return image.coeffs
-    if image.raw is not None:
-        return project_span(image.raw, basis)
-    raise ValueError("image was built over a different span basis")
-
-
 def _batch(t) -> tuple:
     """(points, scalar): a 1-D array is a batch of points, anything else one point."""
     if isinstance(t, np.ndarray) and t.ndim == 1:
@@ -92,10 +83,10 @@ def _batch(t) -> tuple:
 def _pair_with_sections(
     image: TransformImage, basis: SpanBasis, D: np.ndarray, scalar: bool
 ) -> complex | np.ndarray:
-    """Pair the image with each column of section coefficients D by
-    :func:`~rkhskit.transforms.opr_inner`."""
-    u = span_image(basis, _as_span_coeffs(image, basis))
-    vals = [opr_inner(u, span_image(basis, d)) for d in D.T]
+    """Project the image onto the span once and pair its coefficients with
+    each column of section coefficients D by :func:`~rkhskit.transforms.opr_inner`."""
+    c = project_span(image.raw, basis)
+    vals = [opr_inner(basis, c, d) for d in D.T]
     return vals[0] if scalar else np.array(vals, dtype=complex)
 
 
@@ -122,7 +113,7 @@ def invert_at(image: TransformImage, t, basis: SpanBasis) -> complex | np.ndarra
     for s, d in zip(ts, D.T):
         ktt = complex(k(s, s)).real
         if ktt > 0.0:
-            proj_sq = fsum_complex(np.conj(d)[:, None] * basis.gram * d[None, :]).real
+            proj_sq = opr_inner(basis, d, d).real
             resid = math.sqrt(max(ktt - proj_sq, 0.0))
             if resid > 1e-3 * math.sqrt(ktt):
                 warnings.warn(f"basis too coarse for t={s!r}", RuntimeWarning, stacklevel=2)

@@ -87,18 +87,6 @@ class Interval:
     def length(self) -> float:
         return 0.0 if self.empty else self.hi - self.lo
 
-    def contains(self, x: float) -> bool:
-        """Open membership: lo < x < hi."""
-        return self.lo < x < self.hi
-
-    def intersect(self, other: "Interval") -> "Interval":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo < hi and not (self.empty or other.empty):
-            return Interval(lo, hi)
-        m = lo if math.isfinite(lo) else (hi if math.isfinite(hi) else 0.0)
-        return Interval(m, m)
-
 
 def make_interval(a: float, b: float) -> Interval:
     """Open interval between two extended reals taken in either order.

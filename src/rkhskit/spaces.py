@@ -254,9 +254,6 @@ class PaleyWienerSpace:
             closed_kernel=self.kernel,
         )
 
-    def feature(self, x) -> HVector:
-        return HVector(self.grid, self._feature_values(x))
-
 
 def sinc_ratio(a: float, u) -> np.ndarray:
     """sin(a u) / u with the removable singularity filled by its series."""

@@ -58,9 +58,6 @@ class RunConfig:
     radius: float | None = None
     panels: int | None = None
     nodes_per_panel: int | None = None
-    a: float = 1.0
-    basis_size: int = 15
-    probe_count: int = 50
     out: str | None = None
 
     def validate(self) -> "RunConfig":
@@ -72,12 +69,6 @@ class RunConfig:
             v = getattr(self, name)
             if v is not None and v < 1:
                 raise ConfigError(f"{name} must be a positive integer")
-        if not (math.isfinite(self.a) and self.a > 0):
-            raise ConfigError("a must be positive and finite")
-        if self.basis_size < 1:
-            raise ConfigError("basis_size must be positive")
-        if self.probe_count < 1:
-            raise ConfigError("probe_count must be positive")
         return self
 
 
@@ -183,9 +174,12 @@ def suite_isometry(cfg: RunConfig) -> Report:
     return rep
 
 
-def _sobolev_setup(n_points: int):
+_BASIS_SIZE = 15  # Sobolev span points of the contraction and inversion scenarios
+
+
+def _sobolev_setup():
     space = SobolevSpace(make_interval(-1.0, 1.0), 0.0)
-    pts = np.linspace(-0.9, 0.9, n_points)
+    pts = np.linspace(-0.9, 0.9, _BASIS_SIZE)
     fm = space.feature_map(pts)
     basis = build_span_basis(fm, pts)
     return space, fm, basis
@@ -193,8 +187,8 @@ def _sobolev_setup(n_points: int):
 
 def suite_contraction(cfg: RunConfig) -> Report:
     """Transforming never grows the norm; span members keep it exactly."""
-    rep = Report("contraction", cfg.seed, {"random_draws": 100, "basis_size": cfg.basis_size})
-    space, fm, basis = _sobolev_setup(cfg.basis_size)
+    rep = Report("contraction", cfg.seed, {"random_draws": 100, "basis_size": _BASIS_SIZE})
+    space, fm, basis = _sobolev_setup()
     rng = np.random.default_rng(cfg.seed)
     min_slack = math.inf
     for _ in range(100):
@@ -229,7 +223,7 @@ def suite_kernels(cfg: RunConfig) -> Report:
         worst = float(np.max(np.abs(G - K)))
         rep.add(make_record(f"sobolev kernel vs closed form ({rho_name})", worst, 0.0, 1e-10))
 
-    pw = PaleyWienerSpace(cfg.a, max_frequency=12.0)
+    pw = PaleyWienerSpace(1.0, max_frequency=12.0)
     pts = np.array([-2.0, -1.0, 0.0, 0.5, math.pi])
     basis = build_span_basis(pw.feature_map(), pts)
     K = np.array([[pw.kernel(x, y) for y in pts] for x in pts])
@@ -281,13 +275,13 @@ def suite_sinc(cfg: RunConfig) -> Report:
 
 def suite_inversion(cfg: RunConfig) -> Report:
     """Round trip: transform a span member, evaluate it back pointwise."""
-    rep = Report("inversion", cfg.seed, {"basis_size": cfg.basis_size, "probes": cfg.probe_count})
-    space, fm, basis = _sobolev_setup(cfg.basis_size)
+    probes = np.linspace(-0.95, 0.95, 50)
+    rep = Report("inversion", cfg.seed, {"basis_size": _BASIS_SIZE, "probes": probes.size})
+    space, fm, basis = _sobolev_setup()
     rng = np.random.default_rng(cfg.seed)
     coeffs = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
     member = span_combination(basis, coeffs)
     image = transform(member, fm)
-    probes = np.linspace(-0.95, 0.95, cfg.probe_count)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         # the coarse-basis warning is benign here: the source is in the span
@@ -455,11 +449,11 @@ def suite_mutual_inverse(cfg: RunConfig) -> Report:
     npp = cfg.nodes_per_panel or 8
     rep = Report("mutual-inverse", cfg.seed, {"radius": radius})
     box = pl.box_domain([6.0], max_frequency=radius, nodes_per_panel=npp)
-    res = pl.mutual_inverse_check(_gauss, box, radius, n_probes=cfg.probe_count)
+    res = pl.mutual_inverse_check(_gauss, box, radius)
     rep.add(make_record("gaussian round trip (max err)", res.max_abs_err, 0.0, 5e-3))
 
     boxw = pl.box_domain([1.0], max_frequency=radius, nodes_per_panel=npp)
-    resw = pl.mutual_inverse_check(SOURCES["wave"], boxw, radius, n_probes=cfg.probe_count)
+    resw = pl.mutual_inverse_check(SOURCES["wave"], boxw, radius)
     rep.add(make_record("windowed wave round trip (max err)", resw.max_abs_err, 0.0, 2e-2))
 
     radius2 = 30.0

@@ -8,12 +8,14 @@ the unique inner product making the transform a coisometry, and on the span
 of finitely many kernel sections that inner product is computed through the
 Gram matrix of the corresponding feature vectors.
 
-The Gram matrix, projections and span combinations are each one matrix
-product over the basis features, and :meth:`TransformImage.at_many`
-evaluates an image at many points the same way.  ``fsum_complex`` stays in
-the single pairings (:meth:`TransformImage.at`, :func:`kernel_eval`), the
-oracles of the batched calls, and in :func:`opr_inner`, where coefficients
-over a near-singular Gram cancel.
+An element of that span is its coefficient array over a :class:`SpanBasis`,
+and :func:`opr_inner` pairs two such arrays through the Gram matrix.  The
+Gram matrix, projections and span combinations are each one matrix product
+over the basis features, and :meth:`TransformImage.at_many` evaluates an
+image at many points the same way.  ``fsum_complex`` stays in the single
+pairings (:meth:`TransformImage.at`, :func:`kernel_eval`), the oracles of
+the batched calls, and in :func:`opr_inner`, where coefficients over a
+near-singular Gram cancel.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ __all__ = [
     "build_span_basis",
     "project_span",
     "span_combination",
-    "span_image",
     "projection_residual",
     "opr_inner",
     "ContractionReport",
@@ -119,29 +120,15 @@ def build_span_basis(phi: FeatureMap, points: Sequence) -> SpanBasis:
 
 @dataclass(frozen=True, eq=False)
 class TransformImage:
-    """Element of the transform image, evaluable on the parameter set.
-
-    Backed either by the raw Hilbert-space vector (evaluation by quadrature
-    against features) or by coefficients over a :class:`SpanBasis`
-    (evaluation through kernel sections, which also works wherever the
-    closed-form kernel does).
-    """
+    """The transform of the grid vector ``raw``: the function x |-> <raw, phi(x)>
+    on the parameter set, evaluated by quadrature against features."""
 
     phi: FeatureMap
-    raw: HVector | None = None
-    basis: SpanBasis | None = None
-    coeffs: np.ndarray | None = None
+    raw: HVector
 
     def at(self, x) -> complex:
         """Value at one point, summed exactly by ``fsum_complex``."""
-        if self.raw is not None:
-            return inner_weighted(self.raw, self.phi.feature(x))
-        k = self.phi.closed_kernel
-        if k is not None:
-            vals = np.array([k(x, p) for p in self.basis.points])
-        else:
-            vals = np.array([kernel_eval(self.phi, x, p) for p in self.basis.points])
-        return fsum_complex(vals * self.coeffs)
+        return inner_weighted(self.raw, self.phi.feature(x))
 
     def at_many(self, points) -> np.ndarray:
         """Values at a sequence of points, each of the kind :meth:`at`
@@ -151,33 +138,20 @@ class TransformImage:
         entries, so a large product feature is never held more than once.
         """
         pts = list(points)
-        k = self.phi.closed_kernel
-        if self.raw is None and k is not None:
-            K = np.array([[k(x, p) for p in self.basis.points] for x in pts], dtype=complex)
-            return K.reshape(len(pts), self.basis.size) @ self.coeffs
-        rows = self.raw.values if self.raw is not None else self.basis.features
         grid = self.phi.grid
         per = max(1, _EVAL_BLOCK // grid.size)
-        vals = np.empty(rows.shape[:-1] + (len(pts),), dtype=complex)
+        vals = np.empty(len(pts), dtype=complex)
         for lo in range(0, len(pts), per):
             feats = np.stack([self.phi.feature(x).values for x in pts[lo : lo + per]])
-            vals[..., lo : lo + per] = inner_weighted_matrix(grid, rows, feats)
-        return vals if self.raw is not None else self.coeffs @ vals
+            vals[lo : lo + per] = inner_weighted_matrix(grid, self.raw.values, feats)
+        return vals
 
 
 def transform(f: HVector, phi: FeatureMap) -> TransformImage:
     """The integral transform of f: the function x |-> <f, phi(x)>."""
     if not f.grid.compatible_with(phi.grid):
         raise ValueError("vector and feature map live on different grids")
-    return TransformImage(phi, raw=f)
-
-
-def span_image(basis: SpanBasis, coeffs) -> TransformImage:
-    """Image element sum_i c_i k(., x_i) given by span coefficients."""
-    c = np.asarray(coeffs, dtype=complex)
-    if c.shape != (basis.size,):
-        raise ValueError("coefficient length must match basis size")
-    return TransformImage(basis.phi, basis=basis, coeffs=c)
+    return TransformImage(phi, f)
 
 
 def span_combination(basis: SpanBasis, coeffs) -> HVector:
@@ -203,17 +177,18 @@ def projection_residual(f: HVector, basis: SpanBasis, coeffs=None) -> float:
     return math.sqrt(max(inner_weighted(diff, diff).real, 0.0))
 
 
-def opr_inner(u: TransformImage, v: TransformImage) -> complex:
-    """Operator-range inner product of two span-backed images.
+def opr_inner(basis: SpanBasis, c, d) -> complex:
+    """Operator-range inner product of two image elements over one span basis.
 
-    For u = sum_i c_i k(., x_i) and v = sum_j d_j k(., x_j) over one shared
-    basis this is sum_ij conj(d_j) G_ji c_i, the inner product pulled back
-    from the source space through the coisometry.
+    For u = sum_i c_i k(., x_i) and v = sum_j d_j k(., x_j), given by their
+    coefficient arrays, this is sum_ij conj(d_j) G_ji c_i, the inner product
+    pulled back from the source space through the coisometry.
     """
-    if u.basis is None or v.basis is None or u.basis is not v.basis:
-        raise ValueError("operator-range inner product needs one shared span basis")
-    T = np.conj(v.coeffs)[:, None] * u.basis.gram * u.coeffs[None, :]
-    return fsum_complex(T)
+    c = np.asarray(c, dtype=complex)
+    d = np.asarray(d, dtype=complex)
+    if c.shape != (basis.size,) or d.shape != (basis.size,):
+        raise ValueError("coefficient length must match basis size")
+    return fsum_complex(np.conj(d)[:, None] * basis.gram * c[None, :])
 
 
 @dataclass(frozen=True)
@@ -230,7 +205,6 @@ def contraction_check(f: HVector, phi: FeatureMap, basis: SpanBasis) -> Contract
     rounding, and vanishes exactly when f lies in the span of the features.
     """
     c = project_span(f, basis)
-    img = span_image(basis, c)
     norm_source = math.sqrt(max(inner_weighted(f, f).real, 0.0))
-    norm_image = math.sqrt(max(opr_inner(img, img).real, 0.0))
+    norm_image = math.sqrt(max(opr_inner(basis, c, c).real, 0.0))
     return ContractionReport(norm_source, norm_image, norm_source - norm_image)

@@ -161,10 +161,10 @@ def test_verify_config_rejects_unknown_keys(tmp_path, capsys):
         ({"radius": "5"}, "radius"),
         ({"seed": "x"}, "seed"),
         ({"seed": True}, "seed"),
-        ({"basis_size": 2.5}, "basis_size"),
+        ({"basis_size": 15}, "basis_size"),  # a key RunConfig no longer has
         ({"out": 3}, "out"),
         ({"ndim": 3, "lo": 5, "hi": 6}, "ndim"),
-        ({"probe_count": 0}, "probe_count"),
+        ({"probe_count": 50}, "probe_count"),  # a key RunConfig no longer has
     ],
 )
 def test_verify_config_rejects_bad_values(tmp_path, capsys, config, word):
@@ -193,9 +193,10 @@ def test_negative_counts_rejected_at_parsing(capsys, argv):
 
 def test_config_accepts_integer_radius(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"suite": "generalized-inversion", "radius": 100}))
+    cfg.write_text(json.dumps({"suite": "sinc", "radius": 1000}))
     code, out, _ = run(capsys, "verify", "--config", str(cfg))
-    assert code == 0 and "suite generalized-inversion: PASS" in out
+    # the sinc tolerance is 4/radius + 1e-6, so it shows that the integer reached the suite
+    assert code == 0 and "tolerance=0.004001" in out
 
 
 def test_generalized_inversion_ignores_radius(capsys):

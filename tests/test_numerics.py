@@ -67,38 +67,6 @@ def test_interval_construction():
     assert truncate_line(3.0).lo == -3.0 and truncate_line(3.0).hi == 3.0
 
 
-def test_interval_contains_is_open():
-    iv = make_interval(0.0, 1.0)
-    assert iv.contains(0.5)
-    assert not iv.contains(0.0)
-    assert not iv.contains(1.0)
-
-
-def test_interval_intersection():
-    a = make_interval(0.0, 2.0)
-    b = make_interval(1.0, 3.0)
-    c = a.intersect(b)
-    assert c.lo == 1.0 and c.hi == 2.0
-    # disjoint intervals meet in an empty interval
-    d = make_interval(5.0, 6.0).intersect(a)
-    assert d.empty and d.length == 0.0
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    st.floats(min_value=-10, max_value=10),
-    st.floats(min_value=-10, max_value=10),
-    st.floats(min_value=-10, max_value=10),
-    st.floats(min_value=-10, max_value=10),
-    st.floats(min_value=-10, max_value=10),
-)
-def test_intersection_membership(a, b, c, d, p):
-    left = make_interval(a, b)
-    right = make_interval(c, d)
-    both = left.intersect(right)
-    assert both.contains(p) == (left.contains(p) and right.contains(p))
-
-
 def test_build_grid_rejects_unbounded():
     with pytest.raises(ValueError, match="truncated"):
         build_grid(make_interval(0.0, math.inf), 4, 8)

@@ -1,0 +1,57 @@
+"""The benchmark's span tracer still fits the package: one traced pass of
+each workload runs, every report passes, and uninstalling the tracer puts
+every patched name back.
+
+A change that drops a parameter a tracer counter reads from a signature
+(say, the keywords of ``SobolevSpace.kernel``) fails here, not only in a
+traced benchmark run.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    """Import a perfbench module from its file without writing byte code there."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+def _current(target, key):
+    return target[key] if isinstance(target, dict) else getattr(target, key)
+
+
+@pytest.mark.parametrize("workload", ["fourier", "gram", "quadrature"])
+def test_traced_pass_of_each_workload(workload):
+    from rkhskit.suites import run_suite
+
+    tracer_mod, workloads = _load("tracer"), _load("workloads")
+    tracer = tracer_mod.Tracer()
+    configs = workloads.suite_configs(workload, 11)
+    tracer.install()
+    patched = list(tracer._patches)
+    try:
+        reports = [(suite, run_suite(suite, cfg)) for suite, cfg in configs]
+    finally:
+        tracer.uninstall()
+    assert patched
+    for target, key, original in patched:
+        assert _current(target, key) is original, key
+    for suite, report in reports:
+        failed = [r.name for r in report.records if not r.passed]
+        assert report.records and not failed, (suite, failed)
+    counts = tracer.exact_counts()
+    for suite, _ in configs:
+        assert counts[f"suites.{suite}.calls"] == 1

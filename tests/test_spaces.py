@@ -200,13 +200,13 @@ def test_pw_kernel_series_branch_matches_formula():
 def test_pw_feature_rejects_complex_argument():
     pw = PaleyWienerSpace(1.0)
     with pytest.raises(ValueError, match="closed form"):
-        pw.feature(1.0 + 1.0j)
+        pw.feature_map().feature(1.0 + 1.0j)
 
 
 def test_pw_feature_rejects_unresolved_frequency():
     pw = PaleyWienerSpace(1.0, max_frequency=10.0)
     with pytest.raises(ValueError, match="resolution"):
-        pw.feature(50.0)
+        pw.feature_map().feature(50.0)
 
 
 def test_sinc_ratio_series_branch():

@@ -8,7 +8,6 @@ import pytest
 from rkhskit.numerics import HVector, build_grid, inner_weighted, make_interval, sample
 from rkhskit.spaces import PaleyWienerSpace, SobolevSpace, tensor_feature
 from rkhskit.transforms import (
-    FeatureMap,
     build_span_basis,
     contraction_check,
     kernel_eval,
@@ -16,7 +15,6 @@ from rkhskit.transforms import (
     project_span,
     projection_residual,
     span_combination,
-    span_image,
     transform,
 )
 
@@ -107,15 +105,6 @@ def test_transform_grid_mismatch(sobolev):
         transform(sample(other, np.cos), fm)
 
 
-def test_span_image_at_uses_closed_kernel(sobolev):
-    space, fm, basis = sobolev
-    coeffs = np.array([0.5 - 0.25j if i == 2 else 0.0 for i in range(basis.size)], dtype=complex)
-    img = span_image(basis, coeffs)
-    p = basis.points[2]
-    for x in (-0.8, 0.3):
-        assert abs(img.at(x) - coeffs[2] * space.kernel(x, p)) < 1e-14
-
-
 def test_raw_image_at_agrees_with_inner_product(sobolev):
     space, fm, _ = sobolev
     f = sample(fm.grid, lambda t: np.exp(t))
@@ -152,17 +141,13 @@ def test_at_many_matches_at_on_span_image(sobolev):
     space, fm, basis = sobolev
     coeffs = np.random.default_rng(5).standard_normal(basis.size) + 0.5j
     pts = [-0.8, -0.3, 0.1, 0.45, 0.9]
-    _assert_matches_at(span_image(basis, coeffs), pts)
-    # without a closed kernel the kernel rows come from the features
-    bare = FeatureMap(fm.grid, fm.evaluate)
-    _assert_matches_at(span_image(build_span_basis(bare, basis.points), coeffs), pts)
+    _assert_matches_at(transform(span_combination(basis, coeffs), fm), pts)
 
 
 def test_at_many_of_nothing_is_empty(sobolev):
-    space, fm, basis = sobolev
-    for img in (transform(sample(fm.grid, np.cos), fm), span_image(basis, np.ones(basis.size))):
-        got = img.at_many([])
-        assert got.shape == (0,) and got.dtype == complex
+    space, fm, _ = sobolev
+    got = transform(sample(fm.grid, np.cos), fm).at_many([])
+    assert got.shape == (0,) and got.dtype == complex
 
 
 def test_at_many_rejects_out_of_range_frequency_like_at():
@@ -189,13 +174,15 @@ def test_project_span_recovers_member_coeffs():
     assert projection_residual(member, basis) < 1e-6
 
 
-def test_opr_inner_requires_shared_basis(sobolev):
+def test_opr_inner_refuses_wrong_coefficient_length(sobolev):
+    # coefficients over another, smaller basis do not fit this one, on either side
     space, fm, basis = sobolev
     other = build_span_basis(fm, np.linspace(-0.8, 0.8, 5))
-    u = span_image(basis, np.ones(basis.size, dtype=complex))
-    v = span_image(other, np.ones(other.size, dtype=complex))
-    with pytest.raises(ValueError, match="shared"):
-        opr_inner(u, v)
+    c = np.ones(basis.size, dtype=complex)
+    d = np.ones(other.size, dtype=complex)
+    for args in ((c, d), (d, c), (c[:, None], c)):
+        with pytest.raises(ValueError, match="coefficient length must match basis size"):
+            opr_inner(basis, *args)
 
 
 def test_opr_inner_reproduces_source_inner_product(sobolev):
@@ -205,7 +192,7 @@ def test_opr_inner_reproduces_source_inner_product(sobolev):
     rng = np.random.default_rng(5)
     c1 = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
     c2 = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
-    lhs = opr_inner(span_image(basis, c1), span_image(basis, c2))
+    lhs = opr_inner(basis, c1, c2)
     rhs = inner_weighted(span_combination(basis, c1), span_combination(basis, c2))
     assert abs(lhs - rhs) < 1e-10
 
