@@ -39,7 +39,6 @@ from .transforms import (
     kernel_eval,
     opr_inner,
     project_span,
-    projection_residual,
     span_combination,
     transform,
 )

@@ -22,6 +22,16 @@ dense route is the tests' oracle.  :func:`transform_at` evaluates the dense
 sum at arbitrary points, and :func:`mutual_inverse_check` evaluates the
 same sum on its probe lattice one axis at a time.
 
+Box samples of smooth functions have small numerical rank, so a 2-D
+forward transform first tries to factor its samples as Q @ B with k columns
+(:func:`_low_rank`, a blocked randomized range finder that stops on the
+exact residual); it then contracts Q along axis 0 and B along axis 1, k
+columns each instead of a whole side, and multiplies the two.  Samples that
+do not reach the residual floor within the column cap, and every 1-D and
+3-D box, take the column route above, one contraction per axis over all
+columns; that route is the oracle of the factored one.  No suite transforms
+a 3-D box.
+
 The two boxes are the same kind of object, a
 :class:`~rkhskit.numerics.ProductGrid` from :func:`box_domain`: a time box
 resolving frequencies up to ``max_frequency``, or a frequency box of
@@ -74,6 +84,14 @@ _CHUNK_ELEMS = 1 << 22
 # nodes off the uniform-panel model by more than this many ulps of the
 # interval end mean the panels are not uniform
 _UNIFORM_ULPS = 64
+# the low-rank route sketches 2-D samples this many columns at a time, stops
+# once the residual is this far below the samples in Frobenius norm, gives
+# up past this many columns (or an eighth of the shorter side), and updates
+# the residual in row blocks of about this many entries
+_SKETCH_BLOCK = 8
+_SKETCH_FLOOR = 1e-14
+_SKETCH_CAP = 32
+_SKETCH_CHUNK = 1 << 18
 
 
 def _chunk_rows(ncols: int) -> int:
@@ -234,9 +252,8 @@ def _chirp_pays(P: int, n: int, Q: int, m: int, cols: int) -> bool:
     The per-column term was fitted when the chirp route transformed two
     FFT columns per data column; it now transforms one, so the model
     overstates the chirp cost and keeps borderline axes dense on purpose.
-    Halving the term sends the 2-D axes of boxes at 2 nodes per panel
-    (306 panels a side) to the chirp route, whose chunk buffers then raise
-    the peak memory of a pass over them by about a fifth.
+    The axes of a factored 2-D transform see at most _SKETCH_CAP columns;
+    only full-rank 2-D samples still bring a whole side of columns here.
     """
     L = _fft_len(P + Q - 1)
     dense = 3.5e4 + P * n * Q * m * (44.0 + 0.2 * cols)
@@ -257,15 +274,67 @@ def _axis_contract(arr: np.ndarray, axis: int, dst: QuadGrid, src: QuadGrid, sig
     return _axis_apply(arr, axis, dst.nodes, src, sign)
 
 
+def _frobenius(arr: np.ndarray) -> float:
+    return math.sqrt(np.vdot(arr, arr).real)
+
+
+def _low_rank(arr: np.ndarray):
+    """(Q, B) with orthonormal columns Q and arr = Q @ B up to a residual of
+    at most _SKETCH_FLOOR of arr in Frobenius norm, or None.
+
+    A blocked randomized range finder (Halko, Martinsson & Tropp, SIAM
+    Rev. 53, 2011, in the residual-updating form of Martinsson & Voronin,
+    SIAM J. Sci. Comput. 38, 2016): each block sketches the residual with
+    _SKETCH_BLOCK Gaussian columns, orthogonalizes the sketch against the
+    earlier blocks, and subtracts its projection from the residual.  The
+    stopping test reads that residual itself, so the accuracy does not rest
+    on the random draw; the draw is keyed on the shape, so equal inputs
+    give equal factors.  None for an all-zero array, and when the columns
+    would pass the cap before the residual reaches the floor.
+    """
+    cap = min(_SKETCH_CAP, min(arr.shape) // 8)
+    norm = _frobenius(arr)
+    if cap < _SKETCH_BLOCK or norm == 0.0:
+        return None
+    rng = np.random.default_rng(arr.shape)
+    resid = arr.copy()
+    step = max(1, _SKETCH_CHUNK // arr.shape[1])
+    Q = np.empty((arr.shape[0], 0), dtype=complex)
+    blocks = []
+    while Q.shape[1] < cap:
+        Y = resid @ rng.standard_normal((arr.shape[1], _SKETCH_BLOCK))
+        for _ in range(2):
+            # twice, since a sketch of a residual near the floor keeps the
+            # earlier blocks' rounding, which the first QR can amplify
+            Y = np.linalg.qr(Y - Q @ (Q.conj().T @ Y))[0]
+        B = Y.conj().T @ resid
+        for i in range(0, resid.shape[0], step):
+            resid[i : i + step] -= Y[i : i + step] @ B
+        Q = np.hstack([Q, Y])
+        blocks.append(B)
+        if _frobenius(resid) <= _SKETCH_FLOOR * norm:
+            return Q, np.vstack(blocks)
+    return None
+
+
 def fourier_on_lattice(values: np.ndarray, box: ProductGrid, lattice: ProductGrid) -> np.ndarray:
     """Truncated Fourier transform of box samples, tabulated on the lattice.
 
     (2 pi)^(-N/2) * integral over the box of f(t) exp(-i t.x) dt, one kernel
-    contraction per axis.
+    contraction per axis.  2-D samples that :func:`_low_rank` factors as
+    Q @ B are contracted through their k factor columns, Q along axis 0 and
+    B along axis 1, and F is the product of the two; other 2-D samples, and
+    1-D and 3-D ones, are contracted column by column.
     """
     if lattice.ndim != box.ndim:
         raise ValueError("lattice and box dimensions differ")
     arr = np.asarray(values, dtype=complex).reshape(box.shape)
+    factors = _low_rank(arr) if box.ndim == 2 else None
+    if factors is not None:
+        (dst0, dst1), (src0, src1) = lattice.axes, box.axes
+        left = _axis_contract(factors[0], 0, dst0, src0, sign=-1.0)
+        right = _axis_contract(factors[1], 1, dst1, src1, sign=-1.0)
+        return (left * _TWO_PI ** -1.0) @ right
     for j, (dst, src) in enumerate(zip(lattice.axes, box.axes)):
         arr = _axis_contract(arr, j, dst, src, sign=-1.0)
     return arr * _TWO_PI ** (-box.ndim / 2.0)

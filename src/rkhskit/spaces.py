@@ -190,19 +190,15 @@ class SobolevSpace:
         Fc = F0(self.c)
         return lambda x: F0(x) - Fc
 
-    def inner_from_samples(self, u: HVector, v: HVector) -> complex:
-        """Space inner product of two members given by node samples.
+    def norm_from_samples(self, u: HVector) -> float:
+        """Space norm of a member given by node samples.
 
-        Differentiates the per-panel interpolants spectrally and pairs the
-        derivatives under the weighted inner product; the grid must carry
-        this space's weight.
+        Differentiates the per-panel interpolants spectrally and takes the
+        weighted norm of the derivative; the grid must carry this space's
+        weight.
         """
         du = HVector(u.grid, derivative_values(u.grid, u.values))
-        dv = HVector(v.grid, derivative_values(v.grid, v.values))
-        return inner_weighted(du, dv)
-
-    def norm_from_samples(self, u: HVector) -> float:
-        return math.sqrt(max(self.inner_from_samples(u, u).real, 0.0))
+        return math.sqrt(max(inner_weighted(du, du).real, 0.0))
 
 
 class PaleyWienerSpace:

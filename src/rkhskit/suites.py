@@ -193,7 +193,7 @@ def suite_contraction(cfg: RunConfig) -> Report:
     min_slack = math.inf
     for _ in range(100):
         vals = rng.standard_normal(fm.grid.size) + 1j * rng.standard_normal(fm.grid.size)
-        res = contraction_check(HVector(fm.grid, vals), fm, basis)
+        res = contraction_check(HVector(fm.grid, vals), basis)
         min_slack = min(min_slack, res.slack)
     rep.add(make_record("slack nonnegative (worst violation)", max(0.0, -min_slack), 0.0, 1e-8,
                         detail=f"min slack {min_slack:.3e}"))
@@ -201,7 +201,7 @@ def suite_contraction(cfg: RunConfig) -> Report:
     for _ in range(5):
         coeffs = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
         member = span_combination(basis, coeffs)
-        res = contraction_check(member, fm, basis)
+        res = contraction_check(member, basis)
         worst_eq = max(worst_eq, abs(res.slack))
     rep.add(make_record("span member equality |slack|", worst_eq, 0.0, 1e-6))
     return rep

@@ -37,7 +37,6 @@ __all__ = [
     "build_span_basis",
     "project_span",
     "span_combination",
-    "projection_residual",
     "opr_inner",
     "ContractionReport",
     "contraction_check",
@@ -169,14 +168,6 @@ def project_span(f: HVector, basis: SpanBasis) -> np.ndarray:
     return basis.solve(inner_weighted_matrix(f.grid, f.values, basis.features))
 
 
-def projection_residual(f: HVector, basis: SpanBasis, coeffs=None) -> float:
-    """Norm of f minus its span projection, recomputed explicitly."""
-    c = project_span(f, basis) if coeffs is None else np.asarray(coeffs, dtype=complex)
-    p = span_combination(basis, c)
-    diff = HVector(f.grid, f.values - p.values)
-    return math.sqrt(max(inner_weighted(diff, diff).real, 0.0))
-
-
 def opr_inner(basis: SpanBasis, c, d) -> complex:
     """Operator-range inner product of two image elements over one span basis.
 
@@ -198,7 +189,7 @@ class ContractionReport:
     slack: float
 
 
-def contraction_check(f: HVector, phi: FeatureMap, basis: SpanBasis) -> ContractionReport:
+def contraction_check(f: HVector, basis: SpanBasis) -> ContractionReport:
     """Compare the source norm of f against the image norm of its projection.
 
     slack = norm_source - norm_image is nonnegative up to ridge and

@@ -248,8 +248,27 @@ def test_pinned_1d_transforms_take_chirp_route(half_width, radius, rate, monkeyp
     np.testing.assert_allclose(got[rows], want, rtol=0, atol=CHIRP_ATOL_1D)
 
 
+def _spy_low_rank(monkeypatch):
+    """Record the rank of every factorization fourier_on_lattice uses."""
+    ranks, real = [], pl._low_rank
+
+    def spy(arr):
+        factors = real(arr)
+        ranks.append(None if factors is None else factors[0].shape[1])
+        return factors
+
+    monkeypatch.setattr(pl, "_low_rank", spy)
+    return ranks
+
+
+def _column_route(vals, box, lattice, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(pl, "_low_rank", lambda arr: None)
+        return pl.fourier_on_lattice(vals, box, lattice)
+
+
 @pytest.mark.parametrize("half_width, radius, rate", [(4.0, 30.0, 4.0), (1.0, 50.0, 2.0)])
-def test_pinned_2d_transforms_take_chirp_route(half_width, radius, rate, monkeypatch):
+def test_pinned_2d_transforms_take_low_rank_route_with_chirp_axes(half_width, radius, rate, monkeypatch):
     box = pl.box_domain([half_width] * 2, max_frequency=radius)
     lattice = pl.box_domain([radius] * 2, max_frequency=rate)
     vals = pl.sample_on_box(box, lambda x, y: np.exp(-(x * x + 2.0 * y * y)) * (1.0 + 0.5j * np.sin(3.0 * x)))
@@ -258,8 +277,82 @@ def test_pinned_2d_transforms_take_chirp_route(half_width, radius, rate, monkeyp
     want = pl._axis_apply(vals, 0, g.nodes[rows], box.axes[0], -1.0)
     want = pl._axis_apply(want, 1, g.nodes[rows], box.axes[1], -1.0) / (2 * math.pi)
     monkeypatch.setattr(pl, "_axis_apply", _refuse)
+    ranks = _spy_low_rank(monkeypatch)
     got = pl.fourier_on_lattice(vals, box, lattice)
+    assert ranks == [8]
     np.testing.assert_allclose(got[np.ix_(rows, rows)], want, rtol=0, atol=CHIRP_ATOL_2D)
+
+
+# 2-d sources of small numerical rank: by SVD of their samples on the pinned
+# 2 448 x 2 448 box, 1, 23 and 15 singular values above 1e-14 of the largest.
+LOW_RANK_SOURCES = {
+    "product-gaussian": lambda x, y: np.exp(-(x * x + y * y)),
+    "coupled-gaussian": lambda x, y: np.exp(-(x * x + y * y + x * y)),
+    "cos-product": lambda x, y: np.cos(x * y) * np.exp(-(x * x + y * y) / 4.0),
+}
+
+
+@pytest.mark.parametrize("nodes_per_panel", [2, 8])
+@pytest.mark.parametrize("name", sorted(LOW_RANK_SOURCES))
+def test_low_rank_route_matches_column_route(name, nodes_per_panel, monkeypatch):
+    # the pinned 2-d geometry; measured gaps 8.7e-16 to 2.0e-15 of max |F|
+    box = pl.box_domain([4.0, 4.0], max_frequency=30.0, nodes_per_panel=nodes_per_panel)
+    lattice = pl.box_domain([30.0, 30.0], max_frequency=4.0, nodes_per_panel=nodes_per_panel)
+    vals = pl.sample_on_box(box, LOW_RANK_SOURCES[name])
+    want = _column_route(vals, box, lattice, monkeypatch)
+    ranks = _spy_low_rank(monkeypatch)
+    got = pl.fourier_on_lattice(vals, box, lattice)
+    assert len(ranks) == 1 and ranks[0] is not None
+    if name == "product-gaussian":
+        assert ranks == [8]
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_low_rank_factors_reach_the_floor():
+    box = pl.box_domain([4.0, 4.0], max_frequency=30.0, nodes_per_panel=2)
+    arr = pl.sample_on_box(box, LOW_RANK_SOURCES["cos-product"])
+    Q, B = pl._low_rank(arr)
+    np.testing.assert_allclose(Q.conj().T @ Q, np.eye(Q.shape[1]), rtol=0, atol=1e-14)
+    assert np.linalg.norm(arr - Q @ B) <= pl._SKETCH_FLOOR * np.linalg.norm(arr)
+
+
+def test_full_rank_samples_take_column_route(monkeypatch):
+    box = pl.box_domain([4.0, 4.0], max_frequency=30.0, nodes_per_panel=2)
+    lattice = pl.box_domain([30.0, 30.0], max_frequency=4.0, nodes_per_panel=2)
+    rng = np.random.default_rng(17)
+    vals = rng.standard_normal(box.shape) + 1j * rng.standard_normal(box.shape)
+    assert pl._low_rank(vals) is None
+    want = _column_route(vals, box, lattice, monkeypatch)
+    np.testing.assert_array_equal(pl.fourier_on_lattice(vals, box, lattice), want)
+
+
+def test_zero_samples_transform_to_zero():
+    box = pl.box_domain([4.0, 4.0], max_frequency=30.0, nodes_per_panel=2)
+    lattice = pl.box_domain([30.0, 30.0], max_frequency=4.0, nodes_per_panel=2)
+    vals = np.zeros(box.shape, dtype=complex)
+    assert pl._low_rank(vals) is None
+    np.testing.assert_array_equal(pl.fourier_on_lattice(vals, box, lattice), 0.0)
+
+
+def test_low_rank_route_is_deterministic():
+    box = pl.box_domain([4.0, 4.0], max_frequency=30.0, nodes_per_panel=2)
+    lattice = pl.box_domain([30.0, 30.0], max_frequency=4.0, nodes_per_panel=2)
+    vals = pl.sample_on_box(box, LOW_RANK_SOURCES["coupled-gaussian"])
+    first = pl.fourier_on_lattice(vals, box, lattice)
+    assert first.tobytes() == pl.fourier_on_lattice(vals.copy(), box, lattice).tobytes()
+
+
+def test_3d_box_takes_column_route(monkeypatch):
+    box1 = pl.box_domain((2.0,), max_frequency=5.0, nodes_per_panel=4)
+    box3 = pl.box_domain((2.0,) * 3, max_frequency=5.0, nodes_per_panel=4)
+    lat1 = pl.box_domain((5.0,), max_frequency=2.0, nodes_per_panel=4)
+    lat3 = pl.box_domain((5.0,) * 3, max_frequency=2.0, nodes_per_panel=4)
+    monkeypatch.setattr(pl, "_low_rank", _refuse)
+    f1 = pl.fourier_on_lattice(pl.sample_on_box(box1, _gauss), box1, lat1)
+    f3 = pl.fourier_on_lattice(
+        pl.sample_on_box(box3, lambda x, y, z: _gauss(x) * _gauss(y) * _gauss(z)), box3, lat3
+    )
+    np.testing.assert_allclose(f3, np.einsum("i,j,k->ijk", f1, f1, f1), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("half_width, radius, rate", [(1.0, 50.0, 2.0), (4.0, 30.0, 4.0)])
