@@ -88,6 +88,8 @@ def _sobolev_from_args(args) -> SobolevSpace:
 
 
 def cmd_kernel(args) -> int:
+    # the space checks the interval before its padding is computed
+    space = PaleyWienerSpace(args.a) if args.family == "pw" else _sobolev_from_args(args)
     if args.points:
         pts = _parse_points(args.points)
     else:
@@ -99,7 +101,6 @@ def cmd_kernel(args) -> int:
             pts = list(np.linspace(lo + pad, hi - pad, args.grid_probe))
     if not pts:
         raise ConfigError("no probe points")
-    space = PaleyWienerSpace(args.a) if args.family == "pw" else _sobolev_from_args(args)
     rows = []
     for x in pts:
         for y in pts:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cached_property, lru_cache, reduce
 from typing import Callable, Sequence
 
@@ -81,7 +82,8 @@ class Interval:
 
     @property
     def finite(self) -> bool:
-        return math.isfinite(self.lo) and math.isfinite(self.hi)
+        """Both endpoints and the length hi - lo are finite floats."""
+        return math.isfinite(self.hi - self.lo)
 
     @property
     def length(self) -> float:
@@ -178,7 +180,7 @@ def build_grid(
     nodes_per_panel:
         Gauss-Legendre order per panel; polynomials of degree up to
         ``2 * nodes_per_panel - 1`` are integrated exactly panelwise.
-        At most 128, and at most 10^7 nodes in all.
+        At most 128, and (panels + segments) * nodes_per_panel <= 10^7.
     rho:
         Optional vectorized weight function, called once on the node
         array; it must return one finite, strictly positive value per
@@ -198,13 +200,14 @@ def build_grid(
 
     lo, hi = interval.lo, interval.hi
     cuts = sorted({float(b) for b in breakpoints if lo < b < hi})
+    # no segment gets more than one panel beyond its share of the budget;
+    # that bound is checked in integers, before any float product
+    size = (panels + len(cuts) + 1) * nodes_per_panel
+    if size > _GRID_NODE_CAP:
+        raise ValueError(f"grid of up to {Decimal(size):.3g} nodes exceeds the limit of {_GRID_NODE_CAP:.0e}")
     seg_edges = np.array([lo, *cuts, hi])
     seg_len = np.diff(seg_edges)
-    counts = np.maximum(1.0, np.rint(panels * seg_len / (hi - lo)))
-    size = float(counts.sum()) * nodes_per_panel
-    if size > _GRID_NODE_CAP:
-        raise ValueError(f"grid of {size:.3g} nodes exceeds the limit of {_GRID_NODE_CAP:.0e}")
-    counts = counts.astype(int)
+    counts = np.maximum(1.0, np.rint(panels * seg_len / (hi - lo))).astype(int)
     pieces = [
         np.linspace(left, right, k + 1)[:-1]
         for left, right, k in zip(seg_edges[:-1], seg_edges[1:], counts)
@@ -381,7 +384,10 @@ def panels_for_oscillation(length: float, rate: float, minimum: int = 1) -> int:
     """
     if rate <= 0:
         return max(1, minimum)
-    return max(minimum, math.ceil(4.0 * rate * length / math.pi))
+    count = 4.0 * rate * length / math.pi
+    if not math.isfinite(count):
+        raise ValueError(f"panel count for rate {rate:g} over length {length:g} is not finite")
+    return max(minimum, math.ceil(count))
 
 
 def _panel_coeffs(grid: QuadGrid, values) -> np.ndarray:

@@ -458,7 +458,7 @@ def suite_mutual_inverse(cfg: RunConfig) -> Report:
 
     radius2 = 30.0
     box2 = pl.box_domain([4.0, 4.0], max_frequency=radius2, nodes_per_panel=npp)
-    res2 = pl.mutual_inverse_check(_gauss2, box2, radius2, n_probes=49)
+    res2 = pl.mutual_inverse_check(_gauss2, box2, radius2)
     rep.add(make_record("2-d gaussian round trip (max err)", res2.max_abs_err, 0.0, 1e-2))
     return rep
 

@@ -224,6 +224,14 @@ def test_generalized_inversion_ignores_radius(capsys):
         ("verify", "--suite", "isometry", "--nodes-per-panel", "100000"),
         ("transform", "--family", "pw", "--max-frequency", "inf"),
         ("transform", "--family", "pw", "--max-frequency", "nan"),
+        # sizes whose panel count, grid size or interval length overflow a
+        # float are refused before the overflow, with no warning
+        ("verify", "--suite", "sinc", "--radius", "1e308"),
+        ("verify", "--suite", "plancherel-norm", "--radius", "1e308"),
+        ("verify", "--suite", "restriction", "--radius", "1e308"),
+        ("transform", "--family", "pw", "--a", "1e308"),
+        ("verify", "--suite", "sinc", "--radius", "1e200"),
+        ("kernel", "--family", "sobolev", "--lo=-1e308", "--hi=1e308"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv):

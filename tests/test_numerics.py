@@ -50,7 +50,7 @@ def test_med3_rejects_nan():
         med3(0.0, math.nan, 1.0)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(
     st.floats(allow_nan=False, width=64),
     st.floats(allow_nan=False, width=64),
@@ -70,6 +70,15 @@ def test_interval_construction():
 def test_build_grid_rejects_unbounded():
     with pytest.raises(ValueError, match="truncated"):
         build_grid(make_interval(0.0, math.inf), 4, 8)
+    # finite endpoints whose distance overflows are no finite interval
+    assert not make_interval(-1e308, 1e308).finite
+    with pytest.raises(ValueError, match="truncated"):
+        build_grid(make_interval(-1e308, 1e308), 4, 8)
+
+
+def test_build_grid_refuses_a_panel_count_beyond_any_float():
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        build_grid(make_interval(0.0, 1.0), 10 ** 400, 8)
 
 
 def test_build_grid_rejects_empty():
@@ -155,6 +164,8 @@ def test_panels_for_oscillation():
     # quarter-period resolution: ceil(4 * rate * length / pi)
     assert panels_for_oscillation(2.0, 10.0) == math.ceil(80.0 / math.pi)
     assert panels_for_oscillation(1.0, 0.1, minimum=16) == 16
+    with pytest.raises(ValueError, match="not finite"):
+        panels_for_oscillation(2.0, 1e308)
 
 
 def test_derivative_values_spectral():
@@ -175,6 +186,28 @@ def test_cumulative_integral_rejects_outside_points():
     F = cumulative_integral(g, np.ones(g.size))
     with pytest.raises(ValueError, match="outside"):
         F(1.5)
+
+
+@given(
+    order=st.integers(2, 12),
+    panels=st.integers(1, 6),
+    lo=st.floats(-10.0, 10.0),
+    log_width=st.floats(-1.0, 1.0),
+    coef=st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12),
+)
+def test_grid_calculus_is_exact_below_the_gauss_order(order, panels, lo, log_width, coef):
+    # degree order - 1 in the variable scaled to (-1, 1), where sum |coef|
+    # bounds it and Markov's inequality its derivative; measured worst over
+    # 2 000 draws: 1.5e-13 (derivative) and 1.1e-14 (primitive) of those scales
+    hi = lo + 10.0 ** log_width
+    g = build_grid(make_interval(lo, hi), panels, order)
+    p = np.polynomial.Polynomial(coef[:order], domain=[lo, hi])
+    size = np.sum(np.abs(p.coef))
+    dp = derivative_values(g, p(g.nodes))
+    assert np.max(np.abs(dp - p.deriv()(g.nodes))) <= 1e-12 * size * (order - 1) ** 2 * 2.0 / (hi - lo)
+    xs = np.linspace(lo, hi, 7)
+    F = cumulative_integral(g, p(g.nodes))
+    assert np.max(np.abs(F(xs) - p.integ(lbnd=lo)(xs))) <= 1e-13 * size * (hi - lo)
 
 
 def test_refinement_improves_smooth_integrand():

@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rkhskit import plancherel as pl
 from rkhskit.numerics import build_grid, make_interval, product_grid
@@ -86,6 +88,17 @@ def test_indicator_hat_against_mpmath(t, x):
         assert float(abs(pl.indicator_hat(t, x) - want) / abs(want)) <= 2e-16
 
 
+@given(log_t=st.floats(-6.0, 6.0), log_z=st.floats(-5.5, -2.5), negative=st.booleans())
+def test_indicator_hat_series_switch_against_mpmath(log_t, log_z, negative):
+    # z = t x a decade and a half either side of the series cutoff
+    # |z| = 1e-4; measured worst over 3 000 draws: 1.7 eps
+    t = 10.0 ** log_t
+    x = math.copysign(10.0 ** log_z, -1.0 if negative else 1.0) / t
+    with mpmath.workdps(40):
+        want = (mpmath.expj(t * mpmath.mpf(x)) - 1) / (1j * mpmath.mpf(x))
+        assert abs(pl.indicator_hat(t, x) - want) <= 4 * np.finfo(float).eps * abs(want)
+
+
 def test_flat_window_transform_oracle():
     # transform of the indicator of (-1,1) is sqrt(2/pi) sin(x)/x
     box = pl.box_domain((1.0,), max_frequency=10.0)
@@ -143,10 +156,9 @@ def test_mutual_inverse_gaussian():
 
 def test_mutual_inverse_2d_factorized_gaussian():
     box = pl.box_domain((4.0, 4.0), max_frequency=15.0)
-    rep = pl.mutual_inverse_check(
-        lambda x, y: _gauss(x) * _gauss(y), box, radius=15.0, n_probes=16
-    )
+    rep = pl.mutual_inverse_check(lambda x, y: _gauss(x) * _gauss(y), box, radius=15.0)
     assert rep.max_abs_err < 1e-2
+    assert rep.n_probes == 49
 
 
 def test_box_inversion_flat():
@@ -355,34 +367,84 @@ def test_3d_box_takes_column_route(monkeypatch):
     np.testing.assert_allclose(f3, np.einsum("i,j,k->ijk", f1, f1, f1), rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("half_width, radius, rate", [(1.0, 50.0, 2.0), (4.0, 30.0, 4.0)])
+@pytest.mark.parametrize("half_width, radius, rate", [(1.0, 50.0, 2.0), (4.0, 30.0, 4.0), (6.0, 200.0, 6.0)])
 def test_both_routes_against_exact_sum(half_width, radius, rate):
-    # the quadrature sum itself, at 30 digits from the double nodes and
-    # weights, at ten lattice nodes including the one nearest 0; both routes
-    # round the phase x t, so they agree with it to rounding (measured:
-    # dense 3.7e-16 and 4.7e-16, chirp 2.8e-16 and 1.2e-15 of max |F|)
+    # the quadrature sum of the double samples, weights and nodes at 30
+    # digits, at lattice nodes from end to end and the one nearest 0; both
+    # routes round their phases, so they agree with it to rounding (measured:
+    # dense 3.7e-16, 4.7e-16 and 3.4e-16, chirp 2.1e-16, 1.2e-15 and 4.9e-16
+    # of max |F|).  The pinned plancherel-norm box (6, 200, 6) has 24 448
+    # nodes, so it takes two rows, the first and the one nearest 0, which
+    # keeps its 30-digit sum near 1.5 s.
     box = pl.box_domain([half_width], max_frequency=radius)
     lattice = pl.box_domain([radius], max_frequency=rate)
     src, dst = box.axes[0], lattice.axes[0]
     vals = pl.sample_on_box(box, lambda t: np.exp(-t * t) * (1.0 + 0.5j * np.sin(3.0 * t)))
-    rows = np.linspace(0, dst.size - 1, 10).round().astype(int)
-    rows[5] = np.argmin(np.abs(dst.nodes))
+    n_rows = 10 if src.size < 5000 else 2
+    rows = np.linspace(0, dst.size - 1, n_rows).round().astype(int)
+    rows[n_rows // 2] = np.argmin(np.abs(dst.nodes))
     with mpmath.workdps(30):
-        ts = [mpmath.mpf(float(t)) for t in src.nodes]
-        wf = [
-            mpmath.mpf(float(w)) * mpmath.exp(-t * t) * (1 + 0.5j * mpmath.sin(3 * t))
-            for t, w in zip(ts, src.weights)
-        ]
+        ts = [mpmath.mpf(t) for t in src.nodes.tolist()]
+        wf = [mpmath.mpc(c) for c in (vals * src.weights).tolist()]
         scale = 1 / mpmath.sqrt(2 * mpmath.pi)
         want = np.array([
-            complex(scale * mpmath.fsum(c * mpmath.expj(-t * mpmath.mpf(float(x))) for t, c in zip(ts, wf)))
-            for x in dst.nodes[rows]
+            complex(scale * mpmath.fdot(wf, [mpmath.expj(t * minus_x) for t in ts]))
+            for minus_x in (-mpmath.mpf(x) for x in dst.nodes[rows].tolist())
         ])
     dense = pl._axis_apply(vals, 0, dst.nodes[rows], src, -1.0) / math.sqrt(2 * math.pi)
     chirp = _via_chirp(vals, 0, dst, src, -1.0)[rows] / math.sqrt(2 * math.pi)
     peak = np.max(np.abs(want))
     assert np.max(np.abs(dense - want)) <= 2.5e-15 * peak
     assert np.max(np.abs(chirp - want)) <= 2.5e-15 * peak
+
+
+def _chirp_gap(half_width, radius, rate, order, sign=-1.0):
+    """(gap, phase): the largest gap between the chirp and dense routes at
+    nine lattice nodes, for random samples, relative to max |F|; and the
+    largest quadratic phase of the chirp route, theta (P + Q)^2 / 8 =
+    radius * half_width * (P + Q)^2 / (2 P Q) radians."""
+    box = pl.box_domain([half_width], max_frequency=radius, nodes_per_panel=order)
+    lattice = pl.box_domain([radius], max_frequency=rate, nodes_per_panel=order)
+    src, dst = box.axes[0], lattice.axes[0]
+    rng = np.random.default_rng(src.size)
+    vals = rng.standard_normal(src.size) + 1j * rng.standard_normal(src.size)
+    rows = np.linspace(0, dst.size - 1, 9).round().astype(int)
+    chirp = _via_chirp(vals, 0, dst, src, sign)[rows]
+    dense = pl._axis_apply(vals, 0, dst.nodes[rows], src, sign)
+    P, Q = src.n_panels, dst.n_panels
+    phase = radius * half_width * (P + Q) ** 2 / (2 * P * Q)
+    return np.max(np.abs(chirp - dense)) / np.max(np.abs(dense)), phase
+
+
+# Both routes form phases in double precision, so their gap grows with the
+# largest phase: over 1 500 random geometries within the caps below it
+# stayed under 1.06 eps (8 + phase) of max |F|, while a chirp phase scale off
+# by 1e-13 relative opens it to about 100 eps per radian or more.
+CHIRP_GAP_PER_RADIAN = 4.0 * np.finfo(float).eps
+
+
+@settings(max_examples=40)
+@given(
+    half_width=st.floats(0.25, 4.0),
+    radius=st.floats(1.0, 100.0),
+    rate=st.floats(0.25, 4.0),
+    order=st.integers(1, 8),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_chirp_matches_dense_over_the_parameter_range(half_width, radius, rate, order, sign):
+    # at most about 1 000 panels a side, so the dense oracle stays cheap
+    gap, phase = _chirp_gap(half_width, radius, rate, order, sign)
+    assert gap <= CHIRP_GAP_PER_RADIAN * (8.0 + phase)
+
+
+def test_chirp_matches_dense_far_beyond_the_suites():
+    # (half-width, radius, rate, order) = (200, 50, 200, 2): 25 465 panels a
+    # side and quadratic phases up to 2.0e4 radians.  The gap grows with
+    # radius x half-width; measured 2.6e-12 of max |F| here (0.58 eps per
+    # radian), 1.3e-13 at the pinned (6, 200, 6, 8).
+    gap, phase = _chirp_gap(200.0, 50.0, 200.0, 2)
+    assert phase == pytest.approx(2.0e4, rel=1e-3)
+    assert gap <= CHIRP_GAP_PER_RADIAN * (8.0 + phase)
 
 
 def test_grid_with_breakpoints_takes_dense_route(monkeypatch):
@@ -398,10 +460,11 @@ def test_grid_with_breakpoints_takes_dense_route(monkeypatch):
 
 @pytest.mark.parametrize("ndim, n_probes", [(1, 50), (2, 49)])
 def test_separable_back_evaluation_matches_transform_at(ndim, n_probes):
+    # 50 probes in 1-d and a 7 x 7 lattice in 2-d
     box = pl.box_domain((4.0,) * ndim, max_frequency=8.0)
     lattice = pl.box_domain((8.0,) * ndim, max_frequency=4.0)
     F = pl.fourier_on_lattice(pl.sample_on_box(box, lambda *t: np.exp(-sum(v * v for v in t) / 2.0)), box, lattice)
-    axes = pl.default_probes(box, n_probes=n_probes)
+    axes = pl.default_probes(box)
     got = pl._conjugate_on_tensor(F, lattice, axes)
     points = np.stack([c.ravel() for c in np.meshgrid(*axes, indexing="ij")], axis=-1)
     assert got.size == points.shape[0] == n_probes

@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rkhskit.numerics import (
     build_grid,
@@ -226,6 +228,30 @@ def test_sinc_ratio_and_pw_kernel_against_mpmath(a, u):
         assert float(abs(sinc_ratio(a, u) - want) / want) <= 2e-16
         got = PaleyWienerSpace(a).kernel(u, 0.0)
         assert float(abs(got - want / mpmath.pi) / (want / mpmath.pi)) <= 2e-16
+
+
+@given(
+    log_a=st.floats(-6.0, 6.0),
+    log_z=st.floats(-5.5, -2.5),
+    negative=st.booleans(),
+    angle=st.floats(0.0, math.pi),
+)
+def test_series_switches_against_mpmath(log_a, log_z, negative, angle):
+    # the scaled argument z = a u runs a decade and a half either side of the
+    # series cutoff |z| = 1e-4, at bandwidths over twelve decades; measured
+    # worst over 3 000 draws: 1.1 eps (sinc_ratio), 1.5 eps (kernel at real
+    # points) and 2.4 eps (kernel at complex points)
+    a = 10.0 ** log_a
+    u = math.copysign(10.0 ** log_z, -1.0 if negative else 1.0) / a
+    d = abs(u) * complex(math.cos(angle), math.sin(angle))
+    tol = 4 * np.finfo(float).eps
+    pw = PaleyWienerSpace(a)
+    with mpmath.workdps(40):
+        want = mpmath.sin(a * mpmath.mpf(u)) / u
+        assert abs(sinc_ratio(a, u) - want) <= tol * abs(want)
+        assert abs(pw.kernel(u, 0.0) - want / mpmath.pi) <= tol * abs(want / mpmath.pi)
+        want = mpmath.sin(a * mpmath.mpc(d)) / (mpmath.pi * d)
+        assert abs(pw.kernel(d, 0.0) - want) <= tol * abs(want)
 
 
 def test_sinc_identity_at_unit_offset():
