@@ -24,7 +24,6 @@ import warnings
 from contextlib import nullcontext
 from dataclasses import fields
 
-import jsonschema
 import numpy as np
 
 from . import inversion as inv
@@ -265,6 +264,8 @@ def cmd_report(args) -> int:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read report {path}: {exc}") from None
+    import jsonschema  # only this subcommand needs it, and it is slow to import
+
     try:
         jsonschema.validate(data, REPORT_SCHEMA)
     except jsonschema.ValidationError as exc:

@@ -232,6 +232,8 @@ def test_generalized_inversion_ignores_radius(capsys):
         ("transform", "--family", "pw", "--a", "1e308"),
         ("verify", "--suite", "sinc", "--radius", "1e200"),
         ("kernel", "--family", "sobolev", "--lo=-1e308", "--hi=1e308"),
+        # the default probes lie in [-2, 2], so a (x - conj(y)) reaches 4e308
+        ("kernel", "--family", "pw", "--a", "1e308"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv):

@@ -43,3 +43,12 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()[-2000:]
     assert proc.stdout.decode().strip() == "[]"
+
+
+def test_import_loads_no_jsonschema():
+    # only `rkhskit report` validates against the schema; importing
+    # jsonschema at start-up cost every other command about 60 ms
+    code = "import sys, rkhskit, rkhskit.cli; print('jsonschema' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+    assert proc.stdout.decode().strip() == "False"

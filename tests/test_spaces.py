@@ -5,9 +5,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rkhskit import spaces
 from rkhskit.numerics import (
     build_grid,
     inner_weighted,
@@ -29,6 +30,7 @@ from rkhskit.spaces import (
     tensor_feature,
     tensor_kernel,
 )
+from rkhskit.spaces import _SINC_BAND, _SINC_BLOCK
 from rkhskit.transforms import kernel_eval
 
 LN15 = 0.4054651081081644  # log(1.5)
@@ -283,6 +285,103 @@ def test_sinc_gram_matches_per_pair_quadrature(a):
     for i, x in enumerate(pts):
         for j, y in enumerate(pts):
             assert abs(P[i, j] - _sinc_pairing_on_own_grid(a, x, y, 1e3)) <= 1e-12
+
+
+def _sinc_window_grid(a, radius):
+    # the one grid sinc_gram integrates on
+    window = truncate_line(radius)
+    return build_grid(window, panels_for_oscillation(window.length, 2.0 * a, minimum=16), 8)
+
+
+def _sinc_gram_per_entry(a, points, radius):
+    # the oracle: sinc_ratio on every (point, node) entry, in sinc_gram's blocks
+    pts = np.asarray(points, dtype=float)
+    g = _sinc_window_grid(a, radius)
+    P = np.zeros((pts.size, pts.size))
+    for lo in range(0, g.size, _SINC_BLOCK):
+        S = sinc_ratio(a, g.nodes[None, lo : lo + _SINC_BLOCK] - pts[:, None])
+        P += (S * g.weights[lo : lo + _SINC_BLOCK]) @ S.T
+    return P
+
+
+def _sinc_gram_gap(a, points, radius):
+    """Largest gap of sinc_gram to the oracle, in units of eps max|P|."""
+    P, want = sinc_gram(a, points, radius), _sinc_gram_per_entry(a, points, radius)
+    assert np.all(np.isfinite(P))
+    return float(np.max(np.abs(P - want))) / (np.finfo(float).eps * float(np.max(np.abs(want))))
+
+
+# the Gram matrices of the sinc suite (a = 1, 2) and of the restriction suite
+SUITE_SINC_GEOMETRIES = [
+    (1.0, tuple(np.linspace(-2.0, 2.0, 5))),
+    (2.0, tuple(np.linspace(-2.0, 2.0, 5))),
+    (1.0, (0.0, 1.5, math.pi)),
+]
+
+
+@pytest.mark.parametrize("a, points", SUITE_SINC_GEOMETRIES, ids=["sinc-a1", "sinc-a2", "restriction"])
+def test_sinc_gram_matches_per_entry_oracle_at_suite_geometries(a, points):
+    # measured 0.64 eps of max|P| on each
+    assert _sinc_gram_gap(a, points, 1e3) <= 2.0
+
+
+def test_sinc_gram_point_on_a_block_edge_node():
+    # node _SINC_BLOCK opens the second block of the 40 k-node window, so the
+    # point's 0/0 entry is there and its band straddles the block edge;
+    # measured 0.64 eps of max|P|
+    x = float(_sinc_window_grid(1.0, 1e3).nodes[_SINC_BLOCK])
+    assert _sinc_gram_gap(1.0, (x, 0.0), 1e3) <= 2.0
+
+
+def test_sinc_gram_points_outside_the_window():
+    # 1000.1 keeps part of its band inside the window, the others none;
+    # measured 0.02 eps of max|P|
+    assert _sinc_gram_gap(1.0, (1000.1, 1005.0, -1001.0, 3.0), 1e3) <= 2.0
+
+
+@settings(max_examples=40)
+@given(
+    a=st.floats(0.1, 4.0),
+    radius=st.floats(5.0, 300.0),
+    scaled=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
+    on_node=st.none() | st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_sinc_gram_matches_per_entry_oracle(a, radius, scaled, on_node):
+    # points anywhere in twice the window, the first one possibly on a node;
+    # both sides round sine arguments of size a |t| and a |x|, so the gap
+    # grows with a max|x|: measured worst 0.72 eps (1 + a max|x|) max|P| over
+    # 800 random geometries
+    pts = [s * radius for s in scaled]
+    if on_node is not None:
+        nodes = _sinc_window_grid(a, radius).nodes
+        pts[0] = float(nodes[int(on_node * nodes.size)])
+    assert _sinc_gram_gap(a, pts, radius) <= 2.0 * (1.0 + a * max(abs(x) for x in pts))
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0, math.nan])
+def test_sinc_gram_refuses_a_half_width_that_is_not_positive(a):
+    # each band reaches _SINC_BAND / a either side of its point
+    with pytest.raises(ValueError, match="half-width"):
+        sinc_gram(a, (0.0, 1.0), 100.0)
+
+
+def test_sinc_gram_calls_the_quotient_on_band_entries_only(monkeypatch):
+    # at radius 1e4 the three suite matrices have 7.3 M (point, node) entries;
+    # only the 273 within _SINC_BAND / a of their point reach sinc_ratio
+    seen = []
+
+    def counting(a, u):
+        seen.append(a * np.asarray(u))
+        return sinc_ratio(a, u)
+
+    monkeypatch.setattr(spaces, "sinc_ratio", counting)
+    band = 0
+    for a, points in SUITE_SINC_GEOMETRIES:
+        sinc_gram(a, points, 1e4)
+        nodes = _sinc_window_grid(a, 1e4).nodes
+        band += sum(int(np.sum(np.abs(nodes - x) <= _SINC_BAND / a)) for x in points)
+    assert sum(z.size for z in seen) == band < 300
+    assert max(float(np.max(np.abs(z))) for z in seen) <= _SINC_BAND
 
 
 # ----------------------------------------------------------------- tensor
