@@ -20,6 +20,12 @@ weights and weight samples (row-major, last axis fastest) are built on
 first use, so per-axis consumers such as the Fourier contractions never
 pay for them.  :func:`product_grid` is the only place a node cap is
 enforced.
+
+Scalar pairings are summed by :func:`fsum_complex`, the correctly rounded
+sum of each part (``math.fsum``), which does not depend on the order of
+the terms, so repeated runs agree bit for bit.  Long parts first go
+through vectorized error-free extraction, which reduces them without
+error to a few terms of the same exact sum; ``math.fsum`` rounds that.
 """
 
 from __future__ import annotations
@@ -328,10 +334,60 @@ def sample(grid: QuadGrid, fn: Callable) -> HVector:
     return HVector(grid, fn(grid.nodes))
 
 
+_FSUM_CUTOFF = 300  # parts shorter than this go to math.fsum whole (measured crossover)
+_FSUM_BLOCK = 1 << 14  # terms per extraction block, which bounds the temporaries
+_FSUM_LEVELS = 3  # extraction levels per block before its remainders go to math.fsum
+_FSUM_HUGE = 2.0 ** 900  # from here up (and for inf, nan) math.fsum takes the whole part
+_FSUM_TINY = 2.0 ** -900  # no extraction level works near the subnormal range
+
+
+def _fsum_real(part: np.ndarray) -> float:
+    """``math.fsum(part)``, with long parts first reduced, without error, to
+    a few terms of the same exact sum.
+
+    Each block takes ExtractVector (Rump, Ogita and Oishi, Accurate
+    floating-point summation part I, SIAM J. Sci. Comput. 31(1), 2008):
+    with ``|x| < 2^e`` and ``sigma = 2^(e + M)``, ``2^M >= len + 2``, the high
+    parts ``q = (sigma + x) - sigma`` are multiples of ``2^-53 sigma``
+    whose sum stays below ``sigma``, so ``sum(q)`` is exact in any order,
+    and so is ``x - q``.  Each level shrinks the remainders by ``2^(M - 53)``.
+    """
+    if part.size < _FSUM_CUTOFF:
+        return math.fsum(part)
+    heads: list[float] = []
+    x = np.empty(min(part.size, _FSUM_BLOCK))
+    q = np.empty_like(x)
+    for start in range(0, part.size, _FSUM_BLOCK):
+        block = part[start:start + _FSUM_BLOCK]
+        xb, qb = x[:block.size], q[:block.size]
+        xb[...] = block
+        shift = (block.size + 1).bit_length()  # ceil(log2(len + 2))
+        m = max(xb.max(), -xb.min())
+        if not m < _FSUM_HUGE:
+            # non-finite or near overflow: math.fsum's own exceptions and
+            # order-dependent intermediate overflow
+            return math.fsum(part)
+        for _ in range(_FSUM_LEVELS):
+            sigma = math.ldexp(1.0, math.frexp(m)[1] + shift)
+            if m == 0 or sigma < _FSUM_TINY:
+                break
+            np.add(xb, sigma, out=qb)
+            qb -= sigma
+            heads.append(float(qb.sum()))
+            xb -= qb
+            m = max(xb.max(), -xb.min())
+        if m:
+            heads.extend(xb[xb != 0].tolist())
+    return math.fsum(heads)
+
+
 def fsum_complex(terms: np.ndarray) -> complex:
-    """Exact compensated sum of complex terms in a fixed left-to-right order."""
+    """Correctly rounded sum of complex terms, part by part: exactly
+    ``complex(math.fsum(re), math.fsum(im))``, so it does not depend on the
+    order of the terms.  Long parts are first reduced by vectorized
+    error-free extraction (:func:`_fsum_real`)."""
     arr = np.asarray(terms, dtype=complex).ravel()
-    return complex(math.fsum(arr.real), math.fsum(arr.imag))
+    return complex(_fsum_real(arr.real), _fsum_real(arr.imag))
 
 
 def _require_same_grid(f: HVector, g: HVector) -> None:
@@ -355,9 +411,9 @@ def integrate(grid: QuadGrid | ProductGrid, values) -> complex:
 def inner_weighted(f: HVector, g: HVector) -> complex:
     """Weighted inner product sum_i f_i conj(g_i) rho_i w_i.
 
-    Conjugate-linear in the second argument.  Accumulated by exact
-    compensated summation in a fixed order, so repeated runs agree
-    bit for bit.
+    Conjugate-linear in the second argument.  Summed by
+    :func:`fsum_complex`, correctly rounded, so repeated runs agree bit
+    for bit.
     """
     _require_same_grid(f, g)
     return fsum_complex(f.values * np.conj(g.values) * (f.grid.rho_at_nodes * f.grid.weights))

@@ -227,7 +227,7 @@ class PaleyWienerSpace:
 
     def kernel(self, x, y) -> complex:
         """Closed-form kernel; accepts complex arguments.  Raises
-        ``ValueError`` where a (x - conj(y)) overflows."""
+        ``ValueError`` where a (x - conj(y)) or the kernel value overflows."""
         d = complex(x) - complex(y).conjugate()
         z = self.a * d
         if not cmath.isfinite(z):
@@ -235,6 +235,14 @@ class PaleyWienerSpace:
         if abs(z) < 1e-4:
             # Taylor branch through the removable singularity at x = conj(y)
             return (self.a / math.pi) * (1.0 - z * z / 6.0 + z ** 4 / 120.0)
+        if abs(z.imag) > 700.0 or abs(d) < 1e-3:
+            # |sin z| grows like exp|Im z| / 2 and the quotient like 1 / |d|:
+            # only out here can the value leave the float range
+            with np.errstate(over="ignore", invalid="ignore"):
+                k = complex(np.sin(z) / (math.pi * d))
+            if not cmath.isfinite(k):
+                raise ValueError(f"kernel value overflows at a = {self.a:g}, x - conj(y) = {d}")
+            return k
         return complex(np.sin(z) / (math.pi * d))
 
     def _feature_values(self, x) -> np.ndarray:
@@ -262,7 +270,8 @@ def sinc_ratio(a: float, u) -> np.ndarray:
     z = a * arr
     small = np.abs(z) < 1e-4
     safe = np.where(small, 1.0, arr)
-    series = a * (1.0 - z * z / 6.0 + z ** 4 / 120.0)
+    zs = np.where(small, z, 0.0)  # the series only where it is taken, so no large z overflows it
+    series = a * (1.0 - zs * zs / 6.0 + zs ** 4 / 120.0)
     out = np.where(small, series, np.sin(a * safe) / safe)
     return out if arr.ndim else float(out)
 

@@ -12,10 +12,11 @@ An element of that span is its coefficient array over a :class:`SpanBasis`,
 and :func:`opr_inner` pairs two such arrays through the Gram matrix.  The
 Gram matrix, projections and span combinations are each one matrix product
 over the basis features, and :meth:`TransformImage.at_many` evaluates an
-image at many points the same way.  ``fsum_complex`` stays in the single
-pairings (:meth:`TransformImage.at`, :func:`kernel_eval`), the oracles of
-the batched calls, and in :func:`opr_inner`, where coefficients over a
-near-singular Gram cancel.
+image at many points the same way.  ``fsum_complex``, the correctly
+rounded sum (long sums by vectorized error-free extraction), stays in the
+single pairings (:meth:`TransformImage.at`, :func:`kernel_eval`), the
+oracles of the batched calls, and in :func:`opr_inner`, where coefficients
+over a near-singular Gram cancel.
 """
 
 from __future__ import annotations

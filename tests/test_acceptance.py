@@ -32,19 +32,19 @@ def _run(name, budget_s, label):
 
 def test_01_reproducing_property():
     # kernel sections evaluate members pointwise, two weights x two windows
-    _run("reproducing", 5.0, "01 reproducing property")
+    _run("reproducing", 0.5, "01 reproducing property")
 
 
 def test_02_isometry_of_indefinite_transform():
-    _run("isometry", 1.0, "02 isometry")
+    _run("isometry", 0.5, "02 isometry")
 
 
 def test_03_contraction_and_equality_case():
-    _run("contraction", 10.0, "03 contraction")
+    _run("contraction", 0.5, "03 contraction")
 
 
 def test_04_kernel_identities():
-    _run("kernels", 5.0, "04 kernel identities")
+    _run("kernels", 0.5, "04 kernel identities")
 
 
 def test_05_sine_product_integral_identity():
@@ -52,15 +52,15 @@ def test_05_sine_product_integral_identity():
 
 
 def test_06_span_inversion_round_trip():
-    _run("inversion", 2.0, "06 inversion")
+    _run("inversion", 0.5, "06 inversion")
 
 
 def test_07_generalized_inversion_primitives():
-    _run("generalized-inversion", 2.0, "07 generalized inversion")
+    _run("generalized-inversion", 0.5, "07 generalized inversion")
 
 
 def test_08_orthonormal_coefficients():
-    _run("cons", 10.0, "08 orthonormal coefficients")
+    _run("cons", 0.5, "08 orthonormal coefficients")
 
 
 def test_09_plancherel_at_desk_scale():

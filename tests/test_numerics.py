@@ -160,6 +160,93 @@ def test_fsum_complex_survives_cancellation():
     assert fsum_complex(vals) == (1.0 + 1j)
 
 
+def _assert_fsum_complex_is_math_fsum(terms) -> None:
+    # the oracle is the per-element math.fsum of each part: the same bits,
+    # or the same exception type
+    arr = np.asarray(terms, dtype=complex).ravel()
+    try:
+        want = complex(math.fsum(arr.real), math.fsum(arr.imag))
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc)):
+            fsum_complex(terms)
+        return
+    got = fsum_complex(terms)
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+_CUT, _BLOCK = numerics._FSUM_CUTOFF, numerics._FSUM_BLOCK
+
+
+@settings(max_examples=200)
+@given(
+    length=st.sampled_from(
+        [0, 1, _CUT - 1, _CUT, _CUT + 1, 1000, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]
+    ),
+    span=st.integers(0, 1000),
+    top=st.integers(-1000, 1020),
+    kind=st.sampled_from(["spread", "cancel", "sparse", "real", "one-binade"]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_fsum_complex_is_math_fsum_bit_for_bit(length, span, top, kind, seed):
+    # exponents over up to 2^1000 below a top exponent that reaches past the
+    # near-overflow fallback; terms below 2^-1022 are subnormal or zero
+    rng = np.random.default_rng(seed)
+    exps = np.maximum(rng.integers(top - span, top + 1, size=2 * length), -1080).astype(float)
+    vals = rng.standard_normal(2 * length) * np.exp2(exps)
+    if kind == "cancel":  # every term next to its negative, in shuffled order
+        half = vals[: length + 1 >> 1]
+        vals = np.concatenate([half, -half, half, -half])[: 2 * length]
+        rng.shuffle(vals)
+    elif kind == "sparse":
+        vals[rng.random(2 * length) < 0.7] = 0.0
+    elif kind == "one-binade":
+        # one sign, one binade: the largest partial sums of the high parts,
+        # which for negative terms carry their finest bits
+        vals = -(1.0 + rng.random(2 * length)) * 2.0 ** top
+    terms = vals[:length] if kind == "real" else vals[:length] + 1j * vals[length:]
+    _assert_fsum_complex_is_math_fsum(terms)
+
+
+def test_fsum_complex_sums_high_parts_exactly_near_their_bound():
+    # 1000 negative terms near the top of one binade: the high parts add up
+    # to 0.93 of sigma = 2^(M + e), the bound below which their sum is exact
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        _assert_fsum_complex_is_math_fsum(-(1.8 + 0.2 * rng.random(1000)) * 2.0 ** 5 * (1 + 1j))
+
+
+def test_fsum_complex_keeps_the_remainders_of_wide_parts():
+    # terms over 2^-100..2^0 that cancel exactly, and survivors near 2^-300:
+    # three extraction levels leave the survivors and some low bits of the
+    # rest as remainders, and the whole sum is in them
+    rng = np.random.default_rng(7)
+    big = rng.standard_normal(500) * np.exp2(rng.integers(-100, 1, 500).astype(float))
+    terms = np.concatenate([big, -big, rng.standard_normal(100) * 2.0 ** -300])
+    rng.shuffle(terms)
+    _assert_fsum_complex_is_math_fsum(terms + 1j * terms[::-1])
+
+
+@pytest.mark.parametrize("length", [3, _CUT + 1, 2 * _BLOCK + 3])
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize(
+    "tail",
+    [
+        [math.inf],
+        [math.nan],
+        [math.inf, -math.inf],  # ValueError
+        [1e308, 1e308, -1e308],  # intermediate overflow: OverflowError
+        [1e308, -1e308, 1e308],  # the same terms in an order that does not overflow
+        [2.0 ** 1020, 1.0, -(2.0 ** 1020)],
+        [2.0 ** 950, 1.0, -(2.0 ** 950)],
+    ],
+)
+def test_fsum_complex_keeps_math_fsum_for_non_finite_and_huge_terms(tail, part, length):
+    # the special terms sit in the last block, after ordinary ones
+    terms = np.zeros(length, dtype=complex)
+    setattr(terms, part, np.concatenate([np.linspace(-1.0, 2.0, length - len(tail)), tail]))
+    _assert_fsum_complex_is_math_fsum(terms)
+
+
 def test_panels_for_oscillation():
     # quarter-period resolution: ceil(4 * rate * length / pi)
     assert panels_for_oscillation(2.0, 10.0) == math.ceil(80.0 / math.pi)

@@ -201,6 +201,22 @@ def test_pw_kernel_series_branch_matches_formula():
     assert pw.kernel(0.0, 0.0).real == pytest.approx(1.5 / math.pi, abs=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "a, x, y",
+    [
+        (1.0, 1e308, -1e308),  # x - conj(y) itself overflows
+        (1.0, 0.0, 800j),  # finite argument, but |sin| ~ exp|Im z| / 2 overflows
+        (1.0, 0.0, -800j),
+        (1.0, 800j, 0.0),
+        (1e8, 0.0, 7e-6j),  # sin(700 i) is finite, its quotient by pi |d| is not
+    ],
+)
+def test_pw_kernel_refuses_an_overflowing_value(a, x, y):
+    with pytest.raises(ValueError, match="overflows"):
+        PaleyWienerSpace(a).kernel(x, y)
+
+
 def test_pw_feature_rejects_complex_argument():
     pw = PaleyWienerSpace(1.0)
     with pytest.raises(ValueError, match="closed form"):
@@ -220,6 +236,25 @@ def test_sinc_ratio_series_branch():
     assert sinc_ratio(a, 0.0) == pytest.approx(a, abs=1e-15)
     u = 9e-5
     assert sinc_ratio(a, u) == pytest.approx(math.sin(a * u) / u, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a", [1.0, 2.0, 1e4])
+def test_sinc_ratio_forms_its_series_on_small_entries_only(a):
+    # a large |a u| next to the series entries overflowed z**4 in the
+    # discarded series branch; the series entries keep their bits
+    u = np.array([1e80, 0.0, 3e-5 / a, -9.9e-5 / a, 2.0, -1e300 / a])
+    got = sinc_ratio(a, u)
+    z = a * u[1:4]
+    assert got[1:4].tolist() == (a * (1.0 - z * z / 6.0 + z ** 4 / 120.0)).tolist()
+    assert got[[0, 4, 5]].tolist() == (np.sin(a * u[[0, 4, 5]]) / u[[0, 4, 5]]).tolist()
+
+
+@pytest.mark.filterwarnings("error")
+def test_sinc_identity_check_at_a_far_point():
+    # its right-hand side sinc_ratio(1, 1e308) no longer overflows the series
+    rep = sinc_identity_check(1.0, 0.0, 1e308, 10.0)
+    assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs)
 
 
 @pytest.mark.parametrize("a, u", [(1e4, 9e-5), (1e-6, 1.0)])
