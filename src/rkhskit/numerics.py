@@ -338,7 +338,6 @@ _FSUM_CUTOFF = 300  # parts shorter than this go to math.fsum whole (measured cr
 _FSUM_BLOCK = 1 << 14  # terms per extraction block, which bounds the temporaries
 _FSUM_LEVELS = 3  # extraction levels per block before its remainders go to math.fsum
 _FSUM_HUGE = 2.0 ** 900  # from here up (and for inf, nan) math.fsum takes the whole part
-_FSUM_TINY = 2.0 ** -900  # no extraction level works near the subnormal range
 
 
 def _fsum_real(part: np.ndarray) -> float:
@@ -368,9 +367,9 @@ def _fsum_real(part: np.ndarray) -> float:
             # order-dependent intermediate overflow
             return math.fsum(part)
         for _ in range(_FSUM_LEVELS):
-            sigma = math.ldexp(1.0, math.frexp(m)[1] + shift)
-            if m == 0 or sigma < _FSUM_TINY:
+            if m == 0:
                 break
+            sigma = math.ldexp(1.0, math.frexp(m)[1] + shift)
             np.add(xb, sigma, out=qb)
             qb -= sigma
             heads.append(float(qb.sum()))

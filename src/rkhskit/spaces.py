@@ -235,15 +235,11 @@ class PaleyWienerSpace:
         if abs(z) < 1e-4:
             # Taylor branch through the removable singularity at x = conj(y)
             return (self.a / math.pi) * (1.0 - z * z / 6.0 + z ** 4 / 120.0)
-        if abs(z.imag) > 700.0 or abs(d) < 1e-3:
-            # |sin z| grows like exp|Im z| / 2 and the quotient like 1 / |d|:
-            # only out here can the value leave the float range
-            with np.errstate(over="ignore", invalid="ignore"):
-                k = complex(np.sin(z) / (math.pi * d))
-            if not cmath.isfinite(k):
-                raise ValueError(f"kernel value overflows at a = {self.a:g}, x - conj(y) = {d}")
-            return k
-        return complex(np.sin(z) / (math.pi * d))
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = complex(np.sin(z) / (math.pi * d))
+        if not cmath.isfinite(k):
+            raise ValueError(f"kernel value overflows at a = {self.a:g}, x - conj(y) = {d}")
+        return k
 
     def _feature_values(self, x) -> np.ndarray:
         x = complex(x)

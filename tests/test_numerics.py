@@ -226,6 +226,19 @@ def test_fsum_complex_keeps_the_remainders_of_wide_parts():
     _assert_fsum_complex_is_math_fsum(terms + 1j * terms[::-1])
 
 
+@pytest.mark.parametrize("length", [_CUT, 1000, _BLOCK + 1])
+def test_fsum_complex_extracts_exactly_down_to_subnormals(length):
+    # every term below 2^-950, most of them subnormal, half cancelling: the
+    # extraction levels run with sigma in and near the subnormal range,
+    # where addition is exact and the high parts stay error-free
+    rng = np.random.default_rng(length)
+    exps = rng.integers(-1080, -950, 2 * length).astype(float)
+    vals = rng.standard_normal(2 * length) * np.exp2(exps)
+    vals[: length // 2] = -vals[length : length + length // 2]
+    rng.shuffle(vals)
+    _assert_fsum_complex_is_math_fsum(vals[:length] + 1j * vals[length:])
+
+
 @pytest.mark.parametrize("length", [3, _CUT + 1, 2 * _BLOCK + 3])
 @pytest.mark.parametrize("part", ["real", "imag"])
 @pytest.mark.parametrize(
