@@ -68,6 +68,23 @@ RHO_REGISTRY: dict[str, Weight] = {
 
 _SINC_BLOCK = 1 << 15  # quadrature nodes per block of the sinc Gram sum
 _SINC_BAND = 0.5  # |a (t - x)| up to which sinc_gram keeps the direct quotient
+_OSC_ORDER = 16  # Gauss nodes per panel of the sinc window and Paley-Wiener grids
+_OSC_PHASE = 2.0 * math.pi  # phase of the integrand's top frequency across one such panel
+
+
+def _oscillation_grid(interval: Interval, rate: float, minimum: int) -> QuadGrid:
+    """Gauss grid of ``_OSC_ORDER``-node panels, each spanning at most
+    ``_OSC_PHASE`` of an integrand whose top angular frequency is ``rate``.
+
+    :func:`panels_for_oscillation` keeps a phase of pi/4 of its rate per
+    panel, so it is handed ``rate * (pi/4) / _OSC_PHASE`` (rate / 8, exactly).
+    Measured against the Paley-Wiener closed kernel and against the sinc
+    Gram on four times the nodes, 16-node panels still hold at 4 pi per
+    panel and first lose accuracy at 8 pi, four times the phase used here;
+    8-node panels lose it at 2 pi.
+    """
+    panels = panels_for_oscillation(interval.length, rate * (math.pi / 4.0 / _OSC_PHASE), minimum)
+    return build_grid(interval, panels, _OSC_ORDER)
 
 
 class SobolevSpace:
@@ -221,9 +238,13 @@ class PaleyWienerSpace:
 
     @cached_property
     def grid(self) -> QuadGrid:
-        """Grid on (-a, a) resolving exp(i t x) up to |x| = max_frequency."""
-        panels = panels_for_oscillation(2.0 * self.a, self.max_frequency, minimum=8)
-        return build_grid(make_interval(-self.a, self.a), panels, 16)
+        """Grid on (-a, a) resolving exp(i t x) up to |x| = max_frequency.
+
+        A Gram entry integrates exp(i t (x - y)), whose top frequency is
+        2 max_frequency; the grid has 16-node panels, each spanning 2 pi of
+        it, and at least 8 of them (:func:`_oscillation_grid`).
+        """
+        return _oscillation_grid(make_interval(-self.a, self.a), 2.0 * self.max_frequency, minimum=8)
 
     def kernel(self, x, y) -> complex:
         """Closed-form kernel; accepts complex arguments.  Raises
@@ -236,7 +257,8 @@ class PaleyWienerSpace:
             # Taylor branch through the removable singularity at x = conj(y)
             return (self.a / math.pi) * (1.0 - z * z / 6.0 + z ** 4 / 120.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            k = complex(np.sin(z) / (math.pi * d))
+            # dividing by pi first keeps pi d from overflowing at |d| near the float range
+            k = complex(np.sin(z) / math.pi / d)
         if not cmath.isfinite(k):
             raise ValueError(f"kernel value overflows at a = {self.a:g}, x - conj(y) = {d}")
         return k
@@ -260,10 +282,20 @@ class PaleyWienerSpace:
         )
 
 
+def _scaled(a: float, u: np.ndarray) -> np.ndarray:
+    """a u, refused with ``ValueError`` where it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = a * u
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"a u is not finite at a = {a:g}")
+    return z
+
+
 def sinc_ratio(a: float, u) -> np.ndarray:
-    """sin(a u) / u with the removable singularity filled by its series."""
+    """sin(a u) / u with the removable singularity filled by its series.
+    Raises ``ValueError`` where a u is not finite."""
     arr = np.asarray(u, dtype=float)
-    z = a * arr
+    z = _scaled(a, arr)
     small = np.abs(z) < 1e-4
     safe = np.where(small, 1.0, arr)
     zs = np.where(small, z, 0.0)  # the series only where it is taken, so no large z overflows it
@@ -288,8 +320,10 @@ def sinc_gram(a: float, points: Sequence[float], radius: float) -> np.ndarray:
     s_i(t) = sin(a(t - x_i)) / (t - x_i) the sine-quotient sections.
 
     The integrand is entire, so one grid without breakpoints serves every
-    pair.  Sections are formed over fixed-size blocks of nodes, so none is
-    stored whole on the 0.4-0.8 M-node windows the checks use.
+    pair: 16-node Gauss panels, each spanning 2 pi of the integrand's top
+    frequency 2a, and at least 16 of them (:func:`_oscillation_grid`).
+    Sections are formed over fixed-size blocks of nodes, so none is stored
+    whole on the 0.1-0.2 M-node windows the checks use.
 
     Numerators come from sin(a(t - x)) = sin(at) cos(ax) - cos(at) sin(ax),
     so sines and cosines are taken once per node and once per point, and an
@@ -297,19 +331,21 @@ def sinc_gram(a: float, points: Sequence[float], radius: float) -> np.ndarray:
     ``_SINC_BAND / a`` of a point, a closed band that the sorted nodes give
     as one index range, go through :func:`sinc_ratio` instead: the band
     holds the removable singularity, any node equal to the point, and the
-    nodes where the two products cancel; it spans about 20 nodes a point.
+    nodes where the two products cancel; it spans 4-8 nodes a point.
     Against :func:`sinc_ratio` on every entry (the tests' oracle) the
-    matrix moves by at most about eps (1 + a max|x_i|) max|P|.  The three
-    suite matrices at radius 1e4 (7.3 M entries, 273 of them in bands) take
-    0.13 s instead of 0.87 s (2-core x86-64 Xeon, one BLAS thread).
+    matrix moves by at most about eps (1 + a max|x_i|) max|P|, and against
+    it on 8-node panels of a quarter of the width by at most 11 eps max|P|
+    at the suite geometries.  The three suite matrices at radius 1e4 (1.8 M
+    entries, 70 of them in bands) take 0.03 s instead of 0.12 s on the grid
+    of four times the nodes (2-core x86-64 Xeon, one BLAS thread).
+    Raises ``ValueError`` where a x_i is not finite.
     """
     if not (math.isfinite(a) and a > 0):
         raise ValueError("half-width a must be positive and finite")
     pts = np.asarray(points, dtype=float)
-    window = truncate_line(radius)
-    panels = panels_for_oscillation(window.length, 2.0 * a, minimum=16)
-    g = build_grid(window, panels, nodes_per_panel=8)
-    sin_x, cos_x = np.sin(a * pts)[:, None], np.cos(a * pts)[:, None]
+    g = _oscillation_grid(truncate_line(radius), 2.0 * a, minimum=16)
+    ax = _scaled(a, pts)
+    sin_x, cos_x = np.sin(ax)[:, None], np.cos(ax)[:, None]
     band_lo = np.searchsorted(g.nodes, pts - _SINC_BAND / a, side="left")
     band_hi = np.searchsorted(g.nodes, pts + _SINC_BAND / a, side="right")
     P = np.zeros((pts.size, pts.size))

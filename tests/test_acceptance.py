@@ -44,11 +44,11 @@ def test_03_contraction_and_equality_case():
 
 
 def test_04_kernel_identities():
-    _run("kernels", 0.5, "04 kernel identities")
+    _run("kernels", 0.2, "04 kernel identities")
 
 
 def test_05_sine_product_integral_identity():
-    _run("sinc", 0.5, "05 sinc identity")
+    _run("sinc", 0.2, "05 sinc identity")
 
 
 def test_06_span_inversion_round_trip():

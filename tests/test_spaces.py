@@ -12,6 +12,7 @@ from rkhskit import spaces
 from rkhskit.numerics import (
     build_grid,
     inner_weighted,
+    inner_weighted_matrix,
     integrate,
     make_interval,
     norm_weighted,
@@ -217,6 +218,34 @@ def test_pw_kernel_refuses_an_overflowing_value(a, x, y):
         PaleyWienerSpace(a).kernel(x, y)
 
 
+@pytest.mark.parametrize("a", [0.25, 1.0, 3.0, 8.0])
+@pytest.mark.parametrize("max_frequency", [1.0, 8.0, 10.0, 40.0, 200.0])
+def test_pw_gram_matches_closed_kernel(a, max_frequency):
+    # the grid's 16-node panels span 2 pi of the Gram integrand's top
+    # frequency 2 max_frequency: measured worst 33 eps of max|K| = a / pi
+    # (20 on the earlier grid of four times the nodes); 8-node panels
+    # spanning 2 pi give 1.7e5 to 3.9e5
+    pw = PaleyWienerSpace(a, max_frequency=max_frequency)
+    fm = pw.feature_map()
+    pts = np.linspace(-max_frequency, max_frequency, 9)
+    feats = np.array([fm.feature(x).values for x in pts])
+    G = inner_weighted_matrix(fm.grid, feats, feats)
+    K = np.array([[pw.kernel(x, y) for y in pts] for x in pts])
+    assert np.max(np.abs(G - K)) <= 48.0 * np.finfo(float).eps * a / math.pi
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [5e307, 1e308, 1.7e308, -1.7e308])
+def test_pw_kernel_at_far_real_points_against_mpmath(d):
+    # pi d overflows above about 5.7e307; the value sin(d) / (pi d) is
+    # subnormal there, so it is checked to a few subnormal units
+    with mpmath.workdps(40):
+        want = float(mpmath.sin(mpmath.mpf(d)) / (mpmath.pi * mpmath.mpf(d)))
+    got = PaleyWienerSpace(1.0).kernel(d, 0.0)
+    assert got.imag == 0.0 and want != 0.0
+    assert abs(got.real - want) <= 4 * 5e-324
+
+
 def test_pw_feature_rejects_complex_argument():
     pw = PaleyWienerSpace(1.0)
     with pytest.raises(ValueError, match="closed form"):
@@ -248,6 +277,18 @@ def test_sinc_ratio_forms_its_series_on_small_entries_only(a):
     z = a * u[1:4]
     assert got[1:4].tolist() == (a * (1.0 - z * z / 6.0 + z ** 4 / 120.0)).tolist()
     assert got[[0, 4, 5]].tolist() == (np.sin(a * u[[0, 4, 5]]) / u[[0, 4, 5]]).tolist()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a, u", [(2.0, 1e308), (4.0, -6e307), (1.0, math.inf), (1.0, math.nan)])
+def test_sinc_ratio_refuses_a_scaled_argument_that_is_not_finite(a, u):
+    # a u overflows (or is not a number), though sin(a u) / u may be finite
+    with pytest.raises(ValueError, match="a u is not finite"):
+        sinc_ratio(a, u)
+    with pytest.raises(ValueError, match="a u is not finite"):
+        sinc_ratio(a, np.array([0.0, 1.0, u]))
+    with pytest.raises(ValueError, match="a u is not finite"):
+        sinc_identity_check(a, 0.0, u, 10.0)
 
 
 @pytest.mark.filterwarnings("error")
@@ -324,14 +365,20 @@ def test_sinc_gram_matches_per_pair_quadrature(a):
 
 def _sinc_window_grid(a, radius):
     # the one grid sinc_gram integrates on
+    return spaces._oscillation_grid(truncate_line(radius), 2.0 * a, minimum=16)
+
+
+def _quarter_phase_window_grid(a, radius):
+    # the slow path's grid: 8-node panels spanning pi/4 of the integrand's
+    # top frequency 2a, four times the nodes of the window grid
     window = truncate_line(radius)
     return build_grid(window, panels_for_oscillation(window.length, 2.0 * a, minimum=16), 8)
 
 
-def _sinc_gram_per_entry(a, points, radius):
+def _sinc_gram_per_entry(a, points, radius, grid=_sinc_window_grid):
     # the oracle: sinc_ratio on every (point, node) entry, in sinc_gram's blocks
     pts = np.asarray(points, dtype=float)
-    g = _sinc_window_grid(a, radius)
+    g = grid(a, radius)
     P = np.zeros((pts.size, pts.size))
     for lo in range(0, g.size, _SINC_BLOCK):
         S = sinc_ratio(a, g.nodes[None, lo : lo + _SINC_BLOCK] - pts[:, None])
@@ -339,9 +386,9 @@ def _sinc_gram_per_entry(a, points, radius):
     return P
 
 
-def _sinc_gram_gap(a, points, radius):
-    """Largest gap of sinc_gram to the oracle, in units of eps max|P|."""
-    P, want = sinc_gram(a, points, radius), _sinc_gram_per_entry(a, points, radius)
+def _sinc_gram_gap(a, points, radius, grid=_sinc_window_grid):
+    """Largest gap of sinc_gram to the oracle on ``grid``, in units of eps max|P|."""
+    P, want = sinc_gram(a, points, radius), _sinc_gram_per_entry(a, points, radius, grid)
     assert np.all(np.isfinite(P))
     return float(np.max(np.abs(P - want))) / (np.finfo(float).eps * float(np.max(np.abs(want))))
 
@@ -360,17 +407,26 @@ def test_sinc_gram_matches_per_entry_oracle_at_suite_geometries(a, points):
     assert _sinc_gram_gap(a, points, 1e3) <= 2.0
 
 
+@pytest.mark.parametrize("radius", [1e3, 1e4])
+@pytest.mark.parametrize("a, points", SUITE_SINC_GEOMETRIES, ids=["sinc-a1", "sinc-a2", "restriction"])
+def test_sinc_gram_matches_the_quarter_phase_grid_at_suite_geometries(a, points, radius):
+    # the window grid against the per-entry sum on the grid of four times the
+    # nodes: measured 3.8-5.1 eps of max|P| at radius 1e3 and 8.3-10.8 at 1e4;
+    # 8-node panels spanning 2 pi give 19-27 at 1e3
+    assert _sinc_gram_gap(a, points, radius, _quarter_phase_window_grid) <= 16.0
+
+
 def test_sinc_gram_point_on_a_block_edge_node():
-    # node _SINC_BLOCK opens the second block of the 40 k-node window, so the
+    # node _SINC_BLOCK opens the second block of the 100 k-node window, so the
     # point's 0/0 entry is there and its band straddles the block edge;
-    # measured 0.64 eps of max|P|
-    x = float(_sinc_window_grid(1.0, 1e3).nodes[_SINC_BLOCK])
-    assert _sinc_gram_gap(1.0, (x, 0.0), 1e3) <= 2.0
+    # measured 0.05 eps of max|P|
+    x = float(_sinc_window_grid(1.0, 1e4).nodes[_SINC_BLOCK])
+    assert _sinc_gram_gap(1.0, (x, 0.0), 1e4) <= 2.0
 
 
 def test_sinc_gram_points_outside_the_window():
     # 1000.1 keeps part of its band inside the window, the others none;
-    # measured 0.02 eps of max|P|
+    # measured 0.64 eps of max|P|
     assert _sinc_gram_gap(1.0, (1000.1, 1005.0, -1001.0, 3.0), 1e3) <= 2.0
 
 
@@ -384,13 +440,17 @@ def test_sinc_gram_points_outside_the_window():
 def test_sinc_gram_matches_per_entry_oracle(a, radius, scaled, on_node):
     # points anywhere in twice the window, the first one possibly on a node;
     # both sides round sine arguments of size a |t| and a |x|, so the gap
-    # grows with a max|x|: measured worst 0.72 eps (1 + a max|x|) max|P| over
-    # 800 random geometries
+    # grows with a max|x|: measured worst 0.30 eps (1 + a max|x|) max|P| over
+    # 800 random geometries against the per-entry sum on the window grid, and
+    # 0.69 over 200 against it on the quarter-phase grid (3 300 with 8-node
+    # panels spanning 2 pi)
     pts = [s * radius for s in scaled]
     if on_node is not None:
         nodes = _sinc_window_grid(a, radius).nodes
         pts[0] = float(nodes[int(on_node * nodes.size)])
-    assert _sinc_gram_gap(a, pts, radius) <= 2.0 * (1.0 + a * max(abs(x) for x in pts))
+    bound = 2.0 * (1.0 + a * max(abs(x) for x in pts))
+    assert _sinc_gram_gap(a, pts, radius) <= bound
+    assert _sinc_gram_gap(a, pts, radius, _quarter_phase_window_grid) <= bound
 
 
 @pytest.mark.parametrize("a", [0.0, -1.0, math.nan])
@@ -401,8 +461,9 @@ def test_sinc_gram_refuses_a_half_width_that_is_not_positive(a):
 
 
 def test_sinc_gram_calls_the_quotient_on_band_entries_only(monkeypatch):
-    # at radius 1e4 the three suite matrices have 7.3 M (point, node) entries;
-    # only the 273 within _SINC_BAND / a of their point reach sinc_ratio
+    # at radius 1e4 the three suite matrices have 1.8 M (point, node) entries;
+    # only the 70 within _SINC_BAND / a of their point (4-8 a point) reach
+    # sinc_ratio
     seen = []
 
     def counting(a, u):
@@ -415,7 +476,7 @@ def test_sinc_gram_calls_the_quotient_on_band_entries_only(monkeypatch):
         sinc_gram(a, points, 1e4)
         nodes = _sinc_window_grid(a, 1e4).nodes
         band += sum(int(np.sum(np.abs(nodes - x) <= _SINC_BAND / a)) for x in points)
-    assert sum(z.size for z in seen) == band < 300
+    assert sum(z.size for z in seen) == band < 100
     assert max(float(np.max(np.abs(z))) for z in seen) <= _SINC_BAND
 
 
