@@ -154,9 +154,8 @@ def indefinite_integral_sequence(phi: FeatureMap, anchor: float = 0.0) -> Transf
     the overlap length |(anchor, med{t, u, anchor})|."""
 
     def s_apply(rows: np.ndarray, ts: list) -> np.ndarray:
-        xs = np.asarray(ts, dtype=float)
-        Fs = (cumulative_integral(phi.grid, row) for row in rows)
-        return np.array([F(xs) - F(anchor) for F in Fs], dtype=complex).reshape(len(rows), xs.size)
+        F = cumulative_integral(phi.grid, rows)
+        return F(np.asarray(ts, dtype=float)) - F(anchor)[:, None]
 
     return TransformationSequence(phi, s_apply)
 

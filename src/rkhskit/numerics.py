@@ -18,8 +18,9 @@ lattice and the grid of a tensor feature map are all products of
 one-dimensional grids.  It keeps only the axes; the flattened nodes,
 weights and weight samples (row-major, last axis fastest) are built on
 first use, so per-axis consumers such as the Fourier contractions never
-pay for them.  :func:`product_grid` is the only place a node cap is
-enforced.
+pay for them.  Its node cap is enforced where a dense array over it is
+formed (:meth:`ProductGrid.require_dense`); :func:`product_grid` also
+refuses a grid above its cap at once.
 
 Scalar pairings are summed by :func:`fsum_complex`, the correctly rounded
 sum of each part (``math.fsum``), which does not depend on the order of
@@ -49,6 +50,7 @@ __all__ = [
     "truncate_line",
     "build_grid",
     "product_grid",
+    "require_node_cap",
     "PRODUCT_NODE_CAP",
     "sample",
     "integrate",
@@ -240,17 +242,26 @@ def build_grid(
 PRODUCT_NODE_CAP = 10 ** 6
 
 
+def require_node_cap(size: int, cap: int) -> None:
+    """Refuse (ValueError) a dense array over ``size`` grid nodes above ``cap``."""
+    if size > cap:
+        raise ValueError(f"product grid would hold {size} nodes, above the cap {cap}")
+
+
 @dataclass(frozen=True, eq=False)
 class ProductGrid:
     """Cartesian product of one-dimensional grids, row-major node ordering.
 
     ``max_frequency`` records the largest conjugate variable the axes were
     built to resolve: frequencies for a time box, times for a frequency
-    box; None when unknown.
+    box; None when unknown.  ``cap`` bounds the nodes of any dense array
+    over the grid: the mesh, the flattened nodes, weights and weight
+    samples, and the callers' own dense arrays (:meth:`require_dense`).
     """
 
     axes: tuple
     max_frequency: float | None = None
+    cap: int = PRODUCT_NODE_CAP
 
     @property
     def ndim(self) -> int:
@@ -268,8 +279,13 @@ class ProductGrid:
     def half_widths(self) -> tuple:
         return tuple(g.interval.hi for g in self.axes)
 
+    def require_dense(self) -> None:
+        """Refuse (ValueError) a dense array over the grid above its cap."""
+        require_node_cap(self.size, self.cap)
+
     def mesh(self) -> list:
         """Per-axis node coordinates broadcast to the full grid shape."""
+        self.require_dense()
         return np.meshgrid(*[g.nodes for g in self.axes], indexing="ij")
 
     @cached_property
@@ -279,10 +295,12 @@ class ProductGrid:
 
     @cached_property
     def weights(self) -> np.ndarray:
+        self.require_dense()
         return _frozen(reduce(np.kron, [g.weights for g in self.axes]))
 
     @cached_property
     def rho_at_nodes(self) -> np.ndarray:
+        self.require_dense()
         return _frozen(reduce(np.kron, [g.rho_at_nodes for g in self.axes]))
 
     def compatible_with(self, other: object) -> bool:
@@ -308,10 +326,9 @@ def product_grid(
     axes = tuple(grids)
     if not axes:
         raise ValueError("need at least one factor grid")
-    total = math.prod(g.size for g in axes)
-    if total > cap:
-        raise ValueError(f"product grid would hold {total} nodes, above the cap {cap}")
-    return ProductGrid(axes, None if max_frequency is None else float(max_frequency))
+    grid = ProductGrid(axes, None if max_frequency is None else float(max_frequency), cap)
+    grid.require_dense()
+    return grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,16 +463,18 @@ def panels_for_oscillation(length: float, rate: float, minimum: int = 1) -> int:
 
 
 def _panel_coeffs(grid: QuadGrid, values) -> np.ndarray:
-    """Legendre coefficients of the per-panel interpolant, shape (n, panels).
+    """Legendre coefficients of the per-panel interpolant, shape (n, panels),
+    or (n, rows, panels) for an (rows, N) stack of samples.
 
     With n Gauss nodes per panel the discrete transform recovers the
     coefficients of any polynomial of degree n-1 exactly.
     """
     n = grid.nodes_per_panel
     _, om, V = _gauss_rule(n)
-    v = np.asarray(values, dtype=complex).reshape(grid.n_panels, n)
+    v = np.asarray(values, dtype=complex)
+    v = v.reshape(v.shape[:-1] + (grid.n_panels, n))
     coeffs = ((v * om) @ V) * ((2.0 * np.arange(n) + 1.0) / 2.0)
-    return coeffs.T
+    return np.moveaxis(coeffs, -1, 0)
 
 
 def derivative_values(grid: QuadGrid, values) -> np.ndarray:
@@ -481,11 +500,17 @@ def cumulative_integral(grid: QuadGrid, values) -> Callable:
     panel is integrated through the interpolant's Legendre antiderivative,
     so F is quadrature-grade accurate anywhere in the closed interval, not
     just at panel edges.  The returned callable accepts scalars or arrays.
+
+    ``values`` is one row of N node samples, or an (rows, N) stack of them;
+    the primitive of a stack returns one row per sample row, (rows,) at a
+    scalar and (rows, len(x)) at an array, each row the same numbers as
+    the primitive of that row alone.
     """
     C = _panel_coeffs(grid, values)
     Cint = legendre.legint(C, lbnd=-1, axis=0)
     widths = np.diff(grid.panel_edges)
-    prefix = np.concatenate(([0.0 + 0.0j], np.cumsum(widths * C[0, :])))
+    steps = np.cumsum(widths * C[0], axis=-1)
+    prefix = np.concatenate((np.zeros(steps.shape[:-1] + (1,), dtype=complex), steps), axis=-1)
     edges = grid.panel_edges
     lo, hi = grid.interval.lo, grid.interval.hi
     slack = 1e-12 * (hi - lo)
@@ -498,8 +523,10 @@ def cumulative_integral(grid: QuadGrid, values) -> Callable:
             raise ValueError("evaluation point outside the grid interval")
         idx = np.clip(np.searchsorted(edges, xs, side="right") - 1, 0, widths.size - 1)
         t = np.clip(2.0 * (xs - edges[idx]) / widths[idx] - 1.0, -1.0, 1.0)
-        part = (widths[idx] / 2.0) * legendre.legval(t, Cint[:, idx], tensor=False)
-        out = prefix[idx] + part
-        return complex(out[0]) if scalar else out
+        part = (widths[idx] / 2.0) * legendre.legval(t, Cint[..., idx], tensor=False)
+        out = prefix[..., idx] + part
+        if not scalar:
+            return out
+        return complex(out[0]) if out.ndim == 1 else out[:, 0]
 
     return primitive

@@ -22,15 +22,22 @@ dense route is the tests' oracle.  :func:`transform_at` evaluates the dense
 sum at arbitrary points, and :func:`mutual_inverse_check` evaluates the
 same sum on its probe lattice one axis at a time.
 
-Box samples of smooth functions have small numerical rank, so a 2-D
-forward transform first tries to factor its samples as Q @ B with k columns
-(:func:`_low_rank`, a blocked randomized range finder that stops on the
-exact residual); it then contracts Q along axis 0 and B along axis 1, k
-columns each instead of a whole side, and multiplies the two.  Samples that
-do not reach the residual floor within the column cap, and every 1-D and
-3-D box, take the column route above, one contraction per axis over all
-columns; that route is the oracle of the factored one.  No suite transforms
-a 3-D box.
+The checks hold samples and transforms in one factored (Tucker) form,
+:class:`_Image`.  A product source, a tuple of one-argument callables, is
+sampled per axis and its box never meshed; any other source is sampled
+densely, and dense 2-D samples of small numerical rank are factored as
+Q @ B (:func:`_low_rank`, a blocked randomized range finder that stops on
+the exact residual).  A transform contracts each axis's factor columns,
+or the core along an axis without a factor; dense samples that keep
+identity factors so take the column route, one contraction per axis over
+all columns, which is the oracle of the factored one.  Norms, the
+back-evaluation of :func:`mutual_inverse_check` and the indicator
+contraction of :func:`box_inversion_check` work one axis at a time on the
+factors and then contract the small core; only :func:`fourier_on_lattice`
+multiplies the transform out.  So a product on a 2 448^3-node box costs
+three 1-D transforms.  A dense array over a box, samples or the transform
+of dense samples on the frequency lattice, is refused above
+``BOX_NODE_CAP`` nodes before it is formed, not when the box is built.
 
 The two boxes are the same kind of object, a
 :class:`~rkhskit.numerics.ProductGrid` from :func:`box_domain`: a time box
@@ -47,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,6 +67,7 @@ from .numerics import (
     make_interval,
     panels_for_oscillation,
     product_grid,
+    require_node_cap,
 )
 
 __all__ = [
@@ -110,7 +119,9 @@ def box_domain(
     least the frequency radius the transform will be evaluated on.
 
     Axes with equal half-widths share one grid.  A frequency box is built
-    the same way, with the time half-width as its ``max_frequency``.
+    the same way, with the time half-width as its ``max_frequency``.  The
+    box holds only its axes; a dense array over more than ``BOX_NODE_CAP``
+    nodes is refused where it is formed (``ProductGrid.require_dense``).
     """
     hws = tuple(half_widths)
     if not 1 <= len(hws) <= 3:
@@ -124,11 +135,12 @@ def box_domain(
         if a not in grids:
             panels = panels_for_oscillation(2.0 * a, max_frequency, minimum=8)
             grids[a] = build_grid(make_interval(-a, a), panels, nodes_per_panel)
-    return product_grid([grids[a] for a in hws], cap=BOX_NODE_CAP, max_frequency=max_frequency)
+    return ProductGrid(tuple(grids[a] for a in hws), float(max_frequency), BOX_NODE_CAP)
 
 
 def sample_on_box(box: ProductGrid, fn: Callable) -> np.ndarray:
-    """Sample a vectorized callable of ndim arguments on the box grid."""
+    """Sample a vectorized callable of ndim arguments on the box grid (the
+    whole mesh, so at most ``box.cap`` nodes)."""
     return np.asarray(fn(*box.mesh()), dtype=complex)
 
 
@@ -312,27 +324,107 @@ def _low_rank(arr: np.ndarray):
     return None
 
 
+@dataclass(frozen=True, eq=False)
+class _Image:
+    """Samples or a transform on a box in Tucker form: the array ``core``
+    times, along each axis j, the (n_j, k_j) matrix ``factors[j]``, or the
+    identity for None (the core's axis j is then the box's).
+
+    A product source is a 1 x ... x 1 core with one sampled column per axis,
+    2-D samples factored as Q @ B are core B with factors (Q, None), and
+    dense samples are the core with identity factors.
+    """
+
+    core: np.ndarray
+    factors: tuple
+
+    def map_axes(self, maps: Sequence[Callable]) -> "_Image":
+        """The image with ``maps[j](arr, axis)``, linear along ``axis``,
+        applied along each axis j: to factor j (its axis 0) when there is
+        one, else to the core."""
+        core, factors = self.core, []
+        for j, (A, fn) in enumerate(zip(self.factors, maps)):
+            if A is None:
+                core = fn(core, j)
+            factors.append(None if A is None else fn(A, 0))
+        return _Image(core, tuple(factors))
+
+    def dense(self) -> np.ndarray:
+        """The full array: every factor multiplied into the core."""
+        out = self.core
+        for j, A in enumerate(self.factors):
+            if A is not None:
+                out = _mode_product(out, j, A)
+        return out
+
+
+def _mode_product(arr: np.ndarray, axis: int, M: np.ndarray) -> np.ndarray:
+    """The (m x n) matrix M applied along ``axis`` of arr, of length n there."""
+    return np.moveaxis(np.tensordot(M, arr, axes=(1, axis)), 0, axis)
+
+
+def _dense_image(arr: np.ndarray) -> _Image:
+    return _Image(arr, (None,) * arr.ndim)
+
+
+def _sample(fn: Callable | tuple, coords: Sequence[np.ndarray], cap: int) -> _Image:
+    """The source on the tensor grid of the per-axis coordinates.
+
+    A tuple of one-argument callables, one per axis, is their product: a
+    1 x ... x 1 core with one sampled column per axis.  A callable of ndim
+    arguments is sampled on the whole mesh, refused above ``cap`` nodes.
+    """
+    if isinstance(fn, tuple):
+        if len(fn) != len(coords):
+            raise ValueError("a product source needs one factor per axis")
+        cols = tuple(np.asarray(f(x), dtype=complex).reshape(x.size, 1) for f, x in zip(fn, coords))
+        return _Image(np.ones((1,) * len(cols), dtype=complex), cols)
+    require_node_cap(math.prod(x.size for x in coords), cap)
+    return _dense_image(np.asarray(fn(*np.meshgrid(*coords, indexing="ij")), dtype=complex))
+
+
+def _transform(img: _Image, box: ProductGrid, lattice: ProductGrid) -> _Image:
+    """Truncated transform of a box image, tabulated on the lattice as an
+    image of the same form.
+
+    Dense 2-D samples that :func:`_low_rank` factors as Q @ B are taken as
+    core B with factor Q first.  Each axis then contracts its factor's
+    columns, or the core along that axis where the factor is the identity:
+    the column route of dense samples is the all-identity case.  Each such
+    contraction leaves a dense core with the lattice's length along that
+    axis; when the largest of them would pass the lattice's cap, nothing is
+    formed.
+    """
+    if box.ndim == 2 and all(A is None for A in img.factors):
+        qb = _low_rank(img.core)
+        if qb is not None:
+            img = _Image(qb[1], (qb[0], None))
+    shape, largest = list(img.core.shape), 0
+    for j, A in enumerate(img.factors):
+        if A is None:
+            shape[j] = lattice.axes[j].size
+            largest = max(largest, math.prod(shape))
+    require_node_cap(largest, lattice.cap)
+    maps = [partial(_axis_contract, dst=dst, src=src, sign=-1.0) for dst, src in zip(lattice.axes, box.axes)]
+    out = img.map_axes(maps)
+    return _Image(out.core * _TWO_PI ** (-box.ndim / 2.0), out.factors)
+
+
 def fourier_on_lattice(values: np.ndarray, box: ProductGrid, lattice: ProductGrid) -> np.ndarray:
     """Truncated Fourier transform of box samples, tabulated on the lattice.
 
     (2 pi)^(-N/2) * integral over the box of f(t) exp(-i t.x) dt, one kernel
     contraction per axis.  2-D samples that :func:`_low_rank` factors as
     Q @ B are contracted through their k factor columns, Q along axis 0 and
-    B along axis 1, and F is the product of the two; other 2-D samples, and
-    1-D and 3-D ones, are contracted column by column.
+    B along axis 1, and the table is the product of the two; other 2-D
+    samples, and 1-D and 3-D ones, are contracted column by column.  The
+    lattice's node cap bounds the table.
     """
     if lattice.ndim != box.ndim:
         raise ValueError("lattice and box dimensions differ")
+    lattice.require_dense()
     arr = np.asarray(values, dtype=complex).reshape(box.shape)
-    factors = _low_rank(arr) if box.ndim == 2 else None
-    if factors is not None:
-        (dst0, dst1), (src0, src1) = lattice.axes, box.axes
-        left = _axis_contract(factors[0], 0, dst0, src0, sign=-1.0)
-        right = _axis_contract(factors[1], 1, dst1, src1, sign=-1.0)
-        return (left * _TWO_PI ** -1.0) @ right
-    for j, (dst, src) in enumerate(zip(lattice.axes, box.axes)):
-        arr = _axis_contract(arr, j, dst, src, sign=-1.0)
-    return arr * _TWO_PI ** (-box.ndim / 2.0)
+    return _transform(_dense_image(arr), box, lattice).dense()
 
 
 def transform_at(values: np.ndarray, src_axes: Sequence[QuadGrid], points, sign: float) -> np.ndarray:
@@ -380,26 +472,39 @@ def indicator_hat(t: float, x) -> np.ndarray:
     return out if xs.ndim else complex(out)
 
 
-def _forward(fn: Callable, box: ProductGrid, radius: float, rate: float):
-    """Samples of fn on the box, the frequency box (-radius, radius)^N
+def _forward(fn: Callable | tuple, box: ProductGrid, radius: float, rate: float):
+    """The source sampled on the box, the frequency box (-radius, radius)^N
     resolving times up to ``rate`` at the box's Gauss order, and the
-    transform tabulated on it."""
+    transform on it; samples and transform are images (:class:`_Image`)."""
     if box.max_frequency is not None and radius > box.max_frequency * (1.0 + 1e-12):
         raise ValueError(
             f"box resolves frequencies up to {box.max_frequency:g}, "
             f"below the requested radius {radius:g}"
         )
-    vals = sample_on_box(box, fn)
+    img = _sample(fn, [g.nodes for g in box.axes], box.cap)
     lattice = box_domain(
         (radius,) * box.ndim, max_frequency=rate, nodes_per_panel=box.axes[0].nodes_per_panel
     )
-    return vals, lattice, fourier_on_lattice(vals, box, lattice)
+    return img, lattice, _transform(img, box, lattice)
 
 
-def _lattice_norm(values: np.ndarray, grid: ProductGrid) -> float:
-    # lattices run to millions of nodes; pairwise summation is plenty here
-    sq = float(np.sum(np.abs(np.asarray(values).ravel()) ** 2 * grid.weights))
-    return math.sqrt(max(sq, 0.0))
+def _norm(img: _Image, grid: ProductGrid) -> float:
+    """L2 norm of an image over the grid, one axis at a time.
+
+    Each factor A_j enters through the triangular R_j of a QR of
+    sqrt(w_j) A_j, so that R_j^H R_j = A_j^H W_j A_j: the squared norm is
+    the sum of |core x_j R_j|^2, weighted by w_j along each identity axis.
+    Lattices run to millions of nodes; pairwise summation is plenty here.
+    """
+    roots = tuple(
+        None if A is None else np.linalg.qr(np.sqrt(g.weights)[:, None] * A, mode="r")
+        for A, g in zip(img.factors, grid.axes)
+    )
+    density = np.abs(_Image(img.core, roots).dense()) ** 2
+    for j, (A, g) in enumerate(zip(img.factors, grid.axes)):
+        if A is None:
+            density = density * g.weights.reshape((-1,) + (1,) * (grid.ndim - 1 - j))
+    return math.sqrt(max(float(np.sum(density)), 0.0))
 
 
 @dataclass(frozen=True)
@@ -413,18 +518,21 @@ class PlancherelNormReport:
         return abs(self.norm_freq - self.norm_time) / self.norm_time
 
 
-def plancherel_norm_check(fn: Callable, box: ProductGrid, radius: float) -> PlancherelNormReport:
+def plancherel_norm_check(fn: Callable | tuple, box: ProductGrid, radius: float) -> PlancherelNormReport:
     """Window L2 norm of f against the L2 norm of its truncated transform
     over the frequency box; rel_err carries truncation tails plus quadrature.
 
-    The box must have been built with max_frequency >= radius; the
-    frequency box resolves times up to the largest time half-width.
+    f is a vectorized callable of ndim arguments, or a tuple of ndim
+    one-argument callables whose product it is; a product is sampled,
+    transformed and measured one axis at a time.  The box must have been
+    built with max_frequency >= radius; the frequency box resolves times up
+    to the largest time half-width.
     """
-    vals, lattice, F = _forward(fn, box, radius, max(box.half_widths))
+    img, lattice, F = _forward(fn, box, radius, max(box.half_widths))
     return PlancherelNormReport(
         radius=radius,
-        norm_time=_lattice_norm(vals, box),
-        norm_freq=_lattice_norm(F, lattice),
+        norm_time=_norm(img, box),
+        norm_freq=_norm(F, lattice),
     )
 
 
@@ -446,30 +554,31 @@ def default_probes(box: ProductGrid) -> list:
     ]
 
 
-def _conjugate_on_tensor(F: np.ndarray, lattice: ProductGrid, probe_axes: Sequence[np.ndarray]) -> np.ndarray:
+def _back_evaluate(F: _Image, lattice: ProductGrid, probe_axes: Sequence[np.ndarray]) -> np.ndarray:
     """``transform_at(F, lattice.axes, points, sign=+1)`` at the tensor
-    lattice of the per-axis probe coordinates, one axis at a time; the
-    result has one axis per probe axis."""
-    back = F
-    for j, (pts, g) in enumerate(zip(probe_axes, lattice.axes)):
-        back = _axis_apply(back, j, pts, g, sign=+1.0)
-    return back * _TWO_PI ** (-lattice.ndim / 2.0)
+    lattice of the per-axis probe coordinates, one axis at a time: on each
+    factor of the lattice image, or along its core where the factor is the
+    identity.  The result has one axis per probe axis."""
+    maps = [partial(_axis_apply, dst_nodes=pts, src=g, sign=+1.0) for pts, g in zip(probe_axes, lattice.axes)]
+    return F.map_axes(maps).dense() * _TWO_PI ** (-lattice.ndim / 2.0)
 
 
-def mutual_inverse_check(fn: Callable, box: ProductGrid, radius: float) -> MutualInverseReport:
+def mutual_inverse_check(fn: Callable | tuple, box: ProductGrid, radius: float) -> MutualInverseReport:
     """Forward then conjugate transform, compared with f at the
     :func:`default_probes` lattice.
 
     The conjugate transform runs over the truncated frequency box, so the
     discrepancy carries the inversion tail (roughly 1/radius scaled by the
-    smoothness of f) on top of quadrature error.  The probe lattice is
-    evaluated one axis at a time, the same sum as :func:`transform_at` at
-    each probe.  The frequency box is the one of :func:`plancherel_norm_check`.
+    smoothness of f) on top of quadrature error.  It is evaluated one axis
+    at a time, on the transform's factors or along its core, the same sum
+    as :func:`transform_at` at each probe.  f and the frequency box are
+    those of :func:`plancherel_norm_check`; the reference values of a
+    product are products of its factors' values.
     """
     _, lattice, F = _forward(fn, box, radius, max(box.half_widths))
     axes = default_probes(box)
-    back = _conjugate_on_tensor(F, lattice, axes)
-    ref = np.asarray(fn(*np.meshgrid(*axes, indexing="ij")), dtype=complex)
+    back = _back_evaluate(F, lattice, axes)
+    ref = _sample(fn, axes, BOX_NODE_CAP).dense()
     err = float(np.max(np.abs(back - ref)))
     return MutualInverseReport(radius=radius, n_probes=back.size, max_abs_err=err)
 
@@ -487,18 +596,20 @@ class BoxInversionReport:
 
 
 def box_inversion_check(
-    fn: Callable, box: ProductGrid, radius: float, t: Sequence[float]
+    fn: Callable | tuple, box: ProductGrid, radius: float, t: Sequence[float]
 ) -> BoxInversionReport:
     """Indefinite-integral inversion identity on a box.
 
-    lhs integrates f over (0, t_1) x ... x (0, t_N) by fresh quadrature;
+    lhs integrates f over (0, t_1) x ... x (0, t_N) by fresh quadrature,
+    one axis at a time for a product (f as in :func:`plancherel_norm_check`);
     rhs pushes the box-truncated transform of f back through the product of
     indicator transforms:
 
         (2 pi)^(-N/2) * integral of F(x) prod_j (exp(i t_j x_j) - 1)/(i x_j) dx
 
     over the frequency box, which resolves times up to twice the largest
-    time half-width.  Their gap carries the O(1/radius) tail.
+    time half-width.  Each indicator integral is applied along its axis, to
+    the transform's factor or core.  Their gap carries the O(1/radius) tail.
     """
     ts = tuple(float(v) for v in t)
     if len(ts) != box.ndim:
@@ -507,15 +618,18 @@ def box_inversion_check(
         if not 0.0 < tj < a:
             raise ValueError("t must lie strictly inside the positive box")
 
-    lhs_box = product_grid(
-        [build_grid(make_interval(0.0, tj), 16, 16) for tj in ts], cap=BOX_NODE_CAP
-    )
-    lhs = integrate(lhs_box, np.asarray(fn(*lhs_box.mesh()), dtype=complex).ravel())
+    _, lattice, F = _forward(fn, box, radius, 2.0 * max(box.half_widths))
+    grids = [build_grid(make_interval(0.0, tj), 16, 16) for tj in ts]
+    src = _sample(fn, [g.nodes for g in grids], BOX_NODE_CAP)
+    if any(A is None for A in src.factors):
+        lhs = integrate(product_grid(grids, cap=BOX_NODE_CAP), src.core.ravel())
+    else:
+        lhs = math.prod(integrate(g, A[:, 0]) for g, A in zip(grids, src.factors))
 
-    _, lattice, arr = _forward(fn, box, radius, 2.0 * max(box.half_widths))
-    for tj, g in zip(ts, lattice.axes):
-        hat = indicator_hat(tj, g.nodes) * g.weights
-        arr = np.tensordot(arr, hat, axes=([0], [0]))
-        # contracting axis 0 each round walks through the original axes in order
-    rhs = complex(arr) * _TWO_PI ** (-box.ndim / 2.0)
+    # each axis integrates against its weighted indicator transform, a 1 x n row
+    maps = [
+        partial(_mode_product, M=(indicator_hat(tj, g.nodes) * g.weights)[None, :])
+        for tj, g in zip(ts, lattice.axes)
+    ]
+    rhs = F.map_axes(maps).dense().item() * _TWO_PI ** (-box.ndim / 2.0)
     return BoxInversionReport(radius=radius, t=ts, lhs=lhs, rhs=rhs)

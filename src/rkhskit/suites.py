@@ -84,10 +84,10 @@ def _require_type(name: str, value, hint) -> None:
         raise ConfigError(f"{name} must be of type {kinds[0].__name__}, got {value!r}")
 
 
-# Named scenario sources of the suites and of the command line; "one"
-# takes one array per axis, so it also serves the 2-d boxes.
+# Named scenario sources of the suites and of the command line; a 2-d box
+# takes a product of them, one per axis.
 SOURCES: dict[str, Callable] = {
-    "one": lambda *t: np.ones_like(t[0]),
+    "one": lambda t: np.ones_like(t),
     "cos": np.cos,
     "window": lambda t: np.ones_like(t) / math.sqrt(2.0 * math.pi),
     "wave": lambda t: np.exp(1j * math.pi * t) / math.sqrt(2.0),
@@ -96,10 +96,6 @@ SOURCES: dict[str, Callable] = {
 
 def _gauss(t):
     return np.exp(-(t * t))
-
-
-def _gauss2(t1, t2):
-    return _gauss(t1) * _gauss(t2)
 
 
 # Smooth test functions vanishing at 0, with their derivatives.
@@ -246,15 +242,26 @@ def suite_kernels(cfg: RunConfig) -> Report:
 
 
 def _worst_factorization(prod, fm1, fm2, pairs) -> float:
-    """Largest relative gap between the kernel of ``prod``, the tensor
-    feature map of fm1 and fm2, and the product of their kernels, over
-    (X, Y) point pairs."""
+    """Largest gap between the kernel k of ``prod``, the tensor feature map
+    of fm1 and fm2, and the product of their kernels, over (X, Y) point
+    pairs, relative to the Cauchy-Schwarz scale sqrt(k(X, X) k(Y, Y)) that
+    bounds both; near a zero of a factor kernel it measures the rounding
+    of k, not that rounding over |k|."""
+    diagonal = {}
+
+    def norm_sq(P):
+        # kernel_eval(prod, P, P), with the feature formed once
+        if P not in diagonal:
+            f = prod.feature(P)
+            diagonal[P] = inner_weighted(f, f).real
+        return diagonal[P]
+
     worst_rel = 0.0
     for X, Y in pairs:
         k2 = kernel_eval(prod, X, Y)
         k11 = kernel_eval(fm1, X[0], Y[0])
         k12 = kernel_eval(fm2, X[1], Y[1])
-        scale = max(abs(k2), abs(k11 * k12), 1e-30)
+        scale = max(math.sqrt(norm_sq(X) * norm_sq(Y)), 1e-30)
         worst_rel = max(worst_rel, abs(k2 - k11 * k12) / scale)
     return worst_rel
 
@@ -430,7 +437,7 @@ def suite_plancherel_norm(cfg: RunConfig) -> Report:
     box1 = pl.box_domain([4.0], max_frequency=radius2, nodes_per_panel=npp)
     res1 = pl.plancherel_norm_check(_gauss, box1, radius2)
     box2 = pl.box_domain([4.0, 4.0], max_frequency=radius2, nodes_per_panel=npp)
-    res2d = pl.plancherel_norm_check(_gauss2, box2, radius2)
+    res2d = pl.plancherel_norm_check((_gauss, _gauss), box2, radius2)
     rep.add(make_record("2-d gaussian norm preserved (rel err)", res2d.rel_err, 0.0, 1e-2))
     rep.add(
         make_record(
@@ -458,7 +465,7 @@ def suite_mutual_inverse(cfg: RunConfig) -> Report:
 
     radius2 = 30.0
     box2 = pl.box_domain([4.0, 4.0], max_frequency=radius2, nodes_per_panel=npp)
-    res2 = pl.mutual_inverse_check(_gauss2, box2, radius2)
+    res2 = pl.mutual_inverse_check((_gauss, _gauss), box2, radius2)
     rep.add(make_record("2-d gaussian round trip (max err)", res2.max_abs_err, 0.0, 1e-2))
     return rep
 
@@ -488,7 +495,7 @@ def suite_box_inversion(cfg: RunConfig) -> Report:
 
     radius2 = 50.0
     box2 = pl.box_domain([1.0, 1.0], max_frequency=radius2, nodes_per_panel=npp)
-    res2 = pl.box_inversion_check(one, box2, radius2, [0.5, 0.25])
+    res2 = pl.box_inversion_check((one, one), box2, radius2, [0.5, 0.25])
     rep.add(make_record("2-d constant: identity gap", res2.abs_err, 0.0, 2e-2))
     rep.add(make_record("2-d constant: lhs oracle", res2.lhs.real, 0.125, 1e-12))
 
@@ -506,6 +513,23 @@ def suite_box_inversion(cfg: RunConfig) -> Report:
             detail=f"box {res.rhs.real:.6f} sequence {gen.real:.6f}",
         )
     )
+    return rep
+
+
+# the factors of the 3-d product source: centred, off-centre and modulated
+_PRODUCT_3D = (_gauss, lambda t: _gauss(t - 0.5), lambda t: _gauss(t) * np.cos(2.0 * t))
+
+
+def suite_plancherel_3d(cfg: RunConfig) -> Report:
+    """Norm preservation and round trip of a 3-d product, one axis at a time."""
+    radius = cfg.radius or 30.0
+    npp = cfg.nodes_per_panel or 8
+    rep = Report("plancherel-3d", cfg.seed, {"radius": radius})
+    box = pl.box_domain([4.0] * 3, max_frequency=radius, nodes_per_panel=npp)
+    res = pl.plancherel_norm_check(_PRODUCT_3D, box, radius)
+    rep.add(make_record("3-d product norm preserved (rel err)", res.rel_err, 0.0, 1e-12))
+    resm = pl.mutual_inverse_check(_PRODUCT_3D, box, radius)
+    rep.add(make_record("3-d product round trip (max err)", resm.max_abs_err, 0.0, 1e-7))
     return rep
 
 
@@ -549,6 +573,7 @@ SUITES: dict[str, Callable] = {
     "plancherel-norm": suite_plancherel_norm,
     "mutual-inverse": suite_mutual_inverse,
     "box-inversion": suite_box_inversion,
+    "plancherel-3d": suite_plancherel_3d,
     "tensor": suite_tensor,
 }
 

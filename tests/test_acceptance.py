@@ -65,12 +65,13 @@ def test_08_orthonormal_coefficients():
 
 def test_09_plancherel_at_desk_scale():
     t0 = time.perf_counter()
-    _run("plancherel-norm", 3.0, "09a norm preservation")
-    _run("mutual-inverse", 3.0, "09b mutual inverse")
-    _run("box-inversion", 1.5, "09c box inversion")
+    _run("plancherel-norm", 0.4, "09a norm preservation")
+    _run("mutual-inverse", 0.7, "09b mutual inverse")
+    _run("box-inversion", 0.15, "09c box inversion")
+    _run("plancherel-3d", 0.1, "09d 3-d product")
     total = time.perf_counter() - t0
-    print(f"acceptance 09 plancherel total: {total:.1f}s")
-    assert total < 6.0
+    print(f"acceptance 09 plancherel total: {total:.2f}s")
+    assert total < 1.3
 
 
 def test_10_verification_is_deterministic():

@@ -286,6 +286,25 @@ def test_cumulative_integral_rejects_outside_points():
     F = cumulative_integral(g, np.ones(g.size))
     with pytest.raises(ValueError, match="outside"):
         F(1.5)
+    stacked = cumulative_integral(g, np.ones((3, g.size)))
+    with pytest.raises(ValueError, match="outside"):
+        stacked(np.array([0.5, -0.5]))
+
+
+@pytest.mark.parametrize("order, breakpoints", [(16, ()), (5, (-0.3, 0.41)), (1, ())])
+def test_stacked_primitive_is_the_per_row_primitive_bit_for_bit(order, breakpoints):
+    g = build_grid(make_interval(-1.0, 2.0), 7, order, breakpoints=breakpoints)
+    rng = np.random.default_rng(order)
+    rows = rng.standard_normal((5, g.size)) + 1j * rng.standard_normal((5, g.size))
+    rows[1] = np.cos(3.0 * g.nodes)  # one real row
+    xs = np.r_[-1.0, np.linspace(-0.9, 1.9, 17), g.panel_edges[3], 2.0]
+    F = cumulative_integral(g, rows)
+    got, at_zero = F(xs), F(0.0)
+    assert got.shape == (5, xs.size) and at_zero.shape == (5,)
+    for row, got_row, got_zero in zip(rows, got, at_zero):
+        Fi = cumulative_integral(g, row)
+        assert Fi(xs).tobytes() == got_row.tobytes()
+        assert complex(Fi(0.0)) == got_zero
 
 
 @given(
@@ -298,16 +317,20 @@ def test_cumulative_integral_rejects_outside_points():
 def test_grid_calculus_is_exact_below_the_gauss_order(order, panels, lo, log_width, coef):
     # degree order - 1 in the variable scaled to (-1, 1), where sum |coef|
     # bounds it and Markov's inequality its derivative; measured worst over
-    # 2 000 draws: 1.5e-13 (derivative) and 1.1e-14 (primitive) of those scales
+    # 2 000 draws: 1.5e-13 (derivative) and 1.1e-14 (primitive) of those scales.
+    # Subnormal values are rounded to a fixed spacing that no longer shrinks
+    # with the value, so both bounds add a floor of 64 such spacings; at the
+    # subnormal scale 2.2e-313 the errors are 12 and 1 spacings
+    floor = 64 * np.finfo(float).smallest_subnormal
     hi = lo + 10.0 ** log_width
     g = build_grid(make_interval(lo, hi), panels, order)
     p = np.polynomial.Polynomial(coef[:order], domain=[lo, hi])
     size = np.sum(np.abs(p.coef))
     dp = derivative_values(g, p(g.nodes))
-    assert np.max(np.abs(dp - p.deriv()(g.nodes))) <= 1e-12 * size * (order - 1) ** 2 * 2.0 / (hi - lo)
+    assert np.max(np.abs(dp - p.deriv()(g.nodes))) <= 1e-12 * size * (order - 1) ** 2 * 2.0 / (hi - lo) + floor
     xs = np.linspace(lo, hi, 7)
     F = cumulative_integral(g, p(g.nodes))
-    assert np.max(np.abs(F(xs) - p.integ(lbnd=lo)(xs))) <= 1e-13 * size * (hi - lo)
+    assert np.max(np.abs(F(xs) - p.integ(lbnd=lo)(xs))) <= 1e-13 * size * (hi - lo) + floor
 
 
 def test_refinement_improves_smooth_integrand():

@@ -1,10 +1,11 @@
-"""The benchmark's span tracer still fits the package: one traced pass of
-each workload runs, every report passes, and uninstalling the tracer puts
-every patched name back.
+"""The benchmark still fits the package: one traced pass of each workload
+runs, every report passes, uninstalling the tracer puts every patched name
+back, and each workload suite produces exactly the records the benchmark
+expects.
 
 A change that drops a parameter a tracer counter reads from a signature
-(say, the keywords of ``SobolevSpace.kernel``) fails here, not only in a
-traced benchmark run.
+(say, the keywords of ``SobolevSpace.kernel``), or that adds a record to a
+workload suite, fails here, not only in a benchmark run.
 """
 
 import importlib.util
@@ -55,3 +56,14 @@ def test_traced_pass_of_each_workload(workload):
     counts = tracer.exact_counts()
     for suite, _ in configs:
         assert counts[f"suites.{suite}.calls"] == 1
+
+
+@pytest.mark.parametrize("workload", ["fourier", "gram", "quadrature"])
+def test_workload_suites_produce_the_frozen_records(workload):
+    # the benchmark gate counts a record it does not expect as failed
+    from rkhskit.suites import run_suite
+
+    workloads = _load("workloads")
+    expected = workloads.expected_records()
+    for suite, cfg in workloads.suite_configs(workload, 11):
+        assert [r.name for r in run_suite(suite, cfg).records] == expected[suite], suite

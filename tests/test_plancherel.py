@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rkhskit import plancherel as pl
-from rkhskit.numerics import build_grid, make_interval, product_grid
+from rkhskit.numerics import build_grid, integrate, make_interval, product_grid
 
 SQRT_2_OVER_PI = 0.7978845608028654
 INV_PI = 0.3183098861837907
@@ -39,14 +39,53 @@ def test_box_domain_refuses_bad_max_frequency(max_frequency):
 
 
 def test_node_cap_enforced():
-    with pytest.raises(ValueError, match="cap"):
-        pl.box_domain((5000.0, 5000.0), max_frequency=50.0)
+    # a box keeps only its axes, so it is built; every dense array over it
+    # is refused where it would be formed
+    box = pl.box_domain((100.0, 100.0), max_frequency=50.0)
+    assert box.size > pl.BOX_NODE_CAP
+    dense = [
+        box.mesh,
+        lambda: box.nodes,
+        lambda: box.weights,
+        lambda: box.rho_at_nodes,
+        lambda: pl.sample_on_box(box, np.add),
+        lambda: pl.transform_at(np.zeros(1), box.axes, [[0.0, 0.0]], sign=1.0),
+    ]
+    for form in dense:
+        with pytest.raises(ValueError, match="cap"):
+            form()
 
 
 def test_box_cap_message():
-    # 312 nodes per axis: the 3-d box would hold 30 M nodes
-    with pytest.raises(ValueError, match="would hold 30371328 nodes, above the cap"):
-        pl.box_domain((3.0, 3.0, 3.0), max_frequency=5.0)
+    # 312 nodes per axis: a dense array over the 3-d box, or a table on the
+    # 3-d lattice, would hold 30 M nodes
+    box = pl.box_domain((3.0, 3.0, 3.0), max_frequency=5.0)
+    small = pl.box_domain((1.0, 1.0, 1.0), max_frequency=5.0, nodes_per_panel=1)
+    lattice = pl.box_domain((5.0, 5.0, 5.0), max_frequency=3.0)
+    message = "would hold 30371328 nodes, above the cap"
+    with pytest.raises(ValueError, match=message):
+        pl.sample_on_box(box, lambda x, y, z: x)
+    with pytest.raises(ValueError, match=message):
+        pl.fourier_on_lattice(np.zeros(small.shape), small, lattice)
+
+
+def test_checks_refuse_a_dense_transform_above_the_cap():
+    # the 979 k-node mesh of a dense source passes the cap, but its table on
+    # the frequency lattice would not; the checks refuse it before forming it
+    box = pl.box_domain((4.0, 0.25, 0.25), max_frequency=30.0, nodes_per_panel=2)
+    assert box.size <= pl.BOX_NODE_CAP
+
+    def source(x, y, z):
+        return np.exp(-(x * x + y * y + z * z))
+
+    for rate, check in (
+        (4.0, lambda: pl.plancherel_norm_check(source, box, 30.0)),
+        (4.0, lambda: pl.mutual_inverse_check(source, box, 30.0)),
+        (8.0, lambda: pl.box_inversion_check(source, box, 30.0, (1.0, 0.1, 0.1))),
+    ):
+        lattice = pl.box_domain((30.0,) * 3, max_frequency=rate, nodes_per_panel=2)
+        with pytest.raises(ValueError, match=f"would hold {lattice.size} nodes, above the cap"):
+            check()
 
 
 def test_equal_half_widths_share_one_axis():
@@ -463,10 +502,162 @@ def test_separable_back_evaluation_matches_transform_at(ndim, n_probes):
     # 50 probes in 1-d and a 7 x 7 lattice in 2-d
     box = pl.box_domain((4.0,) * ndim, max_frequency=8.0)
     lattice = pl.box_domain((8.0,) * ndim, max_frequency=4.0)
-    F = pl.fourier_on_lattice(pl.sample_on_box(box, lambda *t: np.exp(-sum(v * v for v in t) / 2.0)), box, lattice)
+    vals = pl.sample_on_box(box, lambda *t: np.exp(-sum(v * v for v in t) / 2.0))
+    image = pl._transform(pl._dense_image(vals), box, lattice)
+    F = image.dense()
     axes = pl.default_probes(box)
-    got = pl._conjugate_on_tensor(F, lattice, axes)
+    got = pl._back_evaluate(image, lattice, axes)
     points = np.stack([c.ravel() for c in np.meshgrid(*axes, indexing="ij")], axis=-1)
     assert got.size == points.shape[0] == n_probes
     want = pl.transform_at(F, lattice.axes, points, sign=+1.0)
     np.testing.assert_allclose(got.ravel(), want, rtol=0, atol=1e-12)
+
+
+EPS = np.finfo(float).eps
+
+
+def _kron_norm(arr, grid):
+    return math.sqrt(np.sum(np.abs(arr.ravel()) ** 2 * grid.weights))
+
+
+def _dense_checks(vals, box, radius):
+    """(time norm, frequency norm, back-evaluation at the default probes) of
+    box samples on the dense route: fourier_on_lattice, kron weights and
+    _axis_apply one axis at a time."""
+    npp = box.axes[0].nodes_per_panel
+    lattice = pl.box_domain((radius,) * box.ndim, max_frequency=max(box.half_widths), nodes_per_panel=npp)
+    F = pl.fourier_on_lattice(vals, box, lattice)
+    back = F
+    for j, (pts, g) in enumerate(zip(pl.default_probes(box), lattice.axes)):
+        back = pl._axis_apply(back, j, pts, g, +1.0)
+    return _kron_norm(vals, box), _kron_norm(F, lattice), back * (2 * math.pi) ** (-box.ndim / 2)
+
+
+def _dense_box_inversion_rhs(vals, box, radius, ts):
+    """rhs of box_inversion_check on the dense route: the dense table
+    contracted with each indicator transform in turn."""
+    npp = box.axes[0].nodes_per_panel
+    lattice = pl.box_domain((radius,) * box.ndim, max_frequency=2 * max(box.half_widths), nodes_per_panel=npp)
+    arr = pl.fourier_on_lattice(vals, box, lattice)
+    for tj, g in zip(ts, lattice.axes):
+        arr = np.tensordot(arr, pl.indicator_hat(tj, g.nodes) * g.weights, axes=([0], [0]))
+    return complex(arr) * (2 * math.pi) ** (-box.ndim / 2)
+
+
+def _fixed_noise(*t):
+    """Full-rank samples keyed on the shape alone, the same at every call."""
+    rng = np.random.default_rng(t[0].shape)
+    return rng.standard_normal(t[0].shape) + 1j * rng.standard_normal(t[0].shape)
+
+
+def _gauss1(t):
+    return np.exp(-(t * t))
+
+
+def _on_mesh(fn):
+    """A source as one callable of all axes: a product multiplies its
+    factors' values."""
+    if not isinstance(fn, tuple):
+        return fn
+    return lambda *t: math.prod(f(x) for f, x in zip(fn, t))
+
+
+# the factored checks' 2-d sources: a product, as one factor per axis; two
+# low-rank callables, factored by _low_rank; and full-rank samples, which
+# keep identity factors
+FACTORED_SOURCES = {
+    "product-gaussian": (_gauss1, _gauss1),
+    "coupled-gaussian": LOW_RANK_SOURCES["coupled-gaussian"],
+    "cos-product": LOW_RANK_SOURCES["cos-product"],
+    "full-rank": _fixed_noise,
+}
+
+# Bounds of the factored checks against the dense route, in eps of the
+# checked quantity; measured at most 0.95 (norms, round-trip errors, lhs)
+# and 5.7 (back-evaluated values and rhs) over the cases below.
+NORM_ULPS = 2.0
+VALUE_ULPS = 8.0
+
+
+def _spy_back_evaluate(monkeypatch):
+    """Keep every back-evaluation mutual_inverse_check makes."""
+    backs, real = [], pl._back_evaluate
+
+    def spy(*args):
+        backs.append(real(*args))
+        return backs[-1]
+
+    monkeypatch.setattr(pl, "_back_evaluate", spy)
+    return backs
+
+
+@pytest.mark.parametrize("nodes_per_panel", [2, 8])
+@pytest.mark.parametrize("name", sorted(FACTORED_SOURCES))
+def test_factored_checks_match_dense_route(name, nodes_per_panel, monkeypatch):
+    # the pinned 2-d geometries of plancherel-norm and mutual-inverse, and
+    # of box-inversion
+    fn, dense_fn = FACTORED_SOURCES[name], _on_mesh(FACTORED_SOURCES[name])
+    box = pl.box_domain([4.0, 4.0], max_frequency=30.0, nodes_per_panel=nodes_per_panel)
+    norm_time, norm_freq, back = _dense_checks(pl.sample_on_box(box, dense_fn), box, 30.0)
+    rep = pl.plancherel_norm_check(fn, box, 30.0)
+    assert abs(rep.norm_time - norm_time) <= NORM_ULPS * EPS * norm_time
+    assert abs(rep.norm_freq - norm_freq) <= NORM_ULPS * EPS * norm_freq
+
+    backs = _spy_back_evaluate(monkeypatch)
+    repm = pl.mutual_inverse_check(fn, box, 30.0)
+    peak = np.max(np.abs(back))
+    assert np.max(np.abs(backs[0] - back)) <= VALUE_ULPS * EPS * peak
+    axes = pl.default_probes(box)
+    err = np.max(np.abs(back - dense_fn(*np.meshgrid(*axes, indexing="ij"))))
+    assert abs(repm.max_abs_err - err) <= NORM_ULPS * EPS * peak
+
+    boxb = pl.box_domain([1.0, 1.0], max_frequency=50.0, nodes_per_panel=nodes_per_panel)
+    ts = (0.5, 0.25)
+    repb = pl.box_inversion_check(fn, boxb, 50.0, ts)
+    lhs_box = product_grid([build_grid(make_interval(0.0, tj), 16, 16) for tj in ts])
+    lhs = integrate(lhs_box, pl.sample_on_box(lhs_box, dense_fn).ravel())
+    rhs = _dense_box_inversion_rhs(pl.sample_on_box(boxb, dense_fn), boxb, 50.0, ts)
+    assert abs(repb.lhs - lhs) <= NORM_ULPS * EPS * abs(lhs)
+    assert abs(repb.rhs - rhs) <= VALUE_ULPS * EPS * abs(rhs)
+
+
+def test_factored_sources_take_their_routes(monkeypatch):
+    # a product never forms the mesh; low-rank callables are factored once;
+    # full-rank samples keep identity factors
+    box = pl.box_domain([4.0, 4.0], max_frequency=30.0, nodes_per_panel=2)
+    with monkeypatch.context() as m:
+        m.setattr(pl, "sample_on_box", _refuse)
+        m.setattr(pl, "_low_rank", _refuse)
+        img, _, F = pl._forward(FACTORED_SOURCES["product-gaussian"], box, 30.0, 4.0)
+    assert img.core.shape == F.core.shape == (1, 1)
+    assert [A.shape[1] for A in F.factors] == [1, 1]
+    ranks = _spy_low_rank(monkeypatch)
+    _, _, F = pl._forward(FACTORED_SOURCES["coupled-gaussian"], box, 30.0, 4.0)
+    assert F.factors[1] is None and F.factors[0].shape[1] == F.core.shape[0] == ranks[0]
+    _, _, F = pl._forward(FACTORED_SOURCES["full-rank"], box, 30.0, 4.0)
+    assert ranks[1] is None and F.factors == (None, None)
+
+
+def test_3d_product_checks_match_column_route(monkeypatch):
+    fn = (_gauss1, lambda t: _gauss1(t - 0.5), lambda t: _gauss1(t) * np.cos(2.0 * t))
+    box = pl.box_domain([2.0] * 3, max_frequency=5.0, nodes_per_panel=4)
+    norm_time, norm_freq, back = _dense_checks(pl.sample_on_box(box, _on_mesh(fn)), box, 5.0)
+    rep = pl.plancherel_norm_check(fn, box, 5.0)
+    assert abs(rep.norm_time - norm_time) <= NORM_ULPS * EPS * norm_time
+    assert abs(rep.norm_freq - norm_freq) <= NORM_ULPS * EPS * norm_freq
+    backs = _spy_back_evaluate(monkeypatch)
+    assert pl.mutual_inverse_check(fn, box, 5.0).n_probes == 64
+    assert np.max(np.abs(backs[0] - back)) <= VALUE_ULPS * EPS * np.max(np.abs(back))
+    boxb = pl.box_domain([1.0] * 3, max_frequency=5.0, nodes_per_panel=4)
+    ts = (0.5, 0.25, 0.75)
+    rhs = _dense_box_inversion_rhs(pl.sample_on_box(boxb, _on_mesh(fn)), boxb, 5.0, ts)
+    assert abs(pl.box_inversion_check(fn, boxb, 5.0, ts).rhs - rhs) <= VALUE_ULPS * EPS * abs(rhs)
+
+
+def test_product_source_needs_one_factor_per_axis():
+    box = pl.box_domain([1.0, 1.0], max_frequency=5.0)
+    for check in (pl.plancherel_norm_check, pl.mutual_inverse_check):
+        with pytest.raises(ValueError, match="one factor per axis"):
+            check((_gauss1,), box, 5.0)
+    with pytest.raises(ValueError, match="one factor per axis"):
+        pl.box_inversion_check((_gauss1,) * 3, box, 5.0, (0.5, 0.5))
