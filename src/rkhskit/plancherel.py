@@ -19,8 +19,11 @@ error is the rounding of its double-precision phases (:func:`_axis_chirp`).
 uniform panels and a cost model fitted to timings of both routes says it is
 cheaper; grids with breakpoints and very small grids stay dense, and the
 dense route is the tests' oracle.  :func:`transform_at` evaluates the dense
-sum at arbitrary points, and :func:`mutual_inverse_check` evaluates the
-same sum on its probe lattice one axis at a time.
+sum at arbitrary points.  :func:`mutual_inverse_check` evaluates the
+conjugate sum on its probe lattice one axis at a time, by the same
+contraction: each probe axis is a grid of one-node panels, so the
+back-evaluation takes the chirp-z route where it pays, as the forward
+transform does.
 
 The checks hold samples and transforms in one factored (Tucker) form,
 :class:`_Image`.  A product source, a tuple of one-argument callables, is
@@ -405,9 +408,16 @@ def _transform(img: _Image, box: ProductGrid, lattice: ProductGrid) -> _Image:
             shape[j] = lattice.axes[j].size
             largest = max(largest, math.prod(shape))
     require_node_cap(largest, lattice.cap)
-    maps = [partial(_axis_contract, dst=dst, src=src, sign=-1.0) for dst, src in zip(lattice.axes, box.axes)]
+    return _contract(img, lattice.axes, box.axes, -1.0)
+
+
+def _contract(img: _Image, dst_axes: Sequence[QuadGrid], src_axes: Sequence[QuadGrid], sign: float) -> _Image:
+    """(2 pi)^(-N/2) times the kernel exp(sign i x t) w(t) contracted along
+    every axis of the image by :func:`_axis_contract`, from the source axes'
+    nodes t to the target axes' nodes x."""
+    maps = [partial(_axis_contract, dst=dst, src=src, sign=sign) for dst, src in zip(dst_axes, src_axes)]
     out = img.map_axes(maps)
-    return _Image(out.core * _TWO_PI ** (-box.ndim / 2.0), out.factors)
+    return _Image(out.core * _TWO_PI ** (-len(maps) / 2.0), out.factors)
 
 
 def fourier_on_lattice(values: np.ndarray, box: ProductGrid, lattice: ProductGrid) -> np.ndarray:
@@ -544,23 +554,28 @@ class MutualInverseReport:
 
 
 def default_probes(box: ProductGrid) -> list:
-    """Per-axis coordinates of a probe lattice strictly inside the box,
-    0.1 a_j away from the edges; the probes are their tensor product, about
-    _N_PROBES of them (7 x 7 in 2-D)."""
+    """Per-axis probe grids strictly inside the box: about _N_PROBES probes
+    in all (7 x 7 in 2-D), k per axis at ``linspace(-0.9 a_j, 0.9 a_j, k)``.
+
+    Each axis is a grid of k equal panels with one Gauss node each, so its
+    nodes are the panel midpoints, the linspace points up to rounding, and
+    the back-evaluation onto it can take the chirp-z route.
+    """
     per_axis = max(2, int(round(_N_PROBES ** (1.0 / box.ndim))))
-    return [
-        np.linspace(-0.9 * a, 0.9 * a, per_axis)
-        for a in box.half_widths
-    ]
+    grids = []
+    for a in box.half_widths:
+        d = 1.8 * a / (per_axis - 1)
+        grids.append(build_grid(make_interval(-0.9 * a - d / 2, 0.9 * a + d / 2), per_axis, 1))
+    return grids
 
 
-def _back_evaluate(F: _Image, lattice: ProductGrid, probe_axes: Sequence[np.ndarray]) -> np.ndarray:
+def _back_evaluate(F: _Image, lattice: ProductGrid, probes: Sequence[QuadGrid]) -> np.ndarray:
     """``transform_at(F, lattice.axes, points, sign=+1)`` at the tensor
-    lattice of the per-axis probe coordinates, one axis at a time: on each
-    factor of the lattice image, or along its core where the factor is the
-    identity.  The result has one axis per probe axis."""
-    maps = [partial(_axis_apply, dst_nodes=pts, src=g, sign=+1.0) for pts, g in zip(probe_axes, lattice.axes)]
-    return F.map_axes(maps).dense() * _TWO_PI ** (-lattice.ndim / 2.0)
+    lattice of the probe grids' nodes, one axis at a time by
+    :func:`_axis_contract`, as :func:`_transform` runs the forward kernel:
+    on each factor of the lattice image, or along its core where the factor
+    is the identity.  The result has one axis per probe axis."""
+    return _contract(F, probes, lattice.axes, +1.0).dense()
 
 
 def mutual_inverse_check(fn: Callable | tuple, box: ProductGrid, radius: float) -> MutualInverseReport:
@@ -570,15 +585,17 @@ def mutual_inverse_check(fn: Callable | tuple, box: ProductGrid, radius: float) 
     The conjugate transform runs over the truncated frequency box, so the
     discrepancy carries the inversion tail (roughly 1/radius scaled by the
     smoothness of f) on top of quadrature error.  It is evaluated one axis
-    at a time, on the transform's factors or along its core, the same sum
-    as :func:`transform_at` at each probe.  f and the frequency box are
-    those of :func:`plancherel_norm_check`; the reference values of a
-    product are products of its factors' values.
+    at a time, on the transform's factors or along its core, by the same
+    per-axis contraction as the forward transform: the chirp-z route onto
+    the probe grids where it pays, else the dense sum of
+    :func:`transform_at`.  f and the frequency box are those of
+    :func:`plancherel_norm_check`; the reference values of a product are
+    products of its factors' values.
     """
     _, lattice, F = _forward(fn, box, radius, max(box.half_widths))
-    axes = default_probes(box)
-    back = _back_evaluate(F, lattice, axes)
-    ref = _sample(fn, axes, BOX_NODE_CAP).dense()
+    probes = default_probes(box)
+    back = _back_evaluate(F, lattice, probes)
+    ref = _sample(fn, [g.nodes for g in probes], BOX_NODE_CAP).dense()
     err = float(np.max(np.abs(back - ref)))
     return MutualInverseReport(radius=radius, n_probes=back.size, max_abs_err=err)
 
