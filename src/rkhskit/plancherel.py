@@ -28,12 +28,10 @@ transform does.
 The checks hold samples and transforms in one factored (Tucker) form,
 :class:`_Image`.  A product source, a tuple of one-argument callables, is
 sampled per axis and its box never meshed; any other source is sampled
-densely, and dense 2-D samples of small numerical rank are factored as
-Q @ B (:func:`_low_rank`, a blocked randomized range finder that stops on
-the exact residual).  A transform contracts each axis's factor columns,
-or the core along an axis without a factor; dense samples that keep
-identity factors so take the column route, one contraction per axis over
-all columns, which is the oracle of the factored one.  Norms, the
+densely on the whole mesh and keeps identity factors.  A transform
+contracts each axis's factor columns, or the core along an axis without a
+factor; dense samples so take the column route, one contraction per axis
+over all columns, which is the oracle of the factored one.  Norms, the
 back-evaluation of :func:`mutual_inverse_check` and the indicator
 contraction of :func:`box_inversion_check` work one axis at a time on the
 factors and then contract the small core; only :func:`fourier_on_lattice`
@@ -95,14 +93,6 @@ _CHUNK_ELEMS = 1 << 22
 # nodes off the uniform-panel model by more than this many ulps of the
 # interval end mean the panels are not uniform
 _UNIFORM_ULPS = 64
-# the low-rank route sketches 2-D samples this many columns at a time, stops
-# once the residual is this far below the samples in Frobenius norm, gives
-# up past this many columns (or an eighth of the shorter side), and updates
-# the residual in row blocks of about this many entries
-_SKETCH_BLOCK = 8
-_SKETCH_FLOOR = 1e-14
-_SKETCH_CAP = 32
-_SKETCH_CHUNK = 1 << 18
 # probes of mutual_inverse_check, spread over the axes by default_probes
 _N_PROBES = 50
 
@@ -262,8 +252,6 @@ def _chirp_pays(P: int, n: int, Q: int, m: int, cols: int) -> bool:
     The per-column term was fitted when the chirp route transformed two
     FFT columns per data column; it now transforms one, so the model
     overstates the chirp cost and keeps borderline axes dense on purpose.
-    The axes of a factored 2-D transform see at most _SKETCH_CAP columns;
-    only full-rank 2-D samples still bring a whole side of columns here.
     """
     L = _fft_len(P + Q - 1)
     dense = 3.5e4 + P * n * Q * m * (44.0 + 0.2 * cols)
@@ -284,49 +272,6 @@ def _axis_contract(arr: np.ndarray, axis: int, dst: QuadGrid, src: QuadGrid, sig
     return _axis_apply(arr, axis, dst.nodes, src, sign)
 
 
-def _frobenius(arr: np.ndarray) -> float:
-    return math.sqrt(np.vdot(arr, arr).real)
-
-
-def _low_rank(arr: np.ndarray):
-    """(Q, B) with orthonormal columns Q and arr = Q @ B up to a residual of
-    at most _SKETCH_FLOOR of arr in Frobenius norm, or None.
-
-    A blocked randomized range finder (Halko, Martinsson & Tropp, SIAM
-    Rev. 53, 2011, in the residual-updating form of Martinsson & Voronin,
-    SIAM J. Sci. Comput. 38, 2016): each block sketches the residual with
-    _SKETCH_BLOCK Gaussian columns, orthogonalizes the sketch against the
-    earlier blocks, and subtracts its projection from the residual.  The
-    stopping test reads that residual itself, so the accuracy does not rest
-    on the random draw; the draw is keyed on the shape, so equal inputs
-    give equal factors.  None for an all-zero array, and when the columns
-    would pass the cap before the residual reaches the floor.
-    """
-    cap = min(_SKETCH_CAP, min(arr.shape) // 8)
-    norm = _frobenius(arr)
-    if cap < _SKETCH_BLOCK or norm == 0.0:
-        return None
-    rng = np.random.default_rng(arr.shape)
-    resid = arr.copy()
-    step = max(1, _SKETCH_CHUNK // arr.shape[1])
-    Q = np.empty((arr.shape[0], 0), dtype=complex)
-    blocks = []
-    while Q.shape[1] < cap:
-        Y = resid @ rng.standard_normal((arr.shape[1], _SKETCH_BLOCK))
-        for _ in range(2):
-            # twice, since a sketch of a residual near the floor keeps the
-            # earlier blocks' rounding, which the first QR can amplify
-            Y = np.linalg.qr(Y - Q @ (Q.conj().T @ Y))[0]
-        B = Y.conj().T @ resid
-        for i in range(0, resid.shape[0], step):
-            resid[i : i + step] -= Y[i : i + step] @ B
-        Q = np.hstack([Q, Y])
-        blocks.append(B)
-        if _frobenius(resid) <= _SKETCH_FLOOR * norm:
-            return Q, np.vstack(blocks)
-    return None
-
-
 @dataclass(frozen=True, eq=False)
 class _Image:
     """Samples or a transform on a box in Tucker form: the array ``core``
@@ -334,8 +279,7 @@ class _Image:
     identity for None (the core's axis j is then the box's).
 
     A product source is a 1 x ... x 1 core with one sampled column per axis,
-    2-D samples factored as Q @ B are core B with factors (Q, None), and
-    dense samples are the core with identity factors.
+    and dense samples are the core with identity factors.
     """
 
     core: np.ndarray
@@ -370,38 +314,32 @@ def _dense_image(arr: np.ndarray) -> _Image:
     return _Image(arr, (None,) * arr.ndim)
 
 
-def _sample(fn: Callable | tuple, coords: Sequence[np.ndarray], cap: int) -> _Image:
-    """The source on the tensor grid of the per-axis coordinates.
+def _sample(fn: Callable | tuple, grid: ProductGrid) -> _Image:
+    """The source on the grid.
 
     A tuple of one-argument callables, one per axis, is their product: a
-    1 x ... x 1 core with one sampled column per axis.  A callable of ndim
-    arguments is sampled on the whole mesh, refused above ``cap`` nodes.
+    1 x ... x 1 core with one sampled column per axis, so the grid is never
+    meshed.  A callable of ndim arguments is :func:`sample_on_box`, refused
+    above the grid's cap.
     """
     if isinstance(fn, tuple):
-        if len(fn) != len(coords):
+        if len(fn) != grid.ndim:
             raise ValueError("a product source needs one factor per axis")
-        cols = tuple(np.asarray(f(x), dtype=complex).reshape(x.size, 1) for f, x in zip(fn, coords))
+        cols = tuple(np.asarray(f(g.nodes), dtype=complex).reshape(g.size, 1) for f, g in zip(fn, grid.axes))
         return _Image(np.ones((1,) * len(cols), dtype=complex), cols)
-    require_node_cap(math.prod(x.size for x in coords), cap)
-    return _dense_image(np.asarray(fn(*np.meshgrid(*coords, indexing="ij")), dtype=complex))
+    return _dense_image(sample_on_box(grid, fn))
 
 
 def _transform(img: _Image, box: ProductGrid, lattice: ProductGrid) -> _Image:
     """Truncated transform of a box image, tabulated on the lattice as an
     image of the same form.
 
-    Dense 2-D samples that :func:`_low_rank` factors as Q @ B are taken as
-    core B with factor Q first.  Each axis then contracts its factor's
-    columns, or the core along that axis where the factor is the identity:
-    the column route of dense samples is the all-identity case.  Each such
-    contraction leaves a dense core with the lattice's length along that
-    axis; when the largest of them would pass the lattice's cap, nothing is
-    formed.
+    Each axis contracts its factor's columns, or the core along that axis
+    where the factor is the identity: the column route of dense samples is
+    the all-identity case.  Each such contraction leaves a dense core with
+    the lattice's length along that axis; when the largest of them would
+    pass the lattice's cap, nothing is formed.
     """
-    if box.ndim == 2 and all(A is None for A in img.factors):
-        qb = _low_rank(img.core)
-        if qb is not None:
-            img = _Image(qb[1], (qb[0], None))
     shape, largest = list(img.core.shape), 0
     for j, A in enumerate(img.factors):
         if A is None:
@@ -424,15 +362,11 @@ def fourier_on_lattice(values: np.ndarray, box: ProductGrid, lattice: ProductGri
     """Truncated Fourier transform of box samples, tabulated on the lattice.
 
     (2 pi)^(-N/2) * integral over the box of f(t) exp(-i t.x) dt, one kernel
-    contraction per axis.  2-D samples that :func:`_low_rank` factors as
-    Q @ B are contracted through their k factor columns, Q along axis 0 and
-    B along axis 1, and the table is the product of the two; other 2-D
-    samples, and 1-D and 3-D ones, are contracted column by column.  The
-    lattice's node cap bounds the table.
+    contraction per axis over all columns.  The lattice's node cap bounds
+    the table.
     """
     if lattice.ndim != box.ndim:
         raise ValueError("lattice and box dimensions differ")
-    lattice.require_dense()
     arr = np.asarray(values, dtype=complex).reshape(box.shape)
     return _transform(_dense_image(arr), box, lattice).dense()
 
@@ -491,7 +425,7 @@ def _forward(fn: Callable | tuple, box: ProductGrid, radius: float, rate: float)
             f"box resolves frequencies up to {box.max_frequency:g}, "
             f"below the requested radius {radius:g}"
         )
-    img = _sample(fn, [g.nodes for g in box.axes], box.cap)
+    img = _sample(fn, box)
     lattice = box_domain(
         (radius,) * box.ndim, max_frequency=rate, nodes_per_panel=box.axes[0].nodes_per_panel
     )
@@ -595,7 +529,7 @@ def mutual_inverse_check(fn: Callable | tuple, box: ProductGrid, radius: float) 
     _, lattice, F = _forward(fn, box, radius, max(box.half_widths))
     probes = default_probes(box)
     back = _back_evaluate(F, lattice, probes)
-    ref = _sample(fn, [g.nodes for g in probes], BOX_NODE_CAP).dense()
+    ref = _sample(fn, ProductGrid(tuple(probes), cap=BOX_NODE_CAP)).dense()
     err = float(np.max(np.abs(back - ref)))
     return MutualInverseReport(radius=radius, n_probes=back.size, max_abs_err=err)
 
@@ -636,12 +570,12 @@ def box_inversion_check(
             raise ValueError("t must lie strictly inside the positive box")
 
     _, lattice, F = _forward(fn, box, radius, 2.0 * max(box.half_widths))
-    grids = [build_grid(make_interval(0.0, tj), 16, 16) for tj in ts]
-    src = _sample(fn, [g.nodes for g in grids], BOX_NODE_CAP)
+    grid = ProductGrid(tuple(build_grid(make_interval(0.0, tj), 16, 16) for tj in ts), cap=BOX_NODE_CAP)
+    src = _sample(fn, grid)
     if any(A is None for A in src.factors):
-        lhs = integrate(product_grid(grids, cap=BOX_NODE_CAP), src.core.ravel())
+        lhs = integrate(grid, src.core.ravel())
     else:
-        lhs = math.prod(integrate(g, A[:, 0]) for g, A in zip(grids, src.factors))
+        lhs = math.prod(integrate(g, A[:, 0]) for g, A in zip(grid.axes, src.factors))
 
     # each axis integrates against its weighted indicator transform, a 1 x n row
     maps = [
