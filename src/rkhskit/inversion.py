@@ -13,10 +13,12 @@ W = little-l2 over an index set.
 :func:`invert_at` and :func:`generalized_invert_at` take one point or a 1-D
 array of points.  A transformation sequence maps the whole feature matrix
 at every point of the batch in one call, and all kernel sections of the
-batch come from one solve with the Gram factor; the pairing with the image
-and the coarse-basis residual are per-point :func:`~rkhskit.transforms.opr_inner`
-calls on the span coefficients, summed by ``fsum_complex`` because
-coefficients over a near-singular Gram cancel there.
+batch come from one solve with the Gram factor.  The pairing with the
+image and the coarse-basis residual are :func:`~rkhskit.transforms.opr_inner`
+on the span coefficients, every point of the batch in one correctly
+rounded stacked sum (``numerics.fsum_rows``), because coefficients over a
+near-singular Gram cancel there; each point keeps the bits of its own
+``opr_inner`` call.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .transforms import (
     FeatureMap,
     SpanBasis,
     TransformImage,
-    opr_inner,
+    _opr_inner_rows,
     project_span,
 )
 
@@ -84,10 +86,10 @@ def _pair_with_sections(
     image: TransformImage, basis: SpanBasis, D: np.ndarray, scalar: bool
 ) -> complex | np.ndarray:
     """Project the image onto the span once and pair its coefficients with
-    each column of section coefficients D by :func:`~rkhskit.transforms.opr_inner`."""
-    c = project_span(image.raw, basis)
-    vals = [opr_inner(basis, c, d) for d in D.T]
-    return vals[0] if scalar else np.array(vals, dtype=complex)
+    each column of section coefficients D by :func:`~rkhskit.transforms.opr_inner`,
+    all columns in one stacked sum."""
+    vals = _opr_inner_rows(basis, project_span(image.raw, basis), D.T)
+    return complex(vals[0]) if scalar else vals
 
 
 def invert_at(image: TransformImage, t, basis: SpanBasis) -> complex | np.ndarray:
@@ -110,10 +112,9 @@ def invert_at(image: TransformImage, t, basis: SpanBasis) -> complex | np.ndarra
     ts, scalar = _batch(t)
     B = np.array([[complex(k(x, s)) for s in ts] for x in basis.points])
     D = basis.solve(B)
-    for s, d in zip(ts, D.T):
+    for s, proj_sq in zip(ts, _opr_inner_rows(basis, D.T, D.T).real.tolist()):
         ktt = complex(k(s, s)).real
         if ktt > 0.0:
-            proj_sq = opr_inner(basis, d, d).real
             resid = math.sqrt(max(ktt - proj_sq, 0.0))
             if resid > 1e-3 * math.sqrt(ktt):
                 warnings.warn(f"basis too coarse for t={s!r}", RuntimeWarning, stacklevel=2)

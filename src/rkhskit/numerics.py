@@ -22,11 +22,13 @@ pay for them.  Its node cap is enforced where a dense array over it is
 formed (:meth:`ProductGrid.require_dense`); :func:`product_grid` also
 refuses a grid above its cap at once.
 
-Scalar pairings are summed by :func:`fsum_complex`, the correctly rounded
-sum of each part (``math.fsum``), which does not depend on the order of
-the terms, so repeated runs agree bit for bit.  Long parts first go
-through vectorized error-free extraction, which reduces them without
-error to a few terms of the same exact sum; ``math.fsum`` rounds that.
+Scalar pairings are summed by :func:`fsum_rows`, the correctly rounded
+sum of each part of each row of a stack (``math.fsum``), which does not
+depend on the order of the terms or on the other rows, so repeated runs
+agree bit for bit; :func:`fsum_complex` is its one-row case.  A stack of
+pairings is one call: tiles of rows first go through vectorized
+error-free extraction, which reduces them without error to a few terms
+of the same exact sums; ``math.fsum`` rounds those.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ __all__ = [
     "inner_weighted_matrix",
     "norm_weighted",
     "fsum_complex",
+    "fsum_rows",
     "panels_for_oscillation",
     "cumulative_integral",
     "derivative_values",
@@ -296,12 +299,12 @@ class ProductGrid:
     @cached_property
     def weights(self) -> np.ndarray:
         self.require_dense()
-        return _frozen(reduce(np.kron, [g.weights for g in self.axes]))
+        return _frozen(reduce(np.multiply.outer, [g.weights for g in self.axes]).ravel())
 
     @cached_property
     def rho_at_nodes(self) -> np.ndarray:
         self.require_dense()
-        return _frozen(reduce(np.kron, [g.rho_at_nodes for g in self.axes]))
+        return _frozen(reduce(np.multiply.outer, [g.rho_at_nodes for g in self.axes]).ravel())
 
     def compatible_with(self, other: object) -> bool:
         if self is other:
@@ -351,59 +354,111 @@ def sample(grid: QuadGrid, fn: Callable) -> HVector:
     return HVector(grid, fn(grid.nodes))
 
 
-_FSUM_CUTOFF = 300  # parts shorter than this go to math.fsum whole (measured crossover)
-_FSUM_BLOCK = 1 << 14  # terms per extraction block, which bounds the temporaries
-_FSUM_LEVELS = 3  # extraction levels per block before its remainders go to math.fsum
+_FSUM_CUTOFF = 800  # tiles of fewer real terms go to math.fsum part by part (measured crossover)
+_FSUM_BLOCK = 1 << 14  # real terms per extraction tile, which bounds the temporaries
+_FSUM_LEVELS = 3  # extraction levels per tile before its remainders go to math.fsum
 _FSUM_HUGE = 2.0 ** 900  # from here up (and for inf, nan) math.fsum takes the whole part
 
 
-def _fsum_real(part: np.ndarray) -> float:
-    """``math.fsum(part)``, with long parts first reduced, without error, to
-    a few terms of the same exact sum.
+def _extract_rows(parts: np.ndarray) -> list:
+    """The terms of each row of ``parts``, a real (..., n) array whose
+    leading axes index the rows, as a list of floats with the same exact
+    sum, one list per row in C order: a few terms left by error-free
+    extraction, or the row itself where ``math.fsum`` takes it whole (a
+    tile of fewer than ``_FSUM_CUTOFF`` terms, and a row with a non-finite
+    term or one of 2^900 or more, whose exceptions ``math.fsum`` raises).
 
-    Each block takes ExtractVector (Rump, Ogita and Oishi, Accurate
-    floating-point summation part I, SIAM J. Sci. Comput. 31(1), 2008):
-    with ``|x| < 2^e`` and ``sigma = 2^(e + M)``, ``2^M >= len + 2``, the high
-    parts ``q = (sigma + x) - sigma`` are multiples of ``2^-53 sigma``
-    whose sum stays below ``sigma``, so ``sum(q)`` is exact in any order,
-    and so is ``x - q``.  Each level shrinks the remainders by ``2^(M - 53)``.
+    A row is taken in blocks of at most ``_FSUM_BLOCK`` terms, and each
+    block in up to ``_FSUM_LEVELS`` levels of ExtractVector (Rump, Ogita and
+    Oishi, Accurate floating-point summation part I, SIAM J. Sci. Comput.
+    31(1), 2008): with ``sigma`` a power of two, ``|x| <= 2^-M sigma`` and
+    ``2^M >= n + 2``, the high parts ``q = (sigma + x) - sigma`` are
+    multiples of ``2^-53 sigma`` whose sum along a row stays below
+    ``sigma``, so ``sum(q)`` is exact in any order, and so is the remainder
+    ``x - q``, which is at most ``2^-53 sigma``: the next level takes
+    ``2^(M - 53) sigma``.  The first ``sigma`` is ``2^(e + M)`` for the
+    largest term of the block, ``|x| < 2^e``.  One ``sigma`` serves every
+    row, so each pass takes a scalar; a row far below the largest term is
+    reached at a later level, or keeps its terms as remainders.  The
+    levels stop once every remainder is zero.
     """
-    if part.size < _FSUM_CUTOFF:
-        return math.fsum(part)
-    heads: list[float] = []
-    x = np.empty(min(part.size, _FSUM_BLOCK))
+    n = parts.shape[-1]
+    lead = parts.shape[:-1]
+    count = math.prod(lead)
+    if parts.size < _FSUM_CUTOFF:
+        return parts.reshape(count, n).tolist()
+    width = min(n, _FSUM_BLOCK)
+    x = np.empty(lead + (width,))
     q = np.empty_like(x)
-    for start in range(0, part.size, _FSUM_BLOCK):
-        block = part[start:start + _FSUM_BLOCK]
-        xb, qb = x[:block.size], q[:block.size]
-        xb[...] = block
-        shift = (block.size + 1).bit_length()  # ceil(log2(len + 2))
+    rows: list = [[] for _ in range(count)]
+    whole: set = set()
+    for start in range(0, n, width):
+        xb, qb = x[..., :n - start], q[..., :n - start]
+        xb[...] = parts[..., start:start + width]
         m = max(xb.max(), -xb.min())
         if not m < _FSUM_HUGE:
-            # non-finite or near overflow: math.fsum's own exceptions and
-            # order-dependent intermediate overflow
-            return math.fsum(part)
-        for _ in range(_FSUM_LEVELS):
-            if m == 0:
-                break
-            sigma = math.ldexp(1.0, math.frexp(m)[1] + shift)
+            # math.fsum's own exceptions and order-dependent intermediate overflow
+            bad = ~(np.abs(xb, out=qb).max(axis=-1) < _FSUM_HUGE)
+            xb[bad] = 0.0
+            whole.update(np.flatnonzero(bad).tolist())
+            m = max(xb.max(), -xb.min())
+        if m == 0:
+            continue
+        shift = (xb.shape[-1] + 1).bit_length()  # M = ceil(log2(n + 2))
+        sigma = math.ldexp(1.0, math.frexp(m)[1] + shift)
+        heads = np.zeros((_FSUM_LEVELS,) + lead)
+        for level in heads:
             np.add(xb, sigma, out=qb)
             qb -= sigma
-            heads.append(float(qb.sum()))
+            qb.sum(axis=-1, out=level)
             xb -= qb
-            m = max(xb.max(), -xb.min())
-        if m:
-            heads.extend(xb[xb != 0].tolist())
-    return math.fsum(heads)
+            kept = xb != 0
+            if not kept.any():
+                break
+            sigma = math.ldexp(sigma, shift - 53)
+        else:
+            rem, kept = xb.reshape(count, -1), kept.reshape(count, -1)
+            for i in np.flatnonzero(kept.any(axis=1)).tolist():
+                rows[i] += rem[i][kept[i]].tolist()
+        for row, h in zip(rows, heads.reshape(_FSUM_LEVELS, count).T.tolist()):
+            row += h
+    for i in whole:
+        rows[i] = parts.reshape(count, n)[i].tolist()
+    return rows
+
+
+def fsum_rows(terms) -> np.ndarray:
+    """Correctly rounded sum of each row of an (R, N) stack of complex terms.
+
+    Row r of the result is exactly ``complex(math.fsum(re_r), math.fsum(im_r))``,
+    so it depends neither on the order of the terms nor on the other rows.
+    Short rows are summed in tiles of at most ``_FSUM_BLOCK`` real terms,
+    the real and imaginary parts of a tile's rows one vectorized error-free
+    extraction (:func:`_extract_rows`); a longer row takes its two parts
+    one by one, in blocks.  Tiles of fewer than ``_FSUM_CUTOFF`` real
+    terms, and parts with a non-finite term or one of 2^900 or more, go to
+    ``math.fsum`` whole, which raises its own exceptions.
+    """
+    arr = np.ascontiguousarray(terms, dtype=complex)
+    if arr.ndim != 2:
+        raise ValueError("terms must be an (R, N) stack")
+    n_rows, n = arr.shape
+    # parts[r, k]: the real (k = 0) and the imaginary (k = 1) part of row r
+    parts = arr.view(float).reshape(n_rows, n, 2).transpose(0, 2, 1)
+    if 2 * n <= _FSUM_BLOCK:
+        step = _FSUM_BLOCK // max(2 * n, 1)
+        tiles = [parts[lo:lo + step] for lo in range(0, n_rows, step)]
+    else:
+        tiles = [parts[r:r + 1, k:k + 1] for r in range(n_rows) for k in (0, 1)]
+    sums = [math.fsum(row) for tile in tiles for row in _extract_rows(tile)]
+    return np.array(sums, dtype=float).view(complex)
 
 
 def fsum_complex(terms: np.ndarray) -> complex:
     """Correctly rounded sum of complex terms, part by part: exactly
     ``complex(math.fsum(re), math.fsum(im))``, so it does not depend on the
-    order of the terms.  Long parts are first reduced by vectorized
-    error-free extraction (:func:`_fsum_real`)."""
-    arr = np.asarray(terms, dtype=complex).ravel()
-    return complex(_fsum_real(arr.real), _fsum_real(arr.imag))
+    order of the terms.  The one-row case of :func:`fsum_rows`."""
+    return complex(fsum_rows(np.asarray(terms, dtype=complex).reshape(1, -1))[0])
 
 
 def _require_same_grid(f: HVector, g: HVector) -> None:
@@ -428,11 +483,21 @@ def inner_weighted(f: HVector, g: HVector) -> complex:
     """Weighted inner product sum_i f_i conj(g_i) rho_i w_i.
 
     Conjugate-linear in the second argument.  Summed by
-    :func:`fsum_complex`, correctly rounded, so repeated runs agree bit
+    :func:`fsum_rows`, correctly rounded, so repeated runs agree bit
     for bit.
     """
     _require_same_grid(f, g)
-    return fsum_complex(f.values * np.conj(g.values) * (f.grid.rho_at_nodes * f.grid.weights))
+    return complex(_inner_weighted_rows(f.grid, f.values, g.values)[0])
+
+
+def _inner_weighted_rows(grid: QuadGrid | ProductGrid, rows, others) -> np.ndarray:
+    """Entry i is :func:`inner_weighted` of ``rows[i]`` and ``others[i]``
+    (complex node values, (R, N) each, or one vector (N,) paired with every
+    row of the other), each entry formed and summed as the single pairing
+    is."""
+    terms = rows * np.conj(others)
+    terms *= grid.rho_at_nodes * grid.weights  # real weights: in place keeps the bits
+    return fsum_rows(terms.reshape(-1, grid.size))
 
 
 def inner_weighted_matrix(grid: QuadGrid | ProductGrid, rows, others) -> np.ndarray:

@@ -390,7 +390,7 @@ def tensor_feature(maps: Sequence[FeatureMap]) -> FeatureMap:
         xs = tuple(xs)
         if len(xs) != len(ms):
             raise ValueError("arity mismatch: point length must equal factor count")
-        return reduce(np.kron, [m.feature(x).values for m, x in zip(ms, xs)])
+        return reduce(np.multiply.outer, [m.feature(x).values for m, x in zip(ms, xs)]).ravel()
 
     closed = None
     if all(m.closed_kernel is not None for m in ms):

@@ -12,11 +12,16 @@ An element of that span is its coefficient array over a :class:`SpanBasis`,
 and :func:`opr_inner` pairs two such arrays through the Gram matrix.  The
 Gram matrix, projections and span combinations are each one matrix product
 over the basis features, and :meth:`TransformImage.at_many` evaluates an
-image at many points the same way.  ``fsum_complex``, the correctly
-rounded sum (long sums by vectorized error-free extraction), stays in the
-single pairings (:meth:`TransformImage.at`, :func:`kernel_eval`), the
-oracles of the batched calls, and in :func:`opr_inner`, where coefficients
-over a near-singular Gram cancel.
+image at many points the same way.  The correctly rounded sum
+(``numerics.fsum_rows``) stays in the single pairings
+(:meth:`TransformImage.at`, :func:`kernel_eval`), the oracles of the
+batched calls, and in :func:`opr_inner` and :func:`contraction_check`,
+where coefficients over a near-singular Gram cancel.  Their row forms
+(``_opr_inner_rows``, ``_contraction_rows``) form every pairing of a stack
+exactly as the single call does and sum the stack in one call, so each
+pairing keeps the single call's bits; ``_contraction_rows`` projects the
+whole stack in one matrix product, which may round differently from the
+one-vector product.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import HVector, fsum_complex, inner_weighted, inner_weighted_matrix
+from .numerics import HVector, _inner_weighted_rows, fsum_rows, inner_weighted, inner_weighted_matrix
 
 __all__ = [
     "FeatureMap",
@@ -44,7 +49,7 @@ __all__ = [
 ]
 
 RIDGE_SCALE = 1e-10
-_EVAL_BLOCK = 1 << 15  # feature entries stacked per block in TransformImage.at_many
+_EVAL_BLOCK = 1 << 15  # entries stacked per block: features in at_many, pairing terms in _opr_inner_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +132,7 @@ class TransformImage:
     raw: HVector
 
     def at(self, x) -> complex:
-        """Value at one point, summed exactly by ``fsum_complex``."""
+        """Value at one point, summed exactly (correctly rounded)."""
         return inner_weighted(self.raw, self.phi.feature(x))
 
     def at_many(self, points) -> np.ndarray:
@@ -166,7 +171,14 @@ def project_span(f: HVector, basis: SpanBasis) -> np.ndarray:
     """Ridge-regularized coefficients of the projection of f onto the span."""
     if not f.grid.compatible_with(basis.phi.grid):
         raise ValueError("vectors live on different grids")
-    return basis.solve(inner_weighted_matrix(f.grid, f.values, basis.features))
+    return _project_rows(basis, f.values)
+
+
+def _project_rows(basis: SpanBasis, rows) -> np.ndarray:
+    """:func:`project_span` of each row of (R, N) node values on the basis
+    grid, (R, m), in one matrix product and one solve; one vector (N,)
+    gives its (m,) coefficients."""
+    return basis.solve(inner_weighted_matrix(basis.phi.grid, rows, basis.features).T).T
 
 
 def opr_inner(basis: SpanBasis, c, d) -> complex:
@@ -180,7 +192,22 @@ def opr_inner(basis: SpanBasis, c, d) -> complex:
     d = np.asarray(d, dtype=complex)
     if c.shape != (basis.size,) or d.shape != (basis.size,):
         raise ValueError("coefficient length must match basis size")
-    return fsum_complex(np.conj(d)[:, None] * basis.gram * c[None, :])
+    return complex(_opr_inner_rows(basis, c, d)[0])
+
+
+def _opr_inner_rows(basis: SpanBasis, cs, ds) -> np.ndarray:
+    """Entry i is :func:`opr_inner` of ``cs[i]`` and ``ds[i]`` (coefficient
+    arrays, (R, m) each, or one array (m,) paired with every row of the
+    other), each entry formed and summed as the single pairing is, in
+    blocks of at most ``_EVAL_BLOCK`` terms."""
+    cs, ds = np.broadcast_arrays(np.atleast_2d(cs), np.atleast_2d(ds))
+    m2 = basis.gram.size
+    per = max(1, _EVAL_BLOCK // m2)
+    out = np.empty(len(cs), dtype=complex)
+    for lo in range(0, len(cs), per):
+        terms = np.conj(ds[lo:lo + per])[:, :, None] * basis.gram * cs[lo:lo + per, None, :]
+        out[lo:lo + per] = fsum_rows(terms.reshape(-1, m2))
+    return out
 
 
 @dataclass(frozen=True)
@@ -196,7 +223,21 @@ def contraction_check(f: HVector, basis: SpanBasis) -> ContractionReport:
     slack = norm_source - norm_image is nonnegative up to ridge and
     rounding, and vanishes exactly when f lies in the span of the features.
     """
-    c = project_span(f, basis)
-    norm_source = math.sqrt(max(inner_weighted(f, f).real, 0.0))
-    norm_image = math.sqrt(max(opr_inner(basis, c, c).real, 0.0))
-    return ContractionReport(norm_source, norm_image, norm_source - norm_image)
+    if not f.grid.compatible_with(basis.phi.grid):
+        raise ValueError("vectors live on different grids")
+    return _contraction_rows(basis, f.values)[0]
+
+
+def _contraction_rows(basis: SpanBasis, rows) -> list:
+    """:func:`contraction_check` of each row of (R, N) node values on the
+    basis grid, or of one vector (N,): one projection product and solve,
+    and one stacked exact sum for each norm."""
+    c = _project_rows(basis, rows)
+    sq_source = _inner_weighted_rows(basis.phi.grid, rows, rows).real.tolist()
+    sq_image = _opr_inner_rows(basis, c, c).real.tolist()
+    reports = []
+    for s, i in zip(sq_source, sq_image):
+        norm_source = math.sqrt(max(s, 0.0))
+        norm_image = math.sqrt(max(i, 0.0))
+        reports.append(ContractionReport(norm_source, norm_image, norm_source - norm_image))
+    return reports

@@ -2,7 +2,8 @@
 
 Each test runs its scenario at the documented default parameters, requires
 every check record to pass at the pinned tolerance, and enforces the
-runtime budget.  The printed line per criterion shows the worst margin.
+runtime budget: about 5x the slowest of eight runs under pytest, and at
+least 0.05 s.  The printed line per criterion shows the worst margin.
 """
 
 import os
@@ -24,7 +25,7 @@ def _run(name, budget_s, label):
     )
     status = "PASS" if not failed else "FAIL"
     print(f"acceptance {label}: {status} ({len(rep.records)} records, "
-          f"worst margin {worst:+.3e}, {elapsed:.2f}s)")
+          f"worst margin {worst:+.3e}, {elapsed:.3f}s)")
     assert not failed, [f"{r.name}: {r.measured} vs {r.expected} (tol {r.tolerance})" for r in failed]
     assert elapsed < budget_s, f"{name} took {elapsed:.1f}s, budget {budget_s}s"
     return rep
@@ -32,35 +33,35 @@ def _run(name, budget_s, label):
 
 def test_01_reproducing_property():
     # kernel sections evaluate members pointwise, two weights x two windows
-    _run("reproducing", 0.5, "01 reproducing property")
+    _run("reproducing", 0.06, "01 reproducing property")
 
 
 def test_02_isometry_of_indefinite_transform():
-    _run("isometry", 0.5, "02 isometry")
+    _run("isometry", 0.05, "02 isometry")
 
 
 def test_03_contraction_and_equality_case():
-    _run("contraction", 0.5, "03 contraction")
+    _run("contraction", 0.11, "03 contraction")
 
 
 def test_04_kernel_identities():
-    _run("kernels", 0.2, "04 kernel identities")
+    _run("kernels", 0.1, "04 kernel identities")
 
 
 def test_05_sine_product_integral_identity():
-    _run("sinc", 0.2, "05 sinc identity")
+    _run("sinc", 0.17, "05 sinc identity")
 
 
 def test_06_span_inversion_round_trip():
-    _run("inversion", 0.5, "06 inversion")
+    _run("inversion", 0.05, "06 inversion")
 
 
 def test_07_generalized_inversion_primitives():
-    _run("generalized-inversion", 0.5, "07 generalized inversion")
+    _run("generalized-inversion", 0.05, "07 generalized inversion")
 
 
 def test_08_orthonormal_coefficients():
-    _run("cons", 0.5, "08 orthonormal coefficients")
+    _run("cons", 0.05, "08 orthonormal coefficients")
 
 
 def test_09_plancherel_at_desk_scale():
@@ -87,3 +88,12 @@ def test_10_verification_is_deterministic():
     assert first.returncode == 0, first.stderr.decode()[-2000:]
     assert second.returncode == 0
     assert identical
+
+
+def test_11_tensor_products_factor():
+    # transforms and kernels of a product of Paley-Wiener maps factor
+    _run("tensor", 0.07, "11 tensor products")
+
+
+def test_12_restriction_to_a_window_is_isometric():
+    _run("restriction", 0.05, "12 restriction isometry")

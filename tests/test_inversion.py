@@ -10,7 +10,7 @@ import pytest
 from rkhskit import inversion as inv
 from rkhskit.numerics import HVector, build_grid, cumulative_integral, inner_weighted, make_interval, sample
 from rkhskit.spaces import PaleyWienerSpace, SobolevSpace
-from rkhskit.transforms import build_span_basis, span_combination, transform
+from rkhskit.transforms import build_span_basis, opr_inner, project_span, span_combination, transform
 
 
 @pytest.fixture
@@ -223,6 +223,36 @@ def test_batched_generalized_inversion_matches_points(pw_setup):
     ]
     for seq, ts in cases:
         _assert_batch_matches_points(lambda t: inv.generalized_invert_at(seq, image, t, basis), ts)
+
+
+def test_batched_pairing_and_residual_are_the_single_pairings_bit_for_bit(sobolev_setup, monkeypatch):
+    # every point's value and coarse-basis residual is its own opr_inner
+    # call on the batch's section coefficients, bit for bit
+    space, fm, basis = sobolev_setup
+    coeffs = np.random.default_rng(3).standard_normal(basis.size) - 0.7j
+    image = transform(span_combination(basis, coeffs), fm)
+    ts = np.linspace(-0.97, 0.97, 23)
+    D = basis.solve(np.array([[complex(fm.closed_kernel(x, t)) for t in ts] for x in basis.points]))
+    c = project_span(image.raw, basis)
+
+    def hexes(values):
+        return [(complex(z).real.hex(), complex(z).imag.hex()) for z in values]
+
+    assert hexes(inv._pair_with_sections(image, basis, D, False)) == hexes(opr_inner(basis, c, d) for d in D.T)
+    residuals = []
+    real_rows = inv._opr_inner_rows
+
+    def spy(basis_, cs, ds):
+        out = real_rows(basis_, cs, ds)
+        residuals.append(out)
+        return out
+
+    monkeypatch.setattr(inv, "_opr_inner_rows", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = inv.invert_at(image, ts, basis)
+    assert hexes(residuals[0]) == hexes(opr_inner(basis, d, d) for d in D.T)
+    assert hexes(got) == hexes(opr_inner(basis, c, d) for d in D.T)
 
 
 def test_batched_invert_at_warns_for_the_off_basis_point(sobolev_setup):

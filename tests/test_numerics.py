@@ -17,7 +17,9 @@ from rkhskit.numerics import (
     build_grid,
     cumulative_integral,
     derivative_values,
+    _inner_weighted_rows,
     fsum_complex,
+    fsum_rows,
     inner_weighted,
     integrate,
     make_interval,
@@ -174,13 +176,15 @@ def _assert_fsum_complex_is_math_fsum(terms) -> None:
     assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
+# real terms per tile: one row of n complex terms is a tile of 2n
 _CUT, _BLOCK = numerics._FSUM_CUTOFF, numerics._FSUM_BLOCK
 
 
 @settings(max_examples=200)
 @given(
     length=st.sampled_from(
-        [0, 1, _CUT - 1, _CUT, _CUT + 1, 1000, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]
+        [0, 1, _CUT // 2 - 1, _CUT // 2, _CUT - 1, _CUT, _CUT + 1, 1000, _BLOCK // 2 + 1, _BLOCK - 1, _BLOCK,
+         _BLOCK + 1, 3 * _BLOCK + 5]
     ),
     span=st.integers(0, 1000),
     top=st.integers(-1000, 1020),
@@ -226,7 +230,7 @@ def test_fsum_complex_keeps_the_remainders_of_wide_parts():
     _assert_fsum_complex_is_math_fsum(terms + 1j * terms[::-1])
 
 
-@pytest.mark.parametrize("length", [_CUT, 1000, _BLOCK + 1])
+@pytest.mark.parametrize("length", [300, _CUT // 2, _CUT, 1000, _BLOCK + 1])
 def test_fsum_complex_extracts_exactly_down_to_subnormals(length):
     # every term below 2^-950, most of them subnormal, half cancelling: the
     # extraction levels run with sigma in and near the subnormal range,
@@ -239,7 +243,7 @@ def test_fsum_complex_extracts_exactly_down_to_subnormals(length):
     _assert_fsum_complex_is_math_fsum(vals[:length] + 1j * vals[length:])
 
 
-@pytest.mark.parametrize("length", [3, _CUT + 1, 2 * _BLOCK + 3])
+@pytest.mark.parametrize("length", [3, 301, _CUT // 2 + 1, _CUT + 1, 2 * _BLOCK + 3])
 @pytest.mark.parametrize("part", ["real", "imag"])
 @pytest.mark.parametrize(
     "tail",
@@ -258,6 +262,90 @@ def test_fsum_complex_keeps_math_fsum_for_non_finite_and_huge_terms(tail, part, 
     terms = np.zeros(length, dtype=complex)
     setattr(terms, part, np.concatenate([np.linspace(-1.0, 2.0, length - len(tail)), tail]))
     _assert_fsum_complex_is_math_fsum(terms)
+
+
+def _assert_rows_are_math_fsum(terms) -> None:
+    # the oracle is each row on its own: the per-element math.fsum of its
+    # parts, bit for bit, or the exception of the first part that raises
+    want, raised = [], None
+    for row in terms:
+        try:
+            want.append(complex(math.fsum(row.real.tolist()), math.fsum(row.imag.tolist())))
+        except (ValueError, OverflowError) as exc:
+            raised = type(exc)
+            break
+    if raised is not None:
+        with pytest.raises(raised):
+            fsum_rows(terms)
+        return
+    got = fsum_rows(terms)
+    assert got.shape == (len(terms),) and got.dtype == complex
+    hexes = [(z.real.hex(), z.imag.hex()) for z in got.tolist()]
+    assert hexes == [(z.real.hex(), z.imag.hex()) for z in want]
+
+
+# complex terms per row: below and at the one-row cutoff, rows that share a
+# tile (and split across tiles: a tile holds _BLOCK // (2 * length) rows),
+# the longest paired rows, rows summed part by part, and rows in two blocks
+_ROW_LENGTHS = [0, 1, 2, 20, _CUT // 2 - 1, _CUT // 2, 300, 1000, _BLOCK // 2, _BLOCK // 2 + 1, _BLOCK + 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.integers(1, 40),
+    length=st.sampled_from(_ROW_LENGTHS),
+    span=st.integers(0, 600),
+    special=st.sampled_from([None, "inf", "-inf", "nan", "huge", "inf-inf", "overflow"]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_fsum_rows_is_math_fsum_row_by_row(rows, length, span, special, seed):
+    # rows centred anywhere in 2^-600..2^600, each spread over up to 2^600
+    # below its top, reaching into the subnormals; some rows all zero; one
+    # row may carry a non-finite or near-overflow term, which sends that
+    # part alone to math.fsum
+    rng = np.random.default_rng(seed)
+    if length > _BLOCK // 4:
+        rows = 1 + rows % 3
+    tops = rng.integers(-600, 601, size=(rows, 1, 1))
+    exps = np.maximum(tops - rng.integers(0, span + 1, size=(rows, 2, length)), -1080).astype(float)
+    vals = rng.standard_normal((rows, 2, length)) * np.exp2(exps)
+    vals[rng.random(rows) < 0.2] = 0.0
+    if special is not None and length:
+        r, part = rng.integers(rows), rng.integers(2)
+        tail = {
+            "inf": [math.inf],
+            "-inf": [-math.inf],
+            "nan": [math.nan],
+            "huge": [2.0 ** 950, 1.0, -(2.0 ** 950)],
+            "inf-inf": [math.inf, -math.inf],
+            "overflow": [1e308, 1e308, -1e308],
+        }[special][:length]
+        vals[r, part, length - len(tail):] = tail
+    terms = np.empty((rows, length), dtype=complex)
+    terms.real, terms.imag = vals[:, 0], vals[:, 1]  # 1j * inf would make a nan
+    _assert_rows_are_math_fsum(terms)
+
+
+def test_fsum_rows_refuses_anything_but_a_stack():
+    with pytest.raises(ValueError, match="stack"):
+        fsum_rows(np.ones(4))
+
+
+def test_stacked_inner_products_are_the_single_ones_bit_for_bit():
+    # both arguments stacked, and one vector against a stack, either side
+    g = build_grid(make_interval(-1.0, 2.0), 9, 7, rho=lambda t: 1.5 + np.sin(t))
+    rng = np.random.default_rng(11)
+    F = rng.standard_normal((6, g.size)) + 1j * rng.standard_normal((6, g.size))
+    G = rng.standard_normal((6, g.size)) * np.exp2(rng.integers(-40, 40, (6, g.size))) + 0.5j
+    cases = [
+        (F, G, [(f, h) for f, h in zip(F, G)]),
+        (F[0], G, [(F[0], h) for h in G]),
+        (F, G[0], [(f, G[0]) for f in F]),
+    ]
+    for rows, others, pairs in cases:
+        got = _inner_weighted_rows(g, rows, others).tolist()
+        want = [inner_weighted(HVector(g, f), HVector(g, h)) for f, h in pairs]
+        assert [(z.real.hex(), z.imag.hex()) for z in got] == [(z.real.hex(), z.imag.hex()) for z in want]
 
 
 def test_panels_for_oscillation():

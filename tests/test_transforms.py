@@ -8,6 +8,9 @@ import pytest
 from rkhskit.numerics import HVector, build_grid, inner_weighted, make_interval, sample
 from rkhskit.spaces import PaleyWienerSpace, SobolevSpace, tensor_feature
 from rkhskit.transforms import (
+    _contraction_rows,
+    _opr_inner_rows,
+    _project_rows,
     build_span_basis,
     contraction_check,
     kernel_eval,
@@ -213,6 +216,59 @@ def test_contraction_equality_for_span_members(sobolev):
     c = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
     rep = contraction_check(span_combination(basis, c), basis)
     assert abs(rep.slack) < 1e-6
+
+
+def _hexes(values):
+    return [(complex(z).real.hex(), complex(z).imag.hex()) for z in values]
+
+
+def test_stacked_opr_inner_is_the_single_pairing_bit_for_bit(sobolev):
+    _, _, basis = sobolev
+    rng = np.random.default_rng(5)
+    C = rng.standard_normal((7, basis.size)) + 1j * rng.standard_normal((7, basis.size))
+    D = rng.standard_normal((7, basis.size)) * np.exp2(rng.integers(-30, 30, (7, basis.size))) - 1j
+    assert _hexes(_opr_inner_rows(basis, C, D)) == _hexes(opr_inner(basis, c, d) for c, d in zip(C, D))
+    # one coefficient array against a stack, as the inversion pairing uses it
+    assert _hexes(_opr_inner_rows(basis, C[0], D)) == _hexes(opr_inner(basis, C[0], d) for d in D)
+    assert _opr_inner_rows(basis, C[0], D[:0]).shape == (0,)
+
+
+def test_stacked_opr_inner_blocks_its_terms(sobolev, monkeypatch):
+    # blocks of one and of two rows give the same bits as one block
+    _, _, basis = sobolev
+    rng = np.random.default_rng(6)
+    C = rng.standard_normal((5, basis.size)) + 1j * rng.standard_normal((5, basis.size))
+    whole = _hexes(_opr_inner_rows(basis, C, C))
+    for block in (basis.size ** 2, 2 * basis.size ** 2):
+        monkeypatch.setattr("rkhskit.transforms._EVAL_BLOCK", block)
+        assert _hexes(_opr_inner_rows(basis, C, C)) == whole
+
+
+def test_stacked_contraction_sums_each_row_as_the_single_check(sobolev):
+    # the norms of each row are the single check's sums, bit for bit, of
+    # the stacked projection; that projection is one BLAS product, which
+    # may round differently from the one-vector product
+    space, fm, basis = sobolev
+    rng = np.random.default_rng(8)
+    rows = np.array([rng.standard_normal(fm.grid.size) + 1j * rng.standard_normal(fm.grid.size) for _ in range(12)])
+    reports = _contraction_rows(basis, rows)
+    coeffs = _project_rows(basis, rows)
+    for rep, row, c in zip(reports, rows, coeffs):
+        f = HVector(fm.grid, row)
+        assert rep.norm_source == math.sqrt(max(inner_weighted(f, f).real, 0.0))
+        assert rep.norm_image == math.sqrt(max(opr_inner(basis, c, c).real, 0.0))
+        assert rep.slack == rep.norm_source - rep.norm_image
+        np.testing.assert_allclose(c, project_span(f, basis), rtol=0, atol=1e-13 * np.abs(c).max())
+    # one vector is the one-row case: contraction_check itself
+    f = HVector(fm.grid, rows[0])
+    assert _contraction_rows(basis, rows[0]) == [contraction_check(f, basis)]
+
+
+def test_contraction_check_refuses_a_vector_on_another_grid(sobolev):
+    _, _, basis = sobolev
+    other = build_grid(make_interval(-1.0, 1.0), 3, 4)
+    with pytest.raises(ValueError, match="grid"):
+        contraction_check(sample(other, np.cos), basis)
 
 
 @pytest.fixture(params=["sobolev", "paley-wiener"])
