@@ -11,7 +11,10 @@ Grids carry three aligned arrays: nodes, plain quadrature weights for
 integration against ``dt``, and samples of a positive weight function ``rho``
 used by the weighted inner product.  The panel decomposition is kept around
 so per-panel polynomial operations (interpolation, differentiation,
-cumulative integration) remain available after construction.
+cumulative integration) remain available after construction.  A sum over
+a long window that needs only nodes and weights can walk the same grid a
+block of panels at a time instead (:func:`_gauss_panel_blocks`), so that
+the grid is never stored.
 
 A :class:`ProductGrid` is the one multi-axis grid: a time box, a frequency
 lattice and the grid of a tensor feature map are all products of
@@ -170,6 +173,34 @@ def _gauss_rule(n: int) -> tuple:
     return tuple(_frozen(arr) for arr in (xi, om, legendre.legvander(xi, n - 1)))
 
 
+def _require_grid(interval: Interval, panels: int, nodes_per_panel: int, segments: int = 1) -> None:
+    """Refuse (ValueError) what :func:`build_grid` cannot build: an empty or
+    infinite interval, a panel count or Gauss order out of range, or more
+    than ``_GRID_NODE_CAP`` nodes over ``segments`` segments."""
+    if interval.empty:
+        raise ValueError("cannot build a grid on an empty interval")
+    if not interval.finite:
+        raise ValueError("requires truncated interval")
+    if panels < 1 or nodes_per_panel < 1:
+        raise ValueError("panels and nodes_per_panel must be positive")
+    if nodes_per_panel > _MAX_GAUSS_ORDER:
+        raise ValueError(f"nodes_per_panel {nodes_per_panel} exceeds the limit of {_MAX_GAUSS_ORDER}")
+    # no segment gets more than one panel beyond its share of the budget;
+    # that bound is checked in integers, before any float product
+    size = (panels + segments) * nodes_per_panel
+    if size > _GRID_NODE_CAP:
+        raise ValueError(f"grid of up to {Decimal(size):.3g} nodes exceeds the limit of {_GRID_NODE_CAP:.0e}")
+
+
+def _gauss_panels(edges: np.ndarray, nodes_per_panel: int) -> tuple:
+    """Nodes and weights of the Gauss rule of order ``nodes_per_panel`` on
+    each panel between consecutive ``edges``, panel after panel."""
+    xi, om, _ = _gauss_rule(nodes_per_panel)
+    lefts = edges[:-1, None]
+    widths = np.diff(edges)[:, None]
+    return (lefts + widths * (xi + 1.0) / 2.0).ravel(), (widths * om / 2.0).ravel()
+
+
 def build_grid(
     interval: Interval,
     panels: int,
@@ -200,22 +231,9 @@ def build_grid(
         Interior points forced onto panel boundaries, so that indicator
         factors switching there are constant on every panel.
     """
-    if interval.empty:
-        raise ValueError("cannot build a grid on an empty interval")
-    if not interval.finite:
-        raise ValueError("requires truncated interval")
-    if panels < 1 or nodes_per_panel < 1:
-        raise ValueError("panels and nodes_per_panel must be positive")
-    if nodes_per_panel > _MAX_GAUSS_ORDER:
-        raise ValueError(f"nodes_per_panel {nodes_per_panel} exceeds the limit of {_MAX_GAUSS_ORDER}")
-
     lo, hi = interval.lo, interval.hi
     cuts = sorted({float(b) for b in breakpoints if lo < b < hi})
-    # no segment gets more than one panel beyond its share of the budget;
-    # that bound is checked in integers, before any float product
-    size = (panels + len(cuts) + 1) * nodes_per_panel
-    if size > _GRID_NODE_CAP:
-        raise ValueError(f"grid of up to {Decimal(size):.3g} nodes exceeds the limit of {_GRID_NODE_CAP:.0e}")
+    _require_grid(interval, panels, nodes_per_panel, len(cuts) + 1)
     seg_edges = np.array([lo, *cuts, hi])
     seg_len = np.diff(seg_edges)
     counts = np.maximum(1.0, np.rint(panels * seg_len / (hi - lo))).astype(int)
@@ -224,12 +242,7 @@ def build_grid(
         for left, right, k in zip(seg_edges[:-1], seg_edges[1:], counts)
     ]
     panel_edges = np.append(np.concatenate(pieces), hi)
-
-    xi, om, _ = _gauss_rule(nodes_per_panel)
-    lefts = panel_edges[:-1, None]
-    widths = np.diff(panel_edges)[:, None]
-    nodes = (lefts + widths * (xi + 1.0) / 2.0).ravel()
-    weights = (widths * om / 2.0).ravel()
+    nodes, weights = _gauss_panels(panel_edges, nodes_per_panel)
 
     rho_vals = np.ones_like(nodes) if rho is None else np.asarray(rho(nodes), dtype=float)
     if rho_vals.shape != nodes.shape:
@@ -240,6 +253,39 @@ def build_grid(
     for arr in (nodes, weights, rho_vals, panel_edges):
         arr.setflags(write=False)
     return QuadGrid(interval, nodes, weights, rho_vals, panel_edges, nodes_per_panel)
+
+
+def _gauss_panel_blocks(interval: Interval, panels: int, nodes_per_panel: int, block_panels: int):
+    """The nodes and weights of ``build_grid(interval, panels,
+    nodes_per_panel)``, bit for bit, ``block_panels`` panels at a time.
+
+    Returns an iterator of (nodes, weights) pairs whose concatenation is
+    the grid's, so that a sum over a long window never stores it.  What
+    :func:`build_grid` refuses is refused here, with the same message, at
+    the call rather than at the first block.
+    """
+    _require_grid(interval, panels, nodes_per_panel)
+    lo, hi = interval.lo, interval.hi
+    delta = hi - lo
+    step = delta / panels
+
+    def blocks():
+        for p0 in range(0, panels, block_panels):
+            p1 = min(p0 + block_panels, panels)
+            # np.linspace(lo, hi, panels + 1)[p0 : p1 + 1], build_grid's edges,
+            # down to its rule for a step that underflows and its exact last edge
+            edges = np.arange(p0, p1 + 1, dtype=float)
+            if step == 0.0:
+                edges /= panels
+                edges *= delta
+            else:
+                edges *= step
+            edges += lo
+            if p1 == panels:
+                edges[-1] = hi
+            yield _gauss_panels(edges, nodes_per_panel)
+
+    return blocks()
 
 
 PRODUCT_NODE_CAP = 10 ** 6

@@ -22,6 +22,7 @@ from .numerics import (
     HVector,
     Interval,
     QuadGrid,
+    _gauss_panel_blocks,
     build_grid,
     cumulative_integral,
     derivative_values,
@@ -66,15 +67,16 @@ RHO_REGISTRY: dict[str, Weight] = {
     "affine": Weight(lambda t: 1.0 + np.asarray(t, dtype=float), math.log1p),
 }
 
-_SINC_BLOCK = 1 << 15  # quadrature nodes per block of the sinc Gram sum
+_SINC_BLOCK = 1 << 13  # quadrature nodes per block of the sinc Gram sum
 _SINC_BAND = 0.5  # |a (t - x)| up to which sinc_gram keeps the direct quotient
 _OSC_ORDER = 16  # Gauss nodes per panel of the sinc window and Paley-Wiener grids
 _OSC_PHASE = 2.0 * math.pi  # phase of the integrand's top frequency across one such panel
 
 
-def _oscillation_grid(interval: Interval, rate: float, minimum: int) -> QuadGrid:
-    """Gauss grid of ``_OSC_ORDER``-node panels, each spanning at most
-    ``_OSC_PHASE`` of an integrand whose top angular frequency is ``rate``.
+def _oscillation_panels(interval: Interval, rate: float, minimum: int) -> int:
+    """Number of ``_OSC_ORDER``-node panels on ``interval``, each spanning at
+    most ``_OSC_PHASE`` of an integrand whose top angular frequency is
+    ``rate``, and at least ``minimum`` of them.
 
     :func:`panels_for_oscillation` keeps a phase of pi/4 of its rate per
     panel, so it is handed ``rate * (pi/4) / _OSC_PHASE`` (rate / 8, exactly).
@@ -83,8 +85,12 @@ def _oscillation_grid(interval: Interval, rate: float, minimum: int) -> QuadGrid
     panel and first lose accuracy at 8 pi, four times the phase used here;
     8-node panels lose it at 2 pi.
     """
-    panels = panels_for_oscillation(interval.length, rate * (math.pi / 4.0 / _OSC_PHASE), minimum)
-    return build_grid(interval, panels, _OSC_ORDER)
+    return panels_for_oscillation(interval.length, rate * (math.pi / 4.0 / _OSC_PHASE), minimum)
+
+
+def _oscillation_grid(interval: Interval, rate: float, minimum: int) -> QuadGrid:
+    """Gauss grid of the panels of :func:`_oscillation_panels`."""
+    return build_grid(interval, _oscillation_panels(interval, rate, minimum), _OSC_ORDER)
 
 
 class SobolevSpace:
@@ -321,9 +327,16 @@ def sinc_gram(a: float, points: Sequence[float], radius: float) -> np.ndarray:
 
     The integrand is entire, so one grid without breakpoints serves every
     pair: 16-node Gauss panels, each spanning 2 pi of the integrand's top
-    frequency 2a, and at least 16 of them (:func:`_oscillation_grid`).
-    Sections are formed over fixed-size blocks of nodes, so none is stored
-    whole on the 0.1-0.2 M-node windows the checks use.
+    frequency 2a, and at least 16 of them (:func:`_oscillation_panels`).
+    That grid is never stored: its nodes and weights are made
+    ``_SINC_BLOCK`` (2^13) at a time from the panel edges, bit for bit
+    those of :func:`build_grid`, and each block's sections are formed in
+    two reused (points x block) buffers and added into the matrix.  Memory
+    is O(m^2 + m * 2^13) for m points whatever the window: on the suites'
+    five points the traced peak is 1.1 MB at a = 2 and at a = 8 with
+    radius 1e4 (0.2 M and 0.8 M nodes) and at a = 8 with radius 1e5, where
+    the stored grid took 9.2, 24 and 216 MB.  A window above build_grid's
+    node cap is refused with its message before any block is made.
 
     Numerators come from sin(a(t - x)) = sin(at) cos(ax) - cos(at) sin(ax),
     so sines and cosines are taken once per node and once per point, and an
@@ -335,30 +348,43 @@ def sinc_gram(a: float, points: Sequence[float], radius: float) -> np.ndarray:
     Against :func:`sinc_ratio` on every entry (the tests' oracle) the
     matrix moves by at most about eps (1 + a max|x_i|) max|P|, and against
     it on 8-node panels of a quarter of the width by at most 11 eps max|P|
-    at the suite geometries.  The three suite matrices at radius 1e4 (1.8 M
-    entries, 70 of them in bands) take 0.03 s instead of 0.12 s on the grid
-    of four times the nodes (2-core x86-64 Xeon, one BLAS thread).
+    at the suite geometries.  Summed in blocks of 2^15 nodes, the matrices
+    are those of the stored grid bit for bit, but the peak is 4.1 MB; the
+    2^13 used here moves them by at most 7 eps max|P| (radius 1e2-1e4,
+    a = 1-8, the suite points).  The three suite matrices at radius 1e4
+    (1.8 M entries, 70 of them in bands) take 17-19 ms, against 20-21 ms
+    with the stored grid and 0.12 s on the grid of four times the nodes
+    (2-core x86-64 Xeon, one BLAS thread).
     Raises ``ValueError`` where a x_i is not finite.
     """
     if not (math.isfinite(a) and a > 0):
         raise ValueError("half-width a must be positive and finite")
     pts = np.asarray(points, dtype=float)
-    g = _oscillation_grid(truncate_line(radius), 2.0 * a, minimum=16)
+    window = truncate_line(radius)
+    blocks = _gauss_panel_blocks(
+        window, _oscillation_panels(window, 2.0 * a, minimum=16), _OSC_ORDER, _SINC_BLOCK // _OSC_ORDER
+    )
     ax = _scaled(a, pts)
     sin_x, cos_x = np.sin(ax)[:, None], np.cos(ax)[:, None]
-    band_lo = np.searchsorted(g.nodes, pts - _SINC_BAND / a, side="left")
-    band_hi = np.searchsorted(g.nodes, pts + _SINC_BAND / a, side="right")
+    band_lo, band_hi = pts - _SINC_BAND / a, pts + _SINC_BAND / a
     P = np.zeros((pts.size, pts.size))
-    for lo in range(0, g.size, _SINC_BLOCK):
-        t = g.nodes[lo : lo + _SINC_BLOCK]
+    # two (points x block) buffers, reused by every block: the sections S
+    # and a scratch T
+    buf_s, buf_t = np.empty(pts.size * _SINC_BLOCK), np.empty(pts.size * _SINC_BLOCK)
+    for t, w in blocks:
+        S = buf_s[: pts.size * t.size].reshape(pts.size, t.size)
+        T = buf_t[: pts.size * t.size].reshape(pts.size, t.size)
+        at = a * t
+        np.multiply(np.sin(at), cos_x, out=S)
+        S -= np.multiply(np.cos(at), sin_x, out=T)
         with np.errstate(divide="ignore", invalid="ignore"):
             # band entries may divide by zero here; they are overwritten below
-            S = (np.sin(a * t) * cos_x - np.cos(a * t) * sin_x) / (t - pts[:, None])
-        b0 = np.maximum(band_lo - lo, 0)
-        b1 = np.minimum(band_hi - lo, t.size)
+            S /= np.subtract(t, pts[:, None], out=T)
+        b0 = np.searchsorted(t, band_lo, side="left")
+        b1 = np.searchsorted(t, band_hi, side="right")
         for i in np.flatnonzero(b0 < b1):
             S[i, b0[i] : b1[i]] = sinc_ratio(a, t[b0[i] : b1[i]] - pts[i])
-        P += (S * g.weights[lo : lo + _SINC_BLOCK]) @ S.T
+        P += np.multiply(S, w, out=T) @ S.T
     return P
 
 

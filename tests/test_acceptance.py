@@ -49,7 +49,7 @@ def test_04_kernel_identities():
 
 
 def test_05_sine_product_integral_identity():
-    _run("sinc", 0.17, "05 sinc identity")
+    _run("sinc", 0.11, "05 sinc identity")
 
 
 def test_06_span_inversion_round_trip():

@@ -157,6 +157,61 @@ def test_sample_refuses_a_scalar_callable():
         sample(g, lambda t: 1.0)
 
 
+def assert_blocks_are_the_grid(interval, panels, order, per):
+    """The streamed blocks of ``per`` panels are build_grid's nodes and
+    weights, bit for bit, in order."""
+    g = build_grid(interval, panels, order)
+    blocks = list(numerics._gauss_panel_blocks(interval, panels, order, per))
+    assert [t.size for t, _ in blocks] == [min(per, panels - p) * order for p in range(0, panels, per)]
+    nodes, weights = (np.concatenate(parts) for parts in zip(*blocks))
+    assert nodes.tobytes() == g.nodes.tobytes()
+    assert weights.tobytes() == g.weights.tobytes()
+
+
+@pytest.mark.parametrize("panels", [1, 7, 8, 9, 19])
+def test_streamed_blocks_are_the_grid_around_the_block_size(panels):
+    # 8 panels a block: 1, per - 1, per, per + 1 and 2 per + 3 panels
+    assert_blocks_are_the_grid(make_interval(-3.7, 11.2), panels, 16, 8)
+
+
+def test_streamed_blocks_keep_linspace_rule_for_a_step_that_underflows():
+    # (5e-324 - 0) / 3 rounds to 0, where np.linspace scales by the width
+    # after dividing by the count
+    assert_blocks_are_the_grid(make_interval(0.0, 5e-324), 3, 4, 2)
+
+
+@settings(max_examples=150)
+@given(
+    ends=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2, unique=True),
+    panels=st.integers(1, 300),
+    order=st.integers(1, 16),
+    per=st.integers(1, 64),
+)
+def test_streamed_blocks_are_the_grid(ends, panels, order, per):
+    assert_blocks_are_the_grid(make_interval(*ends), panels, order, per)
+
+
+@pytest.mark.parametrize(
+    "interval, panels, order",
+    [
+        (make_interval(1.0, 1.0), 4, 8),
+        (make_interval(-1e308, 1e308), 4, 8),
+        (make_interval(0.0, math.inf), 4, 8),
+        (make_interval(0.0, 1.0), 0, 8),
+        (make_interval(0.0, 1.0), 4, 129),
+        (make_interval(0.0, 1.0), 10 ** 400, 8),
+        (make_interval(0.0, 1.0), 10 ** 7 // 16, 16),
+    ],
+)
+def test_streamed_blocks_refuse_what_build_grid_refuses(interval, panels, order):
+    # with the same message, and at the call: no block is asked for
+    with pytest.raises(ValueError) as stored:
+        build_grid(interval, panels, order)
+    with pytest.raises(ValueError) as streamed:
+        numerics._gauss_panel_blocks(interval, panels, order, 8)
+    assert str(streamed.value) == str(stored.value)
+
+
 def test_fsum_complex_survives_cancellation():
     vals = np.array([1e16 + 1j, 1.0 + 0j, -1e16 + 0j])
     assert fsum_complex(vals) == (1.0 + 1j)

@@ -1,6 +1,7 @@
 """Sobolev-type and bandlimited spaces, sinc identity, tensor products."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -478,6 +479,62 @@ def test_sinc_gram_calls_the_quotient_on_band_entries_only(monkeypatch):
         band += sum(int(np.sum(np.abs(nodes - x) <= _SINC_BAND / a)) for x in points)
     assert sum(z.size for z in seen) == band < 100
     assert max(float(np.max(np.abs(z))) for z in seen) <= _SINC_BAND
+
+
+@pytest.mark.parametrize("a, points", SUITE_SINC_GEOMETRIES, ids=["sinc-a1", "sinc-a2", "restriction"])
+def test_sinc_gram_streams_the_window_grid_bit_for_bit(a, points):
+    # the blocks sinc_gram integrates over are the stored window grid's
+    # nodes and weights, _SINC_BLOCK at a time
+    window = truncate_line(1e4)
+    g = _sinc_window_grid(a, 1e4)
+    blocks = list(spaces._gauss_panel_blocks(
+        window, spaces._oscillation_panels(window, 2.0 * a, 16), spaces._OSC_ORDER, _SINC_BLOCK // spaces._OSC_ORDER
+    ))
+    assert {t.size for t, _ in blocks[:-1]} == {_SINC_BLOCK}
+    assert np.concatenate([t for t, _ in blocks]).tobytes() == g.nodes.tobytes()
+    assert np.concatenate([w for _, w in blocks]).tobytes() == g.weights.tobytes()
+
+
+def _stored_grid_refusal(a, points, radius):
+    # what the stored window grid, then the scaled points, refuse
+    with pytest.raises(ValueError) as err:
+        _sinc_window_grid(a, radius)
+        spaces._scaled(a, np.asarray(points, dtype=float))
+    return str(err.value)
+
+
+@pytest.mark.parametrize(
+    "a, points, radius",
+    [
+        (8.0, (0.0,), 1e6),  # about 81 M nodes, above the node cap
+        (1.0, (0.0, 1.0), 1e300),  # a panel count far above it
+        (1.0, (0.0,), 1e308),  # a window whose length overflows
+        (1.0, (0.0,), 0.0),
+        (8.0, (0.0, 1e308), 10.0),  # a x overflows
+        (8.0, (1e308,), 1e6),  # both: the window is refused first
+    ],
+)
+def test_sinc_gram_refuses_every_window_the_stored_grid_refused(a, points, radius):
+    # the streamed memory is flat, so only these refusals keep a huge
+    # window from running block after block
+    with pytest.raises(ValueError) as err:
+        sinc_gram(a, points, radius)
+    assert str(err.value) == _stored_grid_refusal(a, points, radius)
+
+
+@pytest.mark.parametrize("a", [2.0, 8.0])
+def test_sinc_gram_memory_does_not_grow_with_the_window(a):
+    # the sinc suite's five points at radius 1e4: 0.2 M nodes at a = 2 and
+    # 0.8 M at a = 8, whose stored grid alone took 4.9 and 19.6 MB; the
+    # streamed blocks measured a traced peak of 1.13 MB at both
+    pts = tuple(np.linspace(-2.0, 2.0, 5))
+    tracemalloc.start()
+    try:
+        sinc_gram(a, pts, 1e4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 # ----------------------------------------------------------------- tensor
