@@ -176,38 +176,42 @@ def cmd_invert(args) -> int:
         _emit_grid_template(args.out, fm.grid)
         return PASS_EXIT
     source = HVector(fm.grid, _read_samples_csv(args.input, fm.grid)) if args.input else None
-    if args.mode == "sobolev-span":
-        if source is not None:
-            coeffs = project_span(source, basis)
-        elif args.f == "span":
-            rng = np.random.default_rng(args.seed)
-            coeffs = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
-            source = span_combination(basis, coeffs)
-        else:
-            raise ConfigError("mode sobolev-span needs --f span or --input FILE")
-        recover = lambda image, t: inv.invert_at(image, t, basis)
-        reference = lambda t: sum(c * space.kernel(t, float(x)) for c, x in zip(coeffs, basis.points))
-        default_probes = np.linspace(-0.95, 0.95, args.probe_count)
-    else:
-        seq = inv.indefinite_integral_sequence(fm, anchor=0.0)
-        if source is not None:
-            F = cumulative_integral(fm.grid, source.values)
-            F0 = F(0.0)
-            reference = lambda t: F(t) - F0
-        elif args.f in ("one", "cos"):
-            source = sample(fm.grid, SOURCES[args.f])
-            reference = (lambda t: complex(t)) if args.f == "one" else (lambda t: complex(math.sin(t)))
-        else:
-            raise ConfigError("mode pw-primitive needs --f one, --f cos, or --input FILE")
-        recover = lambda image, t: inv.generalized_invert_at(seq, image, t, basis)
-        default_probes = [0.25, 0.5, 1.0]
-    ts = np.asarray(default_probes if probes is None else probes, dtype=float)
+    # coarse-basis warnings, and overflow from samples near the float limit,
+    # which the finiteness check below turns into one line
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
+        if args.mode == "sobolev-span":
+            if source is not None:
+                coeffs = project_span(source, basis)
+            elif args.f == "span":
+                rng = np.random.default_rng(args.seed)
+                coeffs = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+                source = span_combination(basis, coeffs)
+            else:
+                raise ConfigError("mode sobolev-span needs --f span or --input FILE")
+            recover = lambda image, t: inv.invert_at(image, t, basis)
+            reference = lambda t: sum(c * space.kernel(t, float(x)) for c, x in zip(coeffs, basis.points))
+            default_probes = np.linspace(-0.95, 0.95, args.probe_count)
+        else:
+            seq = inv.indefinite_integral_sequence(fm, anchor=0.0)
+            if source is not None:
+                F = cumulative_integral(fm.grid, source.values)
+                F0 = F(0.0)
+                reference = lambda t: F(t) - F0
+            elif args.f in ("one", "cos"):
+                source = sample(fm.grid, SOURCES[args.f])
+                reference = (lambda t: complex(t)) if args.f == "one" else (lambda t: complex(math.sin(t)))
+            else:
+                raise ConfigError("mode pw-primitive needs --f one, --f cos, or --input FILE")
+            recover = lambda image, t: inv.generalized_invert_at(seq, image, t, basis)
+            default_probes = [0.25, 0.5, 1.0]
+        ts = np.asarray(default_probes if probes is None else probes, dtype=float)
         got = recover(transform(source, fm), ts)
+        refs = [complex(reference(t)) for t in ts.tolist()]
+    if not (np.all(np.isfinite(got)) and np.all(np.isfinite(refs))):
+        raise ConfigError("recovered values overflow; scale the samples down")
     rows = []
-    for t, g in zip(ts.tolist(), got):
-        ref = complex(reference(t))
+    for t, g, ref in zip(ts.tolist(), got, refs):
         rows.append([_fmt(v) for v in (t, g.real, g.imag, ref.real, ref.imag, abs(g - ref))])
     _write_csv(args.out, ["t", "recovered_re", "recovered_im", "reference_re", "reference_im", "abs_err"], rows)
     return PASS_EXIT

@@ -15,10 +15,9 @@ array of points.  A transformation sequence maps the whole feature matrix
 at every point of the batch in one call, and all kernel sections of the
 batch come from one solve with the Gram factor.  The pairing with the
 image and the coarse-basis residual are :func:`~rkhskit.transforms.opr_inner`
-on the span coefficients, every point of the batch in one correctly
-rounded stacked sum (``numerics.fsum_rows``), because coefficients over a
-near-singular Gram cancel there; each point keeps the bits of its own
-``opr_inner`` call.
+on the span coefficients, every point of the batch in one stacked call
+that forms each point's terms elementwise and sums each row with numpy's
+pairwise sum, so each point keeps the bits of its own ``opr_inner`` call.
 """
 
 from __future__ import annotations

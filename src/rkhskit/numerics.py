@@ -25,13 +25,12 @@ pay for them.  Its node cap is enforced where a dense array over it is
 formed (:meth:`ProductGrid.require_dense`); :func:`product_grid` also
 refuses a grid above its cap at once.
 
-Scalar pairings are summed by :func:`fsum_rows`, the correctly rounded
-sum of each part of each row of a stack (``math.fsum``), which does not
-depend on the order of the terms or on the other rows, so repeated runs
-agree bit for bit; :func:`fsum_complex` is its one-row case.  A stack of
-pairings is one call: tiles of rows first go through vectorized
-error-free extraction, which reduces them without error to a few terms
-of the same exact sums; ``math.fsum`` rounds those.
+Scalar pairings are plain numpy sums: :func:`integrate` and
+:func:`inner_weighted` form their terms elementwise and add them with
+``ndarray.sum`` (numpy's pairwise sum).  A stack of pairings sums each row
+the same way, so each entry keeps the bits of its single call.  The
+result depends on the order of the terms and on the numpy build, not on
+the run: one build on one machine gives the same bits every time.
 """
 
 from __future__ import annotations
@@ -62,8 +61,6 @@ __all__ = [
     "inner_weighted",
     "inner_weighted_matrix",
     "norm_weighted",
-    "fsum_complex",
-    "fsum_rows",
     "panels_for_oscillation",
     "cumulative_integral",
     "derivative_values",
@@ -236,7 +233,7 @@ def build_grid(
     _require_grid(interval, panels, nodes_per_panel, len(cuts) + 1)
     seg_edges = np.array([lo, *cuts, hi])
     seg_len = np.diff(seg_edges)
-    counts = np.maximum(1.0, np.rint(panels * seg_len / (hi - lo))).astype(int)
+    counts = np.maximum(1.0, np.rint(panels * (seg_len / (hi - lo)))).astype(int)
     pieces = [
         np.linspace(left, right, k + 1)[:-1]
         for left, right, k in zip(seg_edges[:-1], seg_edges[1:], counts)
@@ -400,113 +397,6 @@ def sample(grid: QuadGrid, fn: Callable) -> HVector:
     return HVector(grid, fn(grid.nodes))
 
 
-_FSUM_CUTOFF = 800  # tiles of fewer real terms go to math.fsum part by part (measured crossover)
-_FSUM_BLOCK = 1 << 14  # real terms per extraction tile, which bounds the temporaries
-_FSUM_LEVELS = 3  # extraction levels per tile before its remainders go to math.fsum
-_FSUM_HUGE = 2.0 ** 900  # from here up (and for inf, nan) math.fsum takes the whole part
-
-
-def _extract_rows(parts: np.ndarray) -> list:
-    """The terms of each row of ``parts``, a real (..., n) array whose
-    leading axes index the rows, as a list of floats with the same exact
-    sum, one list per row in C order: a few terms left by error-free
-    extraction, or the row itself where ``math.fsum`` takes it whole (a
-    tile of fewer than ``_FSUM_CUTOFF`` terms, and a row with a non-finite
-    term or one of 2^900 or more, whose exceptions ``math.fsum`` raises).
-
-    A row is taken in blocks of at most ``_FSUM_BLOCK`` terms, and each
-    block in up to ``_FSUM_LEVELS`` levels of ExtractVector (Rump, Ogita and
-    Oishi, Accurate floating-point summation part I, SIAM J. Sci. Comput.
-    31(1), 2008): with ``sigma`` a power of two, ``|x| <= 2^-M sigma`` and
-    ``2^M >= n + 2``, the high parts ``q = (sigma + x) - sigma`` are
-    multiples of ``2^-53 sigma`` whose sum along a row stays below
-    ``sigma``, so ``sum(q)`` is exact in any order, and so is the remainder
-    ``x - q``, which is at most ``2^-53 sigma``: the next level takes
-    ``2^(M - 53) sigma``.  The first ``sigma`` is ``2^(e + M)`` for the
-    largest term of the block, ``|x| < 2^e``.  One ``sigma`` serves every
-    row, so each pass takes a scalar; a row far below the largest term is
-    reached at a later level, or keeps its terms as remainders.  The
-    levels stop once every remainder is zero.
-    """
-    n = parts.shape[-1]
-    lead = parts.shape[:-1]
-    count = math.prod(lead)
-    if parts.size < _FSUM_CUTOFF:
-        return parts.reshape(count, n).tolist()
-    width = min(n, _FSUM_BLOCK)
-    x = np.empty(lead + (width,))
-    q = np.empty_like(x)
-    rows: list = [[] for _ in range(count)]
-    whole: set = set()
-    for start in range(0, n, width):
-        xb, qb = x[..., :n - start], q[..., :n - start]
-        xb[...] = parts[..., start:start + width]
-        m = max(xb.max(), -xb.min())
-        if not m < _FSUM_HUGE:
-            # math.fsum's own exceptions and order-dependent intermediate overflow
-            bad = ~(np.abs(xb, out=qb).max(axis=-1) < _FSUM_HUGE)
-            xb[bad] = 0.0
-            whole.update(np.flatnonzero(bad).tolist())
-            m = max(xb.max(), -xb.min())
-        if m == 0:
-            continue
-        shift = (xb.shape[-1] + 1).bit_length()  # M = ceil(log2(n + 2))
-        sigma = math.ldexp(1.0, math.frexp(m)[1] + shift)
-        heads = np.zeros((_FSUM_LEVELS,) + lead)
-        for level in heads:
-            np.add(xb, sigma, out=qb)
-            qb -= sigma
-            qb.sum(axis=-1, out=level)
-            xb -= qb
-            kept = xb != 0
-            if not kept.any():
-                break
-            sigma = math.ldexp(sigma, shift - 53)
-        else:
-            rem, kept = xb.reshape(count, -1), kept.reshape(count, -1)
-            for i in np.flatnonzero(kept.any(axis=1)).tolist():
-                rows[i] += rem[i][kept[i]].tolist()
-        for row, h in zip(rows, heads.reshape(_FSUM_LEVELS, count).T.tolist()):
-            row += h
-    for i in whole:
-        rows[i] = parts.reshape(count, n)[i].tolist()
-    return rows
-
-
-def fsum_rows(terms) -> np.ndarray:
-    """Correctly rounded sum of each row of an (R, N) stack of complex terms.
-
-    Row r of the result is exactly ``complex(math.fsum(re_r), math.fsum(im_r))``,
-    so it depends neither on the order of the terms nor on the other rows.
-    Short rows are summed in tiles of at most ``_FSUM_BLOCK`` real terms,
-    the real and imaginary parts of a tile's rows one vectorized error-free
-    extraction (:func:`_extract_rows`); a longer row takes its two parts
-    one by one, in blocks.  Tiles of fewer than ``_FSUM_CUTOFF`` real
-    terms, and parts with a non-finite term or one of 2^900 or more, go to
-    ``math.fsum`` whole, which raises its own exceptions.
-    """
-    arr = np.ascontiguousarray(terms, dtype=complex)
-    if arr.ndim != 2:
-        raise ValueError("terms must be an (R, N) stack")
-    n_rows, n = arr.shape
-    # parts[r, k]: the real (k = 0) and the imaginary (k = 1) part of row r
-    parts = arr.view(float).reshape(n_rows, n, 2).transpose(0, 2, 1)
-    if 2 * n <= _FSUM_BLOCK:
-        step = _FSUM_BLOCK // max(2 * n, 1)
-        tiles = [parts[lo:lo + step] for lo in range(0, n_rows, step)]
-    else:
-        tiles = [parts[r:r + 1, k:k + 1] for r in range(n_rows) for k in (0, 1)]
-    sums = [math.fsum(row) for tile in tiles for row in _extract_rows(tile)]
-    return np.array(sums, dtype=float).view(complex)
-
-
-def fsum_complex(terms: np.ndarray) -> complex:
-    """Correctly rounded sum of complex terms, part by part: exactly
-    ``complex(math.fsum(re), math.fsum(im))``, so it does not depend on the
-    order of the terms.  The one-row case of :func:`fsum_rows`."""
-    return complex(fsum_rows(np.asarray(terms, dtype=complex).reshape(1, -1))[0])
-
-
 def _require_same_grid(f: HVector, g: HVector) -> None:
     if not f.grid.compatible_with(g.grid):
         raise ValueError("vectors live on different grids")
@@ -522,15 +412,15 @@ def integrate(grid: QuadGrid | ProductGrid, values) -> complex:
         vals = np.asarray(values)
         if vals.shape != (grid.size,):
             raise ValueError("values length must match grid")
-    return fsum_complex(vals * grid.weights)
+    return complex((vals * grid.weights).sum())
 
 
 def inner_weighted(f: HVector, g: HVector) -> complex:
     """Weighted inner product sum_i f_i conj(g_i) rho_i w_i.
 
-    Conjugate-linear in the second argument.  Summed by
-    :func:`fsum_rows`, correctly rounded, so repeated runs agree bit
-    for bit.
+    Conjugate-linear in the second argument.  The terms are formed
+    elementwise and summed by numpy's pairwise sum, so repeated runs on
+    one numpy build agree bit for bit.
     """
     _require_same_grid(f, g)
     return complex(_inner_weighted_rows(f.grid, f.values, g.values)[0])
@@ -543,7 +433,7 @@ def _inner_weighted_rows(grid: QuadGrid | ProductGrid, rows, others) -> np.ndarr
     is."""
     terms = rows * np.conj(others)
     terms *= grid.rho_at_nodes * grid.weights  # real weights: in place keeps the bits
-    return fsum_rows(terms.reshape(-1, grid.size))
+    return terms.reshape(-1, grid.size).sum(axis=1)
 
 
 def inner_weighted_matrix(grid: QuadGrid | ProductGrid, rows, others) -> np.ndarray:

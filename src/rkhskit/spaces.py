@@ -332,11 +332,9 @@ def sinc_gram(a: float, points: Sequence[float], radius: float) -> np.ndarray:
     ``_SINC_BLOCK`` (2^13) at a time from the panel edges, bit for bit
     those of :func:`build_grid`, and each block's sections are formed in
     two reused (points x block) buffers and added into the matrix.  Memory
-    is O(m^2 + m * 2^13) for m points whatever the window: on the suites'
-    five points the traced peak is 1.1 MB at a = 2 and at a = 8 with
-    radius 1e4 (0.2 M and 0.8 M nodes) and at a = 8 with radius 1e5, where
-    the stored grid took 9.2, 24 and 216 MB.  A window above build_grid's
-    node cap is refused with its message before any block is made.
+    is O(m^2 + m * 2^13) for m points whatever the window.  A window above
+    build_grid's node cap is refused with its message before any block is
+    made.
 
     Numerators come from sin(a(t - x)) = sin(at) cos(ax) - cos(at) sin(ax),
     so sines and cosines are taken once per node and once per point, and an
@@ -344,17 +342,10 @@ def sinc_gram(a: float, points: Sequence[float], radius: float) -> np.ndarray:
     ``_SINC_BAND / a`` of a point, a closed band that the sorted nodes give
     as one index range, go through :func:`sinc_ratio` instead: the band
     holds the removable singularity, any node equal to the point, and the
-    nodes where the two products cancel; it spans 4-8 nodes a point.
-    Against :func:`sinc_ratio` on every entry (the tests' oracle) the
-    matrix moves by at most about eps (1 + a max|x_i|) max|P|, and against
-    it on 8-node panels of a quarter of the width by at most 11 eps max|P|
-    at the suite geometries.  Summed in blocks of 2^15 nodes, the matrices
-    are those of the stored grid bit for bit, but the peak is 4.1 MB; the
-    2^13 used here moves them by at most 7 eps max|P| (radius 1e2-1e4,
-    a = 1-8, the suite points).  The three suite matrices at radius 1e4
-    (1.8 M entries, 70 of them in bands) take 17-19 ms, against 20-21 ms
-    with the stored grid and 0.12 s on the grid of four times the nodes
-    (2-core x86-64 Xeon, one BLAS thread).
+    nodes where the two products cancel.  Against :func:`sinc_ratio` on
+    every entry (the tests' oracle) the matrix stays within
+    2 eps (1 + a max|x_i|) max|P|, and against it on 8-node panels of a
+    quarter of the width within 16 eps max|P| at the suite geometries.
     Raises ``ValueError`` where a x_i is not finite.
     """
     if not (math.isfinite(a) and a > 0):

@@ -12,16 +12,15 @@ An element of that span is its coefficient array over a :class:`SpanBasis`,
 and :func:`opr_inner` pairs two such arrays through the Gram matrix.  The
 Gram matrix, projections and span combinations are each one matrix product
 over the basis features, and :meth:`TransformImage.at_many` evaluates an
-image at many points the same way.  The correctly rounded sum
-(``numerics.fsum_rows``) stays in the single pairings
-(:meth:`TransformImage.at`, :func:`kernel_eval`), the oracles of the
-batched calls, and in :func:`opr_inner` and :func:`contraction_check`,
-where coefficients over a near-singular Gram cancel.  Their row forms
-(``_opr_inner_rows``, ``_contraction_rows``) form every pairing of a stack
-exactly as the single call does and sum the stack in one call, so each
-pairing keeps the single call's bits; ``_contraction_rows`` projects the
-whole stack in one matrix product, which may round differently from the
-one-vector product.
+image at many points the same way, summed in BLAS order.  The single
+pairings (:meth:`TransformImage.at`, :func:`kernel_eval`, :func:`opr_inner`
+and :func:`contraction_check`) form their terms elementwise and add them
+with numpy's pairwise sum; they are the oracles of the batched calls.
+Their row forms (``_opr_inner_rows``, ``_contraction_rows``) form every
+pairing of a stack exactly as the single call does and sum each row the
+same way, so each pairing keeps the single call's bits;
+``_contraction_rows`` projects the whole stack in one matrix product,
+which may round differently from the one-vector product.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import HVector, _inner_weighted_rows, fsum_rows, inner_weighted, inner_weighted_matrix
+from .numerics import HVector, _inner_weighted_rows, inner_weighted, inner_weighted_matrix
 
 __all__ = [
     "FeatureMap",
@@ -132,7 +131,8 @@ class TransformImage:
     raw: HVector
 
     def at(self, x) -> complex:
-        """Value at one point, summed exactly (correctly rounded)."""
+        """Value at one point: the terms are formed elementwise and summed by
+        numpy's pairwise sum (:func:`~rkhskit.numerics.inner_weighted`)."""
         return inner_weighted(self.raw, self.phi.feature(x))
 
     def at_many(self, points) -> np.ndarray:
@@ -206,7 +206,7 @@ def _opr_inner_rows(basis: SpanBasis, cs, ds) -> np.ndarray:
     out = np.empty(len(cs), dtype=complex)
     for lo in range(0, len(cs), per):
         terms = np.conj(ds[lo:lo + per])[:, :, None] * basis.gram * cs[lo:lo + per, None, :]
-        out[lo:lo + per] = fsum_rows(terms.reshape(-1, m2))
+        out[lo:lo + per] = terms.reshape(-1, m2).sum(axis=1)
     return out
 
 
@@ -231,7 +231,7 @@ def contraction_check(f: HVector, basis: SpanBasis) -> ContractionReport:
 def _contraction_rows(basis: SpanBasis, rows) -> list:
     """:func:`contraction_check` of each row of (R, N) node values on the
     basis grid, or of one vector (N,): one projection product and solve,
-    and one stacked exact sum for each norm."""
+    and one stacked sum for each norm."""
     c = _project_rows(basis, rows)
     sq_source = _inner_weighted_rows(basis.phi.grid, rows, rows).real.tolist()
     sq_image = _opr_inner_rows(basis, c, c).real.tolist()

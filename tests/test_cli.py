@@ -114,6 +114,29 @@ def test_invert_rejects_nonfinite_sample(tmp_path, capsys):
     assert err == "error: row 5: non-finite value\n"
 
 
+@pytest.mark.parametrize("mode", ["sobolev-span", "pw-primitive"])
+def test_invert_near_overflow_samples(tmp_path, capsys, mode):
+    # every sample at 1e308: the span round trip stays finite; the primitive
+    # over the padded grid exceeds the float range, which is one error line
+    code, out, _ = run(capsys, "invert", "--mode", mode, "--emit-grid")
+    samples = tmp_path / "huge.csv"
+    with open(samples, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["t", "re", "im"])
+        for t, _, _ in rows_of(out)[1:]:
+            writer.writerow([t, "1e308", "1e308"])
+    code, out, err = run(capsys, "invert", "--mode", mode, "--input", str(samples))
+    if mode == "pw-primitive":
+        assert code == 2 and out == ""
+        assert err == "error: recovered values overflow; scale the samples down\n"
+        return
+    assert code == 0 and err == ""
+    for row in rows_of(out)[1:]:
+        t, got_re, got_im, ref_re, ref_im, gap = map(float, row)
+        assert all(math.isfinite(v) for v in (got_re, got_im, ref_re, ref_im, gap))
+        assert gap <= 1e-8 * abs(complex(ref_re, ref_im))
+
+
 def test_verify_writes_valid_report(tmp_path, capsys):
     out_path = tmp_path / "rep.json"
     code, out, _ = run(capsys, "verify", "--suite", "kernels", "--out", str(out_path))

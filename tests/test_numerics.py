@@ -1,7 +1,9 @@
 """Quadrature grids, medians, intervals, and the grid calculus."""
 
+import functools
 import importlib
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -18,8 +20,6 @@ from rkhskit.numerics import (
     cumulative_integral,
     derivative_values,
     _inner_weighted_rows,
-    fsum_complex,
-    fsum_rows,
     inner_weighted,
     integrate,
     make_interval,
@@ -30,7 +30,9 @@ from rkhskit.numerics import (
     sample,
     truncate_line,
 )
+from rkhskit.spaces import SobolevSpace
 from rkhskit.suites import RunConfig, run_suite
+from rkhskit.transforms import _opr_inner_rows, build_span_basis
 
 LN2 = 0.6931471805599453  # integral of 1/(1+t) over (0,1)
 
@@ -76,6 +78,17 @@ def test_build_grid_rejects_unbounded():
     assert not make_interval(-1e308, 1e308).finite
     with pytest.raises(ValueError, match="truncated"):
         build_grid(make_interval(-1e308, 1e308), 4, 8)
+
+
+@pytest.mark.parametrize("breakpoints", [(), (0.0,)])
+def test_build_grid_spreads_panels_over_a_window_near_overflow(breakpoints):
+    # the window's length is finite, but its length times the panel count is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = build_grid(make_interval(-8e307, 8e307), 2, 4, breakpoints=breakpoints)
+    assert g.size == 8 and g.n_panels == 2
+    assert np.all(np.isfinite(g.nodes)) and np.all(np.isfinite(g.weights))
+    assert list(g.panel_edges) == [-8e307, 0.0, 8e307]
 
 
 def test_build_grid_refuses_a_panel_count_beyond_any_float():
@@ -212,178 +225,65 @@ def test_streamed_blocks_refuse_what_build_grid_refuses(interval, panels, order)
     assert str(streamed.value) == str(stored.value)
 
 
-def test_fsum_complex_survives_cancellation():
-    vals = np.array([1e16 + 1j, 1.0 + 0j, -1e16 + 0j])
-    assert fsum_complex(vals) == (1.0 + 1j)
+def _fsum_oracle(terms) -> complex:
+    # the slow path, kept as the oracle: each part correctly rounded by
+    # math.fsum, whatever the order of the terms
+    t = np.asarray(terms, dtype=complex).ravel()
+    return complex(math.fsum(t.real.tolist()), math.fsum(t.imag.tolist()))
 
 
-def _assert_fsum_complex_is_math_fsum(terms) -> None:
-    # the oracle is the per-element math.fsum of each part: the same bits,
-    # or the same exception type
-    arr = np.asarray(terms, dtype=complex).ravel()
-    try:
-        want = complex(math.fsum(arr.real), math.fsum(arr.imag))
-    except (ValueError, OverflowError) as exc:
-        with pytest.raises(type(exc)):
-            fsum_complex(terms)
-        return
-    got = fsum_complex(terms)
-    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+def _assert_within_sum_bound(got, terms) -> None:
+    # a sum of N terms is within N * eps * sum |terms| of the exact sum, part by part
+    t = np.asarray(terms, dtype=complex).ravel()
+    want = _fsum_oracle(t)
+    bound = t.size * np.finfo(float).eps
+    assert abs(got.real - want.real) <= bound * math.fsum(np.abs(t.real).tolist())
+    assert abs(got.imag - want.imag) <= bound * math.fsum(np.abs(t.imag).tolist())
 
 
-# real terms per tile: one row of n complex terms is a tile of 2n
-_CUT, _BLOCK = numerics._FSUM_CUTOFF, numerics._FSUM_BLOCK
+def _draw(rng, kind, shape, nodes):
+    # random: terms spread over 2^-30..2^30; cancelling: oscillations of
+    # size 1e8 whose pairings nearly vanish, plus terms of size one
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if kind == "random":
+        return noise * np.exp2(rng.integers(-30, 31, shape))
+    scale = 1e8 * (1.0 + rng.random(shape[:-1] + (1,)))
+    return scale * np.exp(2j * np.pi * rng.integers(1, 6, shape[:-1] + (1,)) * nodes) + noise
 
 
-@settings(max_examples=200)
-@given(
-    length=st.sampled_from(
-        [0, 1, _CUT // 2 - 1, _CUT // 2, _CUT - 1, _CUT, _CUT + 1, 1000, _BLOCK // 2 + 1, _BLOCK - 1, _BLOCK,
-         _BLOCK + 1, 3 * _BLOCK + 5]
-    ),
-    span=st.integers(0, 1000),
-    top=st.integers(-1000, 1020),
-    kind=st.sampled_from(["spread", "cancel", "sparse", "real", "one-binade"]),
-    seed=st.integers(0, 2 ** 32 - 1),
-)
-def test_fsum_complex_is_math_fsum_bit_for_bit(length, span, top, kind, seed):
-    # exponents over up to 2^1000 below a top exponent that reaches past the
-    # near-overflow fallback; terms below 2^-1022 are subnormal or zero
+@functools.cache
+def _span_basis():
+    pts = np.linspace(-0.9, 0.9, 9)
+    return build_span_basis(SobolevSpace(make_interval(-1.0, 1.0), 0.0).feature_map(pts), pts)
+
+
+@settings(max_examples=60)
+@given(kind=st.sampled_from(["random", "cancelling"]), rows=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_pairings_are_within_the_sum_bound_of_math_fsum(kind, rows, seed):
+    # each pairing forms its terms elementwise; the oracle sums the same terms exactly
     rng = np.random.default_rng(seed)
-    exps = np.maximum(rng.integers(top - span, top + 1, size=2 * length), -1080).astype(float)
-    vals = rng.standard_normal(2 * length) * np.exp2(exps)
-    if kind == "cancel":  # every term next to its negative, in shuffled order
-        half = vals[: length + 1 >> 1]
-        vals = np.concatenate([half, -half, half, -half])[: 2 * length]
-        rng.shuffle(vals)
-    elif kind == "sparse":
-        vals[rng.random(2 * length) < 0.7] = 0.0
-    elif kind == "one-binade":
-        # one sign, one binade: the largest partial sums of the high parts,
-        # which for negative terms carry their finest bits
-        vals = -(1.0 + rng.random(2 * length)) * 2.0 ** top
-    terms = vals[:length] if kind == "real" else vals[:length] + 1j * vals[length:]
-    _assert_fsum_complex_is_math_fsum(terms)
+    g = build_grid(make_interval(0.0, 1.0), 12, 16)
+    vals = _draw(rng, kind, (g.size,), g.nodes)
+    _assert_within_sum_bound(integrate(g, vals), vals * g.weights)
+    _assert_within_sum_bound(integrate(g, vals.real), vals.real * g.weights)
 
+    F = _draw(rng, kind, (rows, g.size), g.nodes)
+    H = _draw(rng, kind, (rows, g.size), g.nodes)
+    w = g.rho_at_nodes * g.weights
+    for f, h, got in zip(F, H, _inner_weighted_rows(g, F, H)):
+        _assert_within_sum_bound(got, f * np.conj(h) * w)
+        _assert_within_sum_bound(inner_weighted(HVector(g, f), HVector(g, h)), f * np.conj(h) * w)
 
-def test_fsum_complex_sums_high_parts_exactly_near_their_bound():
-    # 1000 negative terms near the top of one binade: the high parts add up
-    # to 0.93 of sigma = 2^(M + e), the bound below which their sum is exact
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        _assert_fsum_complex_is_math_fsum(-(1.8 + 0.2 * rng.random(1000)) * 2.0 ** 5 * (1 + 1j))
-
-
-def test_fsum_complex_keeps_the_remainders_of_wide_parts():
-    # terms over 2^-100..2^0 that cancel exactly, and survivors near 2^-300:
-    # three extraction levels leave the survivors and some low bits of the
-    # rest as remainders, and the whole sum is in them
-    rng = np.random.default_rng(7)
-    big = rng.standard_normal(500) * np.exp2(rng.integers(-100, 1, 500).astype(float))
-    terms = np.concatenate([big, -big, rng.standard_normal(100) * 2.0 ** -300])
-    rng.shuffle(terms)
-    _assert_fsum_complex_is_math_fsum(terms + 1j * terms[::-1])
-
-
-@pytest.mark.parametrize("length", [300, _CUT // 2, _CUT, 1000, _BLOCK + 1])
-def test_fsum_complex_extracts_exactly_down_to_subnormals(length):
-    # every term below 2^-950, most of them subnormal, half cancelling: the
-    # extraction levels run with sigma in and near the subnormal range,
-    # where addition is exact and the high parts stay error-free
-    rng = np.random.default_rng(length)
-    exps = rng.integers(-1080, -950, 2 * length).astype(float)
-    vals = rng.standard_normal(2 * length) * np.exp2(exps)
-    vals[: length // 2] = -vals[length : length + length // 2]
-    rng.shuffle(vals)
-    _assert_fsum_complex_is_math_fsum(vals[:length] + 1j * vals[length:])
-
-
-@pytest.mark.parametrize("length", [3, 301, _CUT // 2 + 1, _CUT + 1, 2 * _BLOCK + 3])
-@pytest.mark.parametrize("part", ["real", "imag"])
-@pytest.mark.parametrize(
-    "tail",
-    [
-        [math.inf],
-        [math.nan],
-        [math.inf, -math.inf],  # ValueError
-        [1e308, 1e308, -1e308],  # intermediate overflow: OverflowError
-        [1e308, -1e308, 1e308],  # the same terms in an order that does not overflow
-        [2.0 ** 1020, 1.0, -(2.0 ** 1020)],
-        [2.0 ** 950, 1.0, -(2.0 ** 950)],
-    ],
-)
-def test_fsum_complex_keeps_math_fsum_for_non_finite_and_huge_terms(tail, part, length):
-    # the special terms sit in the last block, after ordinary ones
-    terms = np.zeros(length, dtype=complex)
-    setattr(terms, part, np.concatenate([np.linspace(-1.0, 2.0, length - len(tail)), tail]))
-    _assert_fsum_complex_is_math_fsum(terms)
-
-
-def _assert_rows_are_math_fsum(terms) -> None:
-    # the oracle is each row on its own: the per-element math.fsum of its
-    # parts, bit for bit, or the exception of the first part that raises
-    want, raised = [], None
-    for row in terms:
-        try:
-            want.append(complex(math.fsum(row.real.tolist()), math.fsum(row.imag.tolist())))
-        except (ValueError, OverflowError) as exc:
-            raised = type(exc)
-            break
-    if raised is not None:
-        with pytest.raises(raised):
-            fsum_rows(terms)
-        return
-    got = fsum_rows(terms)
-    assert got.shape == (len(terms),) and got.dtype == complex
-    hexes = [(z.real.hex(), z.imag.hex()) for z in got.tolist()]
-    assert hexes == [(z.real.hex(), z.imag.hex()) for z in want]
-
-
-# complex terms per row: below and at the one-row cutoff, rows that share a
-# tile (and split across tiles: a tile holds _BLOCK // (2 * length) rows),
-# the longest paired rows, rows summed part by part, and rows in two blocks
-_ROW_LENGTHS = [0, 1, 2, 20, _CUT // 2 - 1, _CUT // 2, 300, 1000, _BLOCK // 2, _BLOCK // 2 + 1, _BLOCK + 1]
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    rows=st.integers(1, 40),
-    length=st.sampled_from(_ROW_LENGTHS),
-    span=st.integers(0, 600),
-    special=st.sampled_from([None, "inf", "-inf", "nan", "huge", "inf-inf", "overflow"]),
-    seed=st.integers(0, 2 ** 32 - 1),
-)
-def test_fsum_rows_is_math_fsum_row_by_row(rows, length, span, special, seed):
-    # rows centred anywhere in 2^-600..2^600, each spread over up to 2^600
-    # below its top, reaching into the subnormals; some rows all zero; one
-    # row may carry a non-finite or near-overflow term, which sends that
-    # part alone to math.fsum
-    rng = np.random.default_rng(seed)
-    if length > _BLOCK // 4:
-        rows = 1 + rows % 3
-    tops = rng.integers(-600, 601, size=(rows, 1, 1))
-    exps = np.maximum(tops - rng.integers(0, span + 1, size=(rows, 2, length)), -1080).astype(float)
-    vals = rng.standard_normal((rows, 2, length)) * np.exp2(exps)
-    vals[rng.random(rows) < 0.2] = 0.0
-    if special is not None and length:
-        r, part = rng.integers(rows), rng.integers(2)
-        tail = {
-            "inf": [math.inf],
-            "-inf": [-math.inf],
-            "nan": [math.nan],
-            "huge": [2.0 ** 950, 1.0, -(2.0 ** 950)],
-            "inf-inf": [math.inf, -math.inf],
-            "overflow": [1e308, 1e308, -1e308],
-        }[special][:length]
-        vals[r, part, length - len(tail):] = tail
-    terms = np.empty((rows, length), dtype=complex)
-    terms.real, terms.imag = vals[:, 0], vals[:, 1]  # 1j * inf would make a nan
-    _assert_rows_are_math_fsum(terms)
-
-
-def test_fsum_rows_refuses_anything_but_a_stack():
-    with pytest.raises(ValueError, match="stack"):
-        fsum_rows(np.ones(4))
+    basis = _span_basis()
+    C = _draw(rng, "random", (rows, basis.size), np.zeros(basis.size))
+    D = _draw(rng, "random", (rows, basis.size), np.zeros(basis.size))
+    if kind == "cancelling":
+        # scale C up and take out of each row of D its share along G c
+        C *= 1e8
+        GC = C @ basis.gram.T
+        D -= (np.sum(np.conj(GC) * D, axis=1) / np.sum(np.abs(GC) ** 2, axis=1))[:, None] * GC
+    for c, d, got in zip(C, D, _opr_inner_rows(basis, C, D)):
+        _assert_within_sum_bound(got, np.conj(d)[:, None] * basis.gram * c[None, :])
 
 
 def test_stacked_inner_products_are_the_single_ones_bit_for_bit():

@@ -1,7 +1,7 @@
 """Numerical Fourier transform pairs on boxes and the identities they obey."""
 
 import math
-from functools import partial
+from functools import cache, partial
 
 import mpmath
 import numpy as np
@@ -560,10 +560,18 @@ def _dense_box_inversion_rhs(vals, box, radius, ts):
     return complex(arr) * (2 * math.pi) ** (-box.ndim / 2)
 
 
+@cache
+def _noise_of_shape(shape):
+    rng = np.random.default_rng(shape)
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    noise.setflags(write=False)
+    return noise
+
+
 def _fixed_noise(*t):
-    """Full-rank samples keyed on the shape alone, the same at every call."""
-    rng = np.random.default_rng(t[0].shape)
-    return rng.standard_normal(t[0].shape) + 1j * rng.standard_normal(t[0].shape)
+    """Full-rank samples keyed on the shape alone, the same at every call:
+    drawn once per shape and read-only."""
+    return _noise_of_shape(t[0].shape)
 
 
 def _gauss1(t):
