@@ -5,6 +5,7 @@ import importlib
 import math
 import warnings
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -284,6 +285,48 @@ def test_pairings_are_within_the_sum_bound_of_math_fsum(kind, rows, seed):
         D -= (np.sum(np.conj(GC) * D, axis=1) / np.sum(np.abs(GC) ** 2, axis=1))[:, None] * GC
     for c, d, got in zip(C, D, _opr_inner_rows(basis, C, D)):
         _assert_within_sum_bound(got, np.conj(d)[:, None] * basis.gram * c[None, :])
+
+
+@pytest.mark.parametrize("length", [3, 301, 401, 801, 32771])
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize(
+    "tail",
+    [
+        [math.inf],
+        [math.nan],
+        [math.inf, -math.inf],  # math.fsum: ValueError
+        [1e308, 1e308, -1e308],  # math.fsum: intermediate overflow, OverflowError
+        [1e308, -1e308, 1e308],  # the same terms in an order that does not overflow
+        [2.0 ** 1020, 1.0, -(2.0 ** 1020)],
+        [2.0 ** 950, 1.0, -(2.0 ** 950)],
+    ],
+)
+def test_fsum_complex_keeps_math_fsum_for_non_finite_and_huge_terms(tail, part, length):
+    # the numpy row sum on the terms the exact sum once sent to math.fsum:
+    # inf and nan come out as math.fsum gives them, inf - inf as nan, and
+    # huge finite terms within the sum bound of the exact sum, or as inf
+    # where Σ|terms| is past the float range; the special terms sit last,
+    # after ordinary ones, and unit weights leave the terms as they are
+    g = build_grid(make_interval(0.0, float(length)), length, 1)
+    seq = np.concatenate([np.linspace(-1.0, 2.0, length - len(tail)), tail])
+    terms = np.zeros(length, dtype=complex)
+    setattr(terms, part, seq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = integrate(g, terms)
+        size = float(np.abs(seq).sum())
+    got = getattr(total, part)
+    try:
+        want = math.fsum(seq.tolist())
+    except ValueError:
+        assert math.isnan(got)
+        return
+    except OverflowError:  # the exact sum is finite all the same
+        want = float(sum(map(Fraction, seq.tolist()), Fraction(0)))
+    if not math.isfinite(want):
+        assert got == want or (math.isnan(got) and math.isnan(want))
+        return
+    assert abs(got - want) <= length * np.finfo(float).eps * size
+    assert getattr(total, "imag" if part == "real" else "real") == 0.0
 
 
 def test_stacked_inner_products_are_the_single_ones_bit_for_bit():
