@@ -15,15 +15,13 @@ into per-node phases and a term in the panel lag q - p alone, so the sum
 over source panels is a convolution done by FFT (Bluestein's chirp-z
 identity), one FFT column per data column and with no approximation; its
 error is the rounding of its double-precision phases (:func:`_axis_chirp`).
-:func:`fourier_on_lattice` takes the chirp-z route when both grids have
-uniform panels and a cost model fitted to timings of both routes says it is
-cheaper; grids with breakpoints and very small grids stay dense, and the
-dense route is the tests' oracle.  :func:`transform_at` evaluates the dense
-sum at arbitrary points.  :func:`mutual_inverse_check` evaluates the
-conjugate sum on its probe lattice one axis at a time, by the same
-contraction: each probe axis is a grid of one-node panels, so the
-back-evaluation takes the chirp-z route where it pays, as the forward
-transform does.
+An axis takes the chirp-z route when both grids have uniform panels and at
+least ``_CHIRP_MIN_NODES`` nodes, else the dense route, the tests' oracle;
+the route depends on the two grids alone, not on the data.
+:func:`transform_at` evaluates the dense sum at arbitrary points, and
+:func:`mutual_inverse_check` the conjugate sum on its probe lattice by the
+same contraction, onto probe axes of one-node panels: 50 probes in 1-D take
+the chirp-z route, 7 or 4 per axis in 2-D or 3-D the dense one.
 
 The checks hold samples and transforms in one factored (Tucker) form,
 :class:`_Image`.  A product source, a tuple of one-argument callables, is
@@ -95,6 +93,9 @@ _CHUNK_ELEMS = 1 << 22
 _UNIFORM_ULPS = 64
 # probes of mutual_inverse_check, spread over the axes by default_probes
 _N_PROBES = 50
+# the chirp-z route's floor on each grid's node count; onto fewer (the 2-d
+# and 3-d probe axes) the dense sum is faster and rounds less
+_CHIRP_MIN_NODES = 8
 
 
 def _chunk_rows(ncols: int) -> int:
@@ -239,33 +240,11 @@ def _axis_chirp(arr: np.ndarray, axis: int, dst: QuadGrid, src: QuadGrid, sign: 
     return np.moveaxis(out, -1, axis)
 
 
-def _chirp_pays(P: int, n: int, Q: int, m: int, cols: int) -> bool:
-    """Whether :func:`_axis_chirp` beats :func:`_axis_apply` for P panels of
-    n source nodes, Q panels of m target nodes and ``cols`` columns.
-
-    Costs in ns, fitted to 161 timings of both routes (numpy 2.4, OpenBLAS
-    on one thread, 2-core x86-64): the dense route pays per kernel entry
-    for the exponential and per entry and column for the product; the
-    chirp route pays for its chirp spectrum, and per column for the FFTs,
-    the (n x m) products per bin and the node phases.
-
-    The per-column term was fitted when the chirp route transformed two
-    FFT columns per data column; it now transforms one, so the model
-    overstates the chirp cost and keeps borderline axes dense on purpose.
-    """
-    L = _fft_len(P + Q - 1)
-    dense = 3.5e4 + P * n * Q * m * (44.0 + 0.2 * cols)
-    per_col = L * (2.0 * n * m + 4.5 * (n + m) * math.log2(L)) + 17.0 * (P * n + Q * m)
-    chirp = 1.9e5 + 124.0 * L * n * m + cols * per_col
-    return chirp < dense
-
-
 def _axis_contract(arr: np.ndarray, axis: int, dst: QuadGrid, src: QuadGrid, sign: float) -> np.ndarray:
     """One axis of a truncated transform: :func:`_axis_chirp` when both
-    grids have uniform panels and it is the cheaper route, else
-    :func:`_axis_apply`."""
-    cols = arr.size // src.size
-    if _chirp_pays(src.n_panels, src.nodes_per_panel, dst.n_panels, dst.nodes_per_panel, cols):
+    grids have uniform panels and at least ``_CHIRP_MIN_NODES`` nodes, else
+    :func:`_axis_apply`: a product source takes its dense samples' routes."""
+    if min(src.size, dst.size) >= _CHIRP_MIN_NODES:
         models = (_panel_model(src), _panel_model(dst))
         if None not in models:
             return _axis_chirp(arr, axis, dst, src, sign, models)
@@ -520,9 +499,9 @@ def mutual_inverse_check(fn: Callable | tuple, box: ProductGrid, radius: float) 
     discrepancy carries the inversion tail (roughly 1/radius scaled by the
     smoothness of f) on top of quadrature error.  It is evaluated one axis
     at a time, on the transform's factors or along its core, by the same
-    per-axis contraction as the forward transform: the chirp-z route onto
-    the probe grids where it pays, else the dense sum of
-    :func:`transform_at`.  f and the frequency box are those of
+    per-axis contraction as the forward transform: the dense sum of
+    :func:`transform_at` onto fewer than ``_CHIRP_MIN_NODES`` probes an
+    axis, else the chirp-z route.  f and the frequency box are those of
     :func:`plancherel_norm_check`; the reference values of a product are
     products of its factors' values.
     """

@@ -412,7 +412,8 @@ def suite_plancherel_norm(cfg: RunConfig) -> Report:
         )
     )
 
-    boxw = pl.box_domain([1.0], max_frequency=radius, nodes_per_panel=npp)
+    sweep = (50.0, 100.0, 200.0)
+    boxw = pl.box_domain([1.0], max_frequency=max(radius, *sweep), nodes_per_panel=npp)
     window = SOURCES["window"]
     res2 = pl.plancherel_norm_check(window, boxw, radius)
     rep.add(make_record("window feature: time squared norm", res2.norm_time ** 2, 1.0 / math.pi, 1e-10))
@@ -423,7 +424,7 @@ def suite_plancherel_norm(cfg: RunConfig) -> Report:
         res2.rel_err
         if r == radius
         else pl.plancherel_norm_check(window, boxw, r).rel_err
-        for r in (50.0, 100.0, 200.0)
+        for r in sweep
     ]
     worst_inc = max(0.0, max(rels[i + 1] - rels[i] for i in range(len(rels) - 1)))
     rep.add(

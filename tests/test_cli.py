@@ -230,6 +230,14 @@ def test_generalized_inversion_ignores_radius(capsys):
     assert code == 0 and small == default
 
 
+def test_plancherel_norm_checks_a_radius_below_its_sweep(capsys):
+    # the window's radius sweep runs to 200 on a box that resolves the
+    # larger of 200 and the radius, so a smaller radius is checked, not refused
+    code, out, err = run(capsys, "verify", "--suite", "plancherel-norm", "--radius", "100")
+    assert code == 0 and err == ""
+    assert out.endswith("suite plancherel-norm: PASS (7/7 records)\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -481,10 +481,12 @@ PINNED_BACK = {
 }
 
 
-# measured gaps 1.2e-14 (gaussian), 6.4e-15 to 7.7e-15 (wave) and 1.8e-15
-# (2-d); at 2 nodes per panel the 2-d axes (306 panels onto 7) stay dense
+# the 1-d probe axes have 50 nodes and take the chirp-z route, while the
+# 2-d ones have 7, fewer than _CHIRP_MIN_NODES, and stay dense at either
+# order; measured gaps 1.2e-14 (gaussian), 6.4e-15 to 7.7e-15 (wave) and
+# 6.9e-18 (2-d, where both sides are dense sums scaled in another order)
 @pytest.mark.parametrize("name, nodes_per_panel", [
-    ("gaussian", 2), ("gaussian", 8), ("wave", 2), ("wave", 8), ("2-d gaussian", 8),
+    ("gaussian", 2), ("gaussian", 8), ("wave", 2), ("wave", 8), ("2-d gaussian", 2), ("2-d gaussian", 8),
 ])
 def test_pinned_back_evaluations_take_chirp_route(name, nodes_per_panel, monkeypatch):
     fn, half_widths, radius = PINNED_BACK[name]
@@ -492,7 +494,7 @@ def test_pinned_back_evaluations_take_chirp_route(name, nodes_per_panel, monkeyp
     _, lattice, F = pl._forward(fn, box, radius, max(half_widths))
     probes = pl.default_probes(box)
     want = _dense_back(F, lattice, probes)
-    monkeypatch.setattr(pl, "_axis_apply", _refuse)
+    monkeypatch.setattr(pl, "_axis_apply" if box.ndim == 1 else "_axis_chirp", _refuse)
     got = pl._back_evaluate(F, lattice, probes)
     atol = CHIRP_ATOL_1D if box.ndim == 1 else CHIRP_ATOL_2D
     np.testing.assert_allclose(got, want, rtol=0, atol=atol)
@@ -505,6 +507,74 @@ def test_default_probes_are_one_node_panels_at_the_linspace_points():
             assert g.nodes_per_panel == 1 and pl._panel_model(g) is not None
             want = np.linspace(-0.9 * a, 0.9 * a, g.size)
             assert np.max(np.abs(g.nodes - want)) <= np.spacing(0.9 * a)
+
+
+def _route_taken(src, dst, cols):
+    """The routes _axis_contract takes for ``cols`` columns from src to dst.
+    Both routes are stubbed, so no column is read and any count is cheap."""
+    taken = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pl, "_axis_chirp", lambda *args: taken.append("chirp"))
+        m.setattr(pl, "_axis_apply", lambda *args: taken.append("dense"))
+        pl._axis_contract(np.broadcast_to(np.complex128(0), (src.size, cols)), 0, dst, src, -1.0)
+    return taken
+
+
+# the back-evaluations of the suites, onto 50, 50, 7 and 4 probes an axis:
+# (time half-widths, radius, route)
+SUITE_BACK = [((6.0,), 200.0, "chirp"), ((1.0,), 200.0, "chirp"),
+              ((4.0,) * 2, 30.0, "dense"), ((4.0,) * 3, 30.0, "dense")]
+
+
+def _suite_axis_pairs(order):
+    """(source, target, route) of every axis contraction the Plancherel
+    suites make at the order: the forward transforms, then the
+    back-evaluations."""
+    pairs = []
+    for a, radius, rate in PINNED_1D:
+        box = pl.box_domain([a], max_frequency=radius, nodes_per_panel=order)
+        lattice = pl.box_domain([radius], max_frequency=rate, nodes_per_panel=order)
+        pairs.append((box.axes[0], lattice.axes[0], "chirp"))
+    for half_widths, radius, route in SUITE_BACK:
+        box = pl.box_domain(half_widths, max_frequency=radius, nodes_per_panel=order)
+        lattice = pl.box_domain([radius], max_frequency=half_widths[0], nodes_per_panel=order)
+        pairs.append((lattice.axes[0], pl.default_probes(box)[0], route))
+    return pairs
+
+
+# 612 and 2 448 columns are a whole side of dense samples on the 2-d box
+# (4, 30) at orders 2 and 8: the route does not depend on the column count
+@pytest.mark.parametrize("order, cols", [(2, 1), (2, 612), (8, 1), (8, 2448)])
+def test_suite_axes_take_the_route_of_their_grid_sizes(order, cols):
+    for src, dst, route in _suite_axis_pairs(order):
+        assert _route_taken(src, dst, cols) == [route], (src.size, dst.size)
+
+
+@pytest.mark.parametrize("size, route", [(7, "dense"), (8, "chirp")])
+def test_chirp_route_needs_eight_nodes_on_each_grid(size, route):
+    small = build_grid(make_interval(-1.0, 1.0), size, 1)
+    large = pl.box_domain([200.0], max_frequency=6.0).axes[0]
+    assert _route_taken(large, small, 1) == [route]
+    assert _route_taken(small, large, 1) == [route]
+
+
+@settings(max_examples=50)
+@given(
+    panels=st.integers(1, 400),
+    order=st.integers(1, 8),
+    other=st.integers(1, 3056),
+    as_source=st.booleans(),
+    cols=st.sampled_from([1, 612, 2448]),
+)
+def test_grid_with_breakpoints_always_takes_dense_route(panels, order, other, as_source, cols):
+    # a breakpoint at an irrational share of the interval leaves panels of
+    # two widths, which no uniform-panel model fits once the grid has 8
+    # nodes; the other grid is uniform and as large as the suites'
+    cut = build_grid(make_interval(-1.0, 2.0), panels, order, breakpoints=(-1.0 + 3.0 / math.pi,))
+    assert cut.size < pl._CHIRP_MIN_NODES or pl._panel_model(cut) is None
+    uniform = build_grid(make_interval(-50.0, 50.0), other, 8)
+    src, dst = (cut, uniform) if as_source else (uniform, cut)
+    assert _route_taken(src, dst, cols) == ["dense"]
 
 
 @pytest.mark.parametrize("nodes_per_panel", [2, 8])
@@ -594,10 +664,9 @@ FACTORED_SOURCES = {
 }
 
 # Bounds of the factored checks against the dense route, in eps of the
-# checked quantity; measured at most 1.6 (norms, lhs) and 2.6
-# (back-evaluated values and rhs) over the cases below.  The round-trip
-# errors take the values' bound: the back-evaluation may take the chirp-z
-# route, so the two sides are no longer one dense sum (measured 2.2).
+# checked quantity; measured at most 1.6 (norms, lhs), 2.2 (rhs) and 5.5
+# (back-evaluated values) over the cases below.  The round-trip errors take
+# the values' bound (measured 0.46).
 NORM_ULPS = 2.0
 VALUE_ULPS = 8.0
 
@@ -620,14 +689,6 @@ def test_factored_checks_match_dense_route(name, nodes_per_panel, monkeypatch):
     # the pinned 2-d geometries of plancherel-norm and mutual-inverse, and
     # of box-inversion
     fn, dense_fn = FACTORED_SOURCES[name], _on_mesh(FACTORED_SOURCES[name])
-    if isinstance(fn, tuple):
-        # a product contracts one column per axis, the column route of its
-        # dense samples a whole side, where _chirp_pays may pick the other
-        # route (dense at 612 columns, 21 eps of the back-evaluated values
-        # away); the oracle takes the product's routes, so that the two
-        # differ by the factored algebra alone
-        pays = pl._chirp_pays
-        monkeypatch.setattr(pl, "_chirp_pays", lambda P, n, Q, m, cols: pays(P, n, Q, m, 1))
     box = pl.box_domain([4.0, 4.0], max_frequency=30.0, nodes_per_panel=nodes_per_panel)
     norm_time, norm_freq, back = _dense_checks(pl.sample_on_box(box, dense_fn), box, 30.0)
     rep = pl.plancherel_norm_check(fn, box, 30.0)
