@@ -364,15 +364,13 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def product_grid(
-    grids: Sequence[QuadGrid], cap: int = PRODUCT_NODE_CAP, max_frequency: float | None = None
-) -> ProductGrid:
+def product_grid(grids: Sequence[QuadGrid], cap: int = PRODUCT_NODE_CAP) -> ProductGrid:
     """Product of one-dimensional grids, refused when it would hold more
     than ``cap`` nodes."""
     axes = tuple(grids)
     if not axes:
         raise ValueError("need at least one factor grid")
-    grid = ProductGrid(axes, None if max_frequency is None else float(max_frequency), cap)
+    grid = ProductGrid(axes, cap=cap)
     grid.require_dense()
     return grid
 

@@ -23,20 +23,20 @@ the route depends on the two grids alone, not on the data.
 same contraction, onto probe axes of one-node panels: 50 probes in 1-D take
 the chirp-z route, 7 or 4 per axis in 2-D or 3-D the dense one.
 
-The checks hold samples and transforms in one factored (Tucker) form,
-:class:`_Image`.  A product source, a tuple of one-argument callables, is
-sampled per axis and its box never meshed; any other source is sampled
-densely on the whole mesh and keeps identity factors.  A transform
-contracts each axis's factor columns, or the core along an axis without a
-factor; dense samples so take the column route, one contraction per axis
-over all columns, which is the oracle of the factored one.  Norms, the
-back-evaluation of :func:`mutual_inverse_check` and the indicator
-contraction of :func:`box_inversion_check` work one axis at a time on the
-factors and then contract the small core; only :func:`fourier_on_lattice`
-multiplies the transform out.  So a product on a 2 448^3-node box costs
-three 1-D transforms.  A dense array over a box, samples or the transform
-of dense samples on the frequency lattice, is refused above
-``BOX_NODE_CAP`` nodes before it is formed, not when the box is built.
+The checks take a source as its factors: a tuple of one-argument
+callables, one per axis, whose product it is; on a 1-D box a plain callable
+is read as the tuple of itself.  Samples and transforms are one complex
+vector per axis, so a box is never meshed and a product on a 2 448^3-node
+box costs three 1-D transforms.  A norm is the product of the per-axis
+weighted norms, the back-evaluation of :func:`mutual_inverse_check` is the
+outer product of the per-axis back-evaluations on its probe lattice (at
+most ``_N_PROBES`` points), and the indicator integral of
+:func:`box_inversion_check` a product of per-axis dot products.  The
+(2 pi)^(-N/2) scale is multiplied in once where each result is used.
+:func:`fourier_on_lattice` transforms dense samples, one contraction per
+axis over all columns; it is the tests' oracle of the per-axis checks, and
+refuses its table above ``BOX_NODE_CAP`` nodes before forming it, not when
+the box is built.
 
 The two boxes are the same kind of object, a
 :class:`~rkhskit.numerics.ProductGrid` from :func:`box_domain`: a time box
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -243,7 +243,8 @@ def _axis_chirp(arr: np.ndarray, axis: int, dst: QuadGrid, src: QuadGrid, sign: 
 def _axis_contract(arr: np.ndarray, axis: int, dst: QuadGrid, src: QuadGrid, sign: float) -> np.ndarray:
     """One axis of a truncated transform: :func:`_axis_chirp` when both
     grids have uniform panels and at least ``_CHIRP_MIN_NODES`` nodes, else
-    :func:`_axis_apply`: a product source takes its dense samples' routes."""
+    :func:`_axis_apply`.  The route reads the two grids alone, so a factor
+    of a product source takes the route of its dense samples' columns."""
     if min(src.size, dst.size) >= _CHIRP_MIN_NODES:
         models = (_panel_model(src), _panel_model(dst))
         if None not in models:
@@ -251,90 +252,29 @@ def _axis_contract(arr: np.ndarray, axis: int, dst: QuadGrid, src: QuadGrid, sig
     return _axis_apply(arr, axis, dst.nodes, src, sign)
 
 
-@dataclass(frozen=True, eq=False)
-class _Image:
-    """Samples or a transform on a box in Tucker form: the array ``core``
-    times, along each axis j, the (n_j, k_j) matrix ``factors[j]``, or the
-    identity for None (the core's axis j is then the box's).
-
-    A product source is a 1 x ... x 1 core with one sampled column per axis,
-    and dense samples are the core with identity factors.
-    """
-
-    core: np.ndarray
-    factors: tuple
-
-    def map_axes(self, maps: Sequence[Callable]) -> "_Image":
-        """The image with ``maps[j](arr, axis)``, linear along ``axis``,
-        applied along each axis j: to factor j (its axis 0) when there is
-        one, else to the core."""
-        core, factors = self.core, []
-        for j, (A, fn) in enumerate(zip(self.factors, maps)):
-            if A is None:
-                core = fn(core, j)
-            factors.append(None if A is None else fn(A, 0))
-        return _Image(core, tuple(factors))
-
-    def dense(self) -> np.ndarray:
-        """The full array: every factor multiplied into the core."""
-        out = self.core
-        for j, A in enumerate(self.factors):
-            if A is not None:
-                out = _mode_product(out, j, A)
-        return out
+def _sample(fn: Callable | tuple, axes: Sequence[QuadGrid]) -> list:
+    """The source on each axis: one complex vector per axis, of which it is
+    the outer product.  ``fn`` is a tuple of one-argument callables, one
+    per axis, or on a single axis a plain callable."""
+    factors = fn if isinstance(fn, tuple) else (fn,)
+    if len(factors) != len(axes):
+        n = len(axes)
+        raise ValueError(f"a source on {n} axes needs one factor per axis: a tuple of {n} one-argument callables")
+    return [np.asarray(f(g.nodes), dtype=complex) for f, g in zip(factors, axes)]
 
 
-def _mode_product(arr: np.ndarray, axis: int, M: np.ndarray) -> np.ndarray:
-    """The (m x n) matrix M applied along ``axis`` of arr, of length n there."""
-    return np.moveaxis(np.tensordot(M, arr, axes=(1, axis)), 0, axis)
+def _contract(
+    vecs: Sequence[np.ndarray], dst_axes: Sequence[QuadGrid], src_axes: Sequence[QuadGrid], sign: float
+) -> list:
+    """The kernel exp(sign i x t) w(t) contracted with each axis's vector by
+    :func:`_axis_contract`, from the source axis's nodes t to the target
+    axis's nodes x; the (2 pi)^(-N/2) scale is left to the caller."""
+    return [_axis_contract(v, 0, dst, src, sign) for v, dst, src in zip(vecs, dst_axes, src_axes)]
 
 
-def _dense_image(arr: np.ndarray) -> _Image:
-    return _Image(arr, (None,) * arr.ndim)
-
-
-def _sample(fn: Callable | tuple, grid: ProductGrid) -> _Image:
-    """The source on the grid.
-
-    A tuple of one-argument callables, one per axis, is their product: a
-    1 x ... x 1 core with one sampled column per axis, so the grid is never
-    meshed.  A callable of ndim arguments is :func:`sample_on_box`, refused
-    above the grid's cap.
-    """
-    if isinstance(fn, tuple):
-        if len(fn) != grid.ndim:
-            raise ValueError("a product source needs one factor per axis")
-        cols = tuple(np.asarray(f(g.nodes), dtype=complex).reshape(g.size, 1) for f, g in zip(fn, grid.axes))
-        return _Image(np.ones((1,) * len(cols), dtype=complex), cols)
-    return _dense_image(sample_on_box(grid, fn))
-
-
-def _transform(img: _Image, box: ProductGrid, lattice: ProductGrid) -> _Image:
-    """Truncated transform of a box image, tabulated on the lattice as an
-    image of the same form.
-
-    Each axis contracts its factor's columns, or the core along that axis
-    where the factor is the identity: the column route of dense samples is
-    the all-identity case.  Each such contraction leaves a dense core with
-    the lattice's length along that axis; when the largest of them would
-    pass the lattice's cap, nothing is formed.
-    """
-    shape, largest = list(img.core.shape), 0
-    for j, A in enumerate(img.factors):
-        if A is None:
-            shape[j] = lattice.axes[j].size
-            largest = max(largest, math.prod(shape))
-    require_node_cap(largest, lattice.cap)
-    return _contract(img, lattice.axes, box.axes, -1.0)
-
-
-def _contract(img: _Image, dst_axes: Sequence[QuadGrid], src_axes: Sequence[QuadGrid], sign: float) -> _Image:
-    """(2 pi)^(-N/2) times the kernel exp(sign i x t) w(t) contracted along
-    every axis of the image by :func:`_axis_contract`, from the source axes'
-    nodes t to the target axes' nodes x."""
-    maps = [partial(_axis_contract, dst=dst, src=src, sign=sign) for dst, src in zip(dst_axes, src_axes)]
-    out = img.map_axes(maps)
-    return _Image(out.core * _TWO_PI ** (-len(maps) / 2.0), out.factors)
+def _outer(vecs: Sequence[np.ndarray]) -> np.ndarray:
+    """The dense array of per-axis vectors: their outer product."""
+    return reduce(np.multiply.outer, vecs)
 
 
 def fourier_on_lattice(values: np.ndarray, box: ProductGrid, lattice: ProductGrid) -> np.ndarray:
@@ -342,12 +282,16 @@ def fourier_on_lattice(values: np.ndarray, box: ProductGrid, lattice: ProductGri
 
     (2 pi)^(-N/2) * integral over the box of f(t) exp(-i t.x) dt, one kernel
     contraction per axis over all columns.  The lattice's node cap bounds
-    the table.
+    the largest table along the way, and is checked before any is formed.
     """
     if lattice.ndim != box.ndim:
         raise ValueError("lattice and box dimensions differ")
     arr = np.asarray(values, dtype=complex).reshape(box.shape)
-    return _transform(_dense_image(arr), box, lattice).dense()
+    tables = [lattice.shape[: j + 1] + box.shape[j + 1 :] for j in range(box.ndim)]
+    require_node_cap(max(map(math.prod, tables)), lattice.cap)
+    for j, (dst, src) in enumerate(zip(lattice.axes, box.axes)):
+        arr = _axis_contract(arr, j, dst, src, -1.0)
+    return arr * _TWO_PI ** (-box.ndim / 2.0)
 
 
 def transform_at(values: np.ndarray, src_axes: Sequence[QuadGrid], points, sign: float) -> np.ndarray:
@@ -396,38 +340,26 @@ def indicator_hat(t: float, x) -> np.ndarray:
 
 
 def _forward(fn: Callable | tuple, box: ProductGrid, radius: float, rate: float):
-    """The source sampled on the box, the frequency box (-radius, radius)^N
-    resolving times up to ``rate`` at the box's Gauss order, and the
-    transform on it; samples and transform are images (:class:`_Image`)."""
+    """The source sampled on each axis of the box, the frequency box
+    (-radius, radius)^N resolving times up to ``rate`` at the box's Gauss
+    order, and each axis's transform onto it.  The transform is
+    (2 pi)^(-N/2) times the outer product of the per-axis vectors."""
     if box.max_frequency is not None and radius > box.max_frequency * (1.0 + 1e-12):
         raise ValueError(
             f"box resolves frequencies up to {box.max_frequency:g}, "
             f"below the requested radius {radius:g}"
         )
-    img = _sample(fn, box)
+    img = _sample(fn, box.axes)
     lattice = box_domain(
         (radius,) * box.ndim, max_frequency=rate, nodes_per_panel=box.axes[0].nodes_per_panel
     )
-    return img, lattice, _transform(img, box, lattice)
+    return img, lattice, _contract(img, lattice.axes, box.axes, -1.0)
 
 
-def _norm(img: _Image, grid: ProductGrid) -> float:
-    """L2 norm of an image over the grid, one axis at a time.
-
-    Each factor A_j enters through the triangular R_j of a QR of
-    sqrt(w_j) A_j, so that R_j^H R_j = A_j^H W_j A_j: the squared norm is
-    the sum of |core x_j R_j|^2, weighted by w_j along each identity axis.
-    Lattices run to millions of nodes; pairwise summation is plenty here.
-    """
-    roots = tuple(
-        None if A is None else np.linalg.qr(np.sqrt(g.weights)[:, None] * A, mode="r")
-        for A, g in zip(img.factors, grid.axes)
-    )
-    density = np.abs(_Image(img.core, roots).dense()) ** 2
-    for j, (A, g) in enumerate(zip(img.factors, grid.axes)):
-        if A is None:
-            density = density * g.weights.reshape((-1,) + (1,) * (grid.ndim - 1 - j))
-    return math.sqrt(max(float(np.sum(density)), 0.0))
+def _norm(vecs: Sequence[np.ndarray], grid: ProductGrid) -> float:
+    """L2 norm over the grid of the outer product of per-axis vectors: the
+    product of their weighted norms."""
+    return math.sqrt(math.prod(float(np.sum(g.weights * np.abs(v) ** 2)) for v, g in zip(vecs, grid.axes)))
 
 
 @dataclass(frozen=True)
@@ -445,17 +377,17 @@ def plancherel_norm_check(fn: Callable | tuple, box: ProductGrid, radius: float)
     """Window L2 norm of f against the L2 norm of its truncated transform
     over the frequency box; rel_err carries truncation tails plus quadrature.
 
-    f is a vectorized callable of ndim arguments, or a tuple of ndim
-    one-argument callables whose product it is; a product is sampled,
-    transformed and measured one axis at a time.  The box must have been
-    built with max_frequency >= radius; the frequency box resolves times up
-    to the largest time half-width.
+    f is a tuple of ndim one-argument callables whose product it is, or on
+    a 1-D box a plain callable; it is sampled, transformed and measured one
+    axis at a time.  The box must have been built with max_frequency >=
+    radius; the frequency box resolves times up to the largest time
+    half-width.
     """
     img, lattice, F = _forward(fn, box, radius, max(box.half_widths))
     return PlancherelNormReport(
         radius=radius,
         norm_time=_norm(img, box),
-        norm_freq=_norm(F, lattice),
+        norm_freq=_norm(F, lattice) * _TWO_PI ** (-box.ndim / 2.0),
     )
 
 
@@ -482,13 +414,13 @@ def default_probes(box: ProductGrid) -> list:
     return grids
 
 
-def _back_evaluate(F: _Image, lattice: ProductGrid, probes: Sequence[QuadGrid]) -> np.ndarray:
-    """``transform_at(F, lattice.axes, points, sign=+1)`` at the tensor
-    lattice of the probe grids' nodes, one axis at a time by
-    :func:`_axis_contract`, as :func:`_transform` runs the forward kernel:
-    on each factor of the lattice image, or along its core where the factor
-    is the identity.  The result has one axis per probe axis."""
-    return _contract(F, probes, lattice.axes, +1.0).dense()
+def _back_evaluate(F: Sequence[np.ndarray], lattice: ProductGrid, probes: Sequence[QuadGrid]) -> np.ndarray:
+    """``transform_at`` with ``sign=+1`` of the transform whose per-axis
+    vectors :func:`_forward` returns as F, at the tensor lattice of the
+    probe grids' nodes: each axis by :func:`_axis_contract`, then the outer
+    product times both transforms' (2 pi)^(-N/2).  The result has one axis
+    per probe axis."""
+    return _outer(_contract(F, probes, lattice.axes, +1.0)) * _TWO_PI ** -len(probes)
 
 
 def mutual_inverse_check(fn: Callable | tuple, box: ProductGrid, radius: float) -> MutualInverseReport:
@@ -498,17 +430,17 @@ def mutual_inverse_check(fn: Callable | tuple, box: ProductGrid, radius: float) 
     The conjugate transform runs over the truncated frequency box, so the
     discrepancy carries the inversion tail (roughly 1/radius scaled by the
     smoothness of f) on top of quadrature error.  It is evaluated one axis
-    at a time, on the transform's factors or along its core, by the same
-    per-axis contraction as the forward transform: the dense sum of
+    at a time, on each axis's transform vector, by the same per-axis
+    contraction as the forward transform: the dense sum of
     :func:`transform_at` onto fewer than ``_CHIRP_MIN_NODES`` probes an
     axis, else the chirp-z route.  f and the frequency box are those of
-    :func:`plancherel_norm_check`; the reference values of a product are
-    products of its factors' values.
+    :func:`plancherel_norm_check`; the reference values are the outer
+    product of the factors' values on the probe axes.
     """
     _, lattice, F = _forward(fn, box, radius, max(box.half_widths))
     probes = default_probes(box)
     back = _back_evaluate(F, lattice, probes)
-    ref = _sample(fn, ProductGrid(tuple(probes), cap=BOX_NODE_CAP)).dense()
+    ref = _outer(_sample(fn, probes))
     err = float(np.max(np.abs(back - ref)))
     return MutualInverseReport(radius=radius, n_probes=back.size, max_abs_err=err)
 
@@ -531,15 +463,15 @@ def box_inversion_check(
     """Indefinite-integral inversion identity on a box.
 
     lhs integrates f over (0, t_1) x ... x (0, t_N) by fresh quadrature,
-    one axis at a time for a product (f as in :func:`plancherel_norm_check`);
-    rhs pushes the box-truncated transform of f back through the product of
-    indicator transforms:
+    one axis at a time (f as in :func:`plancherel_norm_check`); rhs pushes
+    the box-truncated transform of f back through the product of indicator
+    transforms:
 
         (2 pi)^(-N/2) * integral of F(x) prod_j (exp(i t_j x_j) - 1)/(i x_j) dx
 
     over the frequency box, which resolves times up to twice the largest
-    time half-width.  Each indicator integral is applied along its axis, to
-    the transform's factor or core.  Their gap carries the O(1/radius) tail.
+    time half-width.  Each indicator integral is a dot product with its
+    axis's transform vector.  Their gap carries the O(1/radius) tail.
     """
     ts = tuple(float(v) for v in t)
     if len(ts) != box.ndim:
@@ -549,17 +481,9 @@ def box_inversion_check(
             raise ValueError("t must lie strictly inside the positive box")
 
     _, lattice, F = _forward(fn, box, radius, 2.0 * max(box.half_widths))
-    grid = ProductGrid(tuple(build_grid(make_interval(0.0, tj), 16, 16) for tj in ts), cap=BOX_NODE_CAP)
-    src = _sample(fn, grid)
-    if any(A is None for A in src.factors):
-        lhs = integrate(grid, src.core.ravel())
-    else:
-        lhs = math.prod(integrate(g, A[:, 0]) for g, A in zip(grid.axes, src.factors))
-
-    # each axis integrates against its weighted indicator transform, a 1 x n row
-    maps = [
-        partial(_mode_product, M=(indicator_hat(tj, g.nodes) * g.weights)[None, :])
-        for tj, g in zip(ts, lattice.axes)
-    ]
-    rhs = F.map_axes(maps).dense().item() * _TWO_PI ** (-box.ndim / 2.0)
+    axes = [build_grid(make_interval(0.0, tj), 16, 16) for tj in ts]
+    lhs = math.prod(integrate(g, v) for g, v in zip(axes, _sample(fn, axes)))
+    # each axis integrates against its weighted indicator transform
+    dots = (np.dot(indicator_hat(tj, g.nodes) * g.weights, v) for tj, g, v in zip(ts, lattice.axes, F))
+    rhs = complex(math.prod(dots) * _TWO_PI ** -box.ndim)
     return BoxInversionReport(radius=radius, t=ts, lhs=lhs, rhs=rhs)

@@ -442,10 +442,10 @@ def test_every_public_name_resolves(module):
 def test_product_grid_shape_and_size_are_lazy():
     gx = build_grid(make_interval(-1.0, 1.0), 3, 4)
     gy = build_grid(make_interval(0.0, 2.0), 5, 2, rho=lambda t: 1.0 + t)
-    grid = product_grid([gx, gy], max_frequency=7)
+    grid = product_grid([gx, gy])
     assert isinstance(grid, ProductGrid)
     assert grid.ndim == 2 and grid.shape == (12, 10) and grid.size == 120
-    assert grid.max_frequency == 7.0 and grid.half_widths == (1.0, 2.0)
+    assert grid.half_widths == (1.0, 2.0)
     assert not {"nodes", "weights", "rho_at_nodes"} & set(vars(grid))
     # row-major: the last axis runs fastest
     assert grid.nodes.shape == (120, 2)

@@ -1,7 +1,6 @@
 """Numerical Fourier transform pairs on boxes and the identities they obey."""
 
 import math
-from functools import cache, partial
 
 import mpmath
 import numpy as np
@@ -10,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rkhskit import plancherel as pl
-from rkhskit.numerics import build_grid, integrate, make_interval, product_grid
-from rkhskit.suites import SOURCES
+from rkhskit.numerics import ProductGrid, build_grid, integrate, make_interval, product_grid
+from rkhskit.suites import SOURCES, RunConfig, run_suite
 
 SQRT_2_OVER_PI = 0.7978845608028654
 INV_PI = 0.3183098861837907
@@ -69,25 +68,6 @@ def test_box_cap_message():
         pl.sample_on_box(box, lambda x, y, z: x)
     with pytest.raises(ValueError, match=message):
         pl.fourier_on_lattice(np.zeros(small.shape), small, lattice)
-
-
-def test_checks_refuse_a_dense_transform_above_the_cap():
-    # the 979 k-node mesh of a dense source passes the cap, but its table on
-    # the frequency lattice would not; the checks refuse it before forming it
-    box = pl.box_domain((4.0, 0.25, 0.25), max_frequency=30.0, nodes_per_panel=2)
-    assert box.size <= pl.BOX_NODE_CAP
-
-    def source(x, y, z):
-        return np.exp(-(x * x + y * y + z * z))
-
-    for rate, check in (
-        (4.0, lambda: pl.plancherel_norm_check(source, box, 30.0)),
-        (4.0, lambda: pl.mutual_inverse_check(source, box, 30.0)),
-        (8.0, lambda: pl.box_inversion_check(source, box, 30.0, (1.0, 0.1, 0.1))),
-    ):
-        lattice = pl.box_domain((30.0,) * 3, max_frequency=rate, nodes_per_panel=2)
-        with pytest.raises(ValueError, match=f"would hold {lattice.size} nodes, above the cap"):
-            check()
 
 
 def test_equal_half_widths_share_one_axis():
@@ -197,7 +177,7 @@ def test_mutual_inverse_gaussian():
 
 def test_mutual_inverse_2d_factorized_gaussian():
     box = pl.box_domain((4.0, 4.0), max_frequency=15.0)
-    rep = pl.mutual_inverse_check(lambda x, y: _gauss(x) * _gauss(y), box, radius=15.0)
+    rep = pl.mutual_inverse_check((_gauss, _gauss), box, radius=15.0)
     assert rep.max_abs_err < 1e-2
     assert rep.n_probes == 49
 
@@ -455,10 +435,8 @@ def test_grid_with_breakpoints_takes_dense_route(monkeypatch):
 def test_separable_back_evaluation_matches_transform_at(ndim, n_probes):
     # 50 probes in 1-d and a 7 x 7 lattice in 2-d
     box = pl.box_domain((4.0,) * ndim, max_frequency=8.0)
-    lattice = pl.box_domain((8.0,) * ndim, max_frequency=4.0)
-    vals = pl.sample_on_box(box, lambda *t: np.exp(-sum(v * v for v in t) / 2.0))
-    image = pl._transform(pl._dense_image(vals), box, lattice)
-    F = image.dense()
+    _, lattice, image = pl._forward((_gauss,) * ndim, box, 8.0, 4.0)
+    F = pl._outer(image) * (2 * math.pi) ** (-ndim / 2)
     probes = pl.default_probes(box)
     got = pl._back_evaluate(image, lattice, probes)
     points = np.stack([c.ravel() for c in np.meshgrid(*[g.nodes for g in probes], indexing="ij")], axis=-1)
@@ -469,8 +447,8 @@ def test_separable_back_evaluation_matches_transform_at(ndim, n_probes):
 
 def _dense_back(F, lattice, probes):
     """The back-evaluation on the dense route: _axis_apply along each axis."""
-    maps = [partial(pl._axis_apply, dst_nodes=p.nodes, src=g, sign=1.0) for p, g in zip(probes, lattice.axes)]
-    return F.map_axes(maps).dense() * (2 * math.pi) ** (-lattice.ndim / 2)
+    backs = [pl._axis_apply(v, 0, p.nodes, g, 1.0) for v, p, g in zip(F, probes, lattice.axes)]
+    return pl._outer(backs) * (2 * math.pi) ** -lattice.ndim
 
 
 # the pinned back-evaluations of mutual-inverse: (source, half-widths, radius)
@@ -483,8 +461,8 @@ PINNED_BACK = {
 
 # the 1-d probe axes have 50 nodes and take the chirp-z route, while the
 # 2-d ones have 7, fewer than _CHIRP_MIN_NODES, and stay dense at either
-# order; measured gaps 1.2e-14 (gaussian), 6.4e-15 to 7.7e-15 (wave) and
-# 6.9e-18 (2-d, where both sides are dense sums scaled in another order)
+# order; measured gaps 1.2e-14 (gaussian), 6.6e-15 to 7.4e-15 (wave) and
+# 0 (2-d, where both sides are the same dense sums)
 @pytest.mark.parametrize("name, nodes_per_panel", [
     ("gaussian", 2), ("gaussian", 8), ("wave", 2), ("wave", 8), ("2-d gaussian", 2), ("2-d gaussian", 8),
 ])
@@ -587,7 +565,7 @@ def test_back_evaluation_of_an_off_centre_packet(nodes_per_panel, monkeypatch):
     box = pl.box_domain([a], max_frequency=radius, nodes_per_panel=nodes_per_panel)
     lattice = pl.box_domain([radius], max_frequency=a, nodes_per_panel=nodes_per_panel)
     x = lattice.axes[0].nodes
-    F = pl._dense_image(np.exp(-((x - 0.75 * radius) / (radius / 16)) ** 2 + 0.75j * a * x))
+    F = [np.exp(-((x - 0.75 * radius) / (radius / 16)) ** 2 + 0.75j * a * x)]
     probes = pl.default_probes(box)
     want = _dense_back(F, lattice, probes)
     monkeypatch.setattr(pl, "_axis_apply", _refuse)
@@ -630,20 +608,6 @@ def _dense_box_inversion_rhs(vals, box, radius, ts):
     return complex(arr) * (2 * math.pi) ** (-box.ndim / 2)
 
 
-@cache
-def _noise_of_shape(shape):
-    rng = np.random.default_rng(shape)
-    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    noise.setflags(write=False)
-    return noise
-
-
-def _fixed_noise(*t):
-    """Full-rank samples keyed on the shape alone, the same at every call:
-    drawn once per shape and read-only."""
-    return _noise_of_shape(t[0].shape)
-
-
 def _gauss1(t):
     return np.exp(-(t * t))
 
@@ -656,17 +620,13 @@ def _on_mesh(fn):
     return lambda *t: math.prod(f(x) for f, x in zip(fn, t))
 
 
-# the factored checks' 2-d sources: a product, as one factor per axis, and
-# full-rank samples, which keep identity factors
-FACTORED_SOURCES = {
-    "product-gaussian": (_gauss1, _gauss1),
-    "full-rank": _fixed_noise,
-}
+# the factored checks' 2-d source, one factor per axis
+FACTORED_SOURCES = {"product-gaussian": (_gauss1, _gauss1)}
 
 # Bounds of the factored checks against the dense route, in eps of the
-# checked quantity; measured at most 1.6 (norms, lhs), 2.2 (rhs) and 5.5
-# (back-evaluated values) over the cases below.  The round-trip errors take
-# the values' bound (measured 0.46).
+# checked quantity; measured at most 0.8 (norms), 0.55 (lhs), 1.7 (rhs) and
+# 5.0 (back-evaluated values) over the cases below.  The round-trip errors
+# take the values' bound (measured 0.68).
 NORM_ULPS = 2.0
 VALUE_ULPS = 8.0
 
@@ -714,15 +674,14 @@ def test_factored_checks_match_dense_route(name, nodes_per_panel, monkeypatch):
 
 
 def test_factored_sources_take_their_routes(monkeypatch):
-    # a product never forms the mesh; full-rank samples keep identity factors
+    # a product is one vector per axis, for its samples and its transform,
+    # and the box is never meshed
     box = pl.box_domain([4.0, 4.0], max_frequency=30.0, nodes_per_panel=2)
-    with monkeypatch.context() as m:
-        m.setattr(pl, "sample_on_box", _refuse)
-        img, _, F = pl._forward(FACTORED_SOURCES["product-gaussian"], box, 30.0, 4.0)
-    assert img.core.shape == F.core.shape == (1, 1)
-    assert [A.shape[1] for A in F.factors] == [1, 1]
-    _, _, F = pl._forward(FACTORED_SOURCES["full-rank"], box, 30.0, 4.0)
-    assert F.factors == (None, None)
+    monkeypatch.setattr(pl, "sample_on_box", _refuse)
+    monkeypatch.setattr(ProductGrid, "mesh", _refuse)
+    img, lattice, F = pl._forward(FACTORED_SOURCES["product-gaussian"], box, 30.0, 4.0)
+    assert [v.shape for v in img] == [(g.size,) for g in box.axes]
+    assert [v.shape for v in F] == [(g.size,) for g in lattice.axes]
 
 
 def test_3d_product_checks_match_column_route(monkeypatch):
@@ -742,9 +701,29 @@ def test_3d_product_checks_match_column_route(monkeypatch):
 
 
 def test_product_source_needs_one_factor_per_axis():
-    box = pl.box_domain([1.0, 1.0], max_frequency=5.0)
-    for check in (pl.plancherel_norm_check, pl.mutual_inverse_check):
-        with pytest.raises(ValueError, match="one factor per axis"):
-            check((_gauss1,), box, 5.0)
-    with pytest.raises(ValueError, match="one factor per axis"):
-        pl.box_inversion_check((_gauss1,) * 3, box, 5.0, (0.5, 0.5))
+    # too few or too many factors, and a callable of all axes on a box of 2
+    # or 3: every check refuses the source with one line
+    for ndim, source in (
+        (2, (_gauss1,)),
+        (2, (_gauss1,) * 3),
+        (2, lambda x, y: _gauss1(x) * _gauss1(y)),
+        (3, lambda x, y, z: _gauss1(x) * _gauss1(y) * _gauss1(z)),
+    ):
+        box = pl.box_domain([1.0] * ndim, max_frequency=5.0)
+        message = f"^a source on {ndim} axes needs one factor per axis: a tuple of {ndim} one-argument callables$"
+        for check in (pl.plancherel_norm_check, pl.mutual_inverse_check):
+            with pytest.raises(ValueError, match=message):
+                check(source, box, 5.0)
+        with pytest.raises(ValueError, match=message):
+            pl.box_inversion_check(source, box, 5.0, (0.5,) * ndim)
+
+
+@pytest.mark.parametrize("nodes_per_panel", [2, 8])
+def test_plancherel_suites_never_mesh_a_box(nodes_per_panel, monkeypatch):
+    # every check samples, transforms and measures one axis at a time
+    monkeypatch.setattr(ProductGrid, "mesh", _refuse)
+    monkeypatch.setattr(pl, "sample_on_box", _refuse)
+    for name in ("plancherel-norm", "mutual-inverse", "box-inversion", "plancherel-3d"):
+        report = run_suite(name, RunConfig(nodes_per_panel=nodes_per_panel))
+        failed = [r.name for r in report.records if not r.passed]
+        assert report.records and not failed, (report.suite, failed)
