@@ -14,7 +14,7 @@ Gauss-Legendre grids with uniform panels on both sides: there x t splits
 into per-node phases and a term in the panel lag q - p alone, so the sum
 over source panels is a convolution done by FFT (Bluestein's chirp-z
 identity), one FFT column per data column and with no approximation; its
-error is the rounding of its double-precision phases (:func:`_axis_chirp`).
+error is the rounding of its double-precision phases (:func:`_build_plan`).
 An axis takes the chirp-z route when both grids have uniform panels and at
 least ``_CHIRP_MIN_NODES`` nodes, else the dense route, the tests' oracle;
 the route depends on the two grids alone, not on the data.
@@ -22,6 +22,19 @@ the route depends on the two grids alone, not on the data.
 :func:`mutual_inverse_check` the conjugate sum on its probe lattice by the
 same contraction, onto probe axes of one-node panels: 50 probes in 1-D take
 the chirp-z route, 7 or 4 per axis in 2-D or 3-D the dense one.
+
+A chirp-z contraction is a plan and its application.  The plan
+(:func:`_build_plan`) reads the two grids and the sign alone: the
+pre-chirp times the source weights, the post-chirp and the FFT of the
+(L, n, m) lag chirp.  Applying it (:func:`_axis_chirp`) takes one FFT per
+data column, a matmul, an inverse FFT and the post-chirp.  Plans are kept
+in one module-level cache, ``_PLANS``, keyed on the sign and on every
+panel edge, node and weight of both grids, so an equal key fixes the plan
+bit for bit, and a hit and a miss apply the same read-only arrays.  The
+cache drops its least recently used plans above ``_PLAN_CACHE_BYTES``
+(32 MiB) of plans and keys.  The Plancherel suites build 9 plans: 13.8 MB
+of arrays and 2 MB of keys at 8 nodes per panel, of which the pair of the
+(6, 200) box takes 7.1 MB, and 1.3 MB of arrays at 2 nodes per panel.
 
 The checks take a source as its factors: a tuple of one-argument
 callables, one per axis, whose product it is; on a 1-D box a plain callable
@@ -52,9 +65,10 @@ a_j + t_j < 2 a_j.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -96,6 +110,11 @@ _N_PROBES = 50
 # the chirp-z route's floor on each grid's node count; onto fewer (the 2-d
 # and 3-d probe axes) the dense sum is faster and rounds less
 _CHIRP_MIN_NODES = 8
+# chirp-z plans by (sign, source grid, target grid), least recently used
+# first, and the bytes of plans and keys they may hold in all: about twice
+# the 15.8 MB that the Plancherel suites keep at 8 nodes per panel
+_PLANS: OrderedDict = OrderedDict()
+_PLAN_CACHE_BYTES = 32 << 20
 
 
 def _chunk_rows(ncols: int) -> int:
@@ -184,9 +203,20 @@ def _fft_len(n: int) -> int:
     return best
 
 
-def _axis_chirp(arr: np.ndarray, axis: int, dst: QuadGrid, src: QuadGrid, sign: float, models) -> np.ndarray:
-    """The contraction of :func:`_axis_apply` over uniform-panel grids, by
-    chirp-z transforms over the panel index.
+class _ChirpPlan(NamedTuple):
+    """The half of a chirp-z contraction that reads the two grids alone:
+    the source weights times the pre-chirp, the post-chirp and the FFT of
+    the lag chirp.  Its arrays are read-only."""
+
+    pre: np.ndarray  # (P, n)
+    post: np.ndarray  # (Q, m)
+    spec: np.ndarray  # (L, m, n)
+
+
+def _build_plan(dst: QuadGrid, src: QuadGrid, sign: float) -> _ChirpPlan | None:
+    """The plan of the contraction of :func:`_axis_apply` from src to dst by
+    chirp-z transforms over the panel index, or None when either grid's
+    panels are not uniform.
 
     With t = tc + h tau, tau = p' + beta_k, and x = xc + H sigma,
     sigma = q' + alpha_l (p', q' centred panel indices),
@@ -206,6 +236,9 @@ def _axis_chirp(arr: np.ndarray, axis: int, dst: QuadGrid, src: QuadGrid, sign: 
     (a, R) = (200, 50); an off-centre packet up to 5.5e-14 and 6e-13 there,
     as with 80-bit phases.
     """
+    models = (_panel_model(src), _panel_model(dst))
+    if None in models:
+        return None
     (tc, h, beta), (xc, H, alpha) = models
     P, n = src.n_panels, src.nodes_per_panel
     Q, m = dst.n_panels, dst.nodes_per_panel
@@ -223,8 +256,54 @@ def _axis_chirp(arr: np.ndarray, axis: int, dst: QuadGrid, src: QuadGrid, sign: 
     gap = (lag - (Q - P) / 2)[:, None, None] + (alpha - beta[:, None])
     chirp = np.zeros((L, n, m), dtype=complex)
     chirp[lag % L] = np.exp(1j * (-theta * gap ** 2 / 2))
-    spec = np.fft.fft(chirp, axis=0).transpose(0, 2, 1)  # (L, m, n)
+    spec = np.fft.fft(chirp, axis=0)
+    for a in (pre, post, spec):
+        a.flags.writeable = False
+    return _ChirpPlan(pre, post, spec.transpose(0, 2, 1))
 
+
+def _grid_key(g: QuadGrid) -> tuple:
+    """Every number of the grid that a plan reads, bit for bit."""
+    return g.nodes_per_panel, np.concatenate([g.panel_edges, g.nodes, g.weights]).tobytes()
+
+
+def _chirp_plan(dst: QuadGrid, src: QuadGrid, sign: float) -> _ChirpPlan | None:
+    """The chirp-z plan from src to dst, or None for the dense route: when
+    either grid has fewer than ``_CHIRP_MIN_NODES`` nodes or panels that are
+    not uniform.
+
+    Plans are kept in ``_PLANS``, keyed on the sign and every number of
+    both grids, so an equal key means an equal plan, and a hit and a miss
+    apply the same arrays.  The least recently used plans are dropped once
+    the plans and their keys hold more than ``_PLAN_CACHE_BYTES``; a plan
+    larger than that alone is applied and not kept.
+    """
+    if min(src.size, dst.size) < _CHIRP_MIN_NODES:
+        return None
+    key = (float(sign), *_grid_key(src), *_grid_key(dst))
+    if key in _PLANS:
+        _PLANS.move_to_end(key)
+        return _PLANS[key]
+    plan = _build_plan(dst, src, sign)
+    if plan is not None and _entry_bytes((key, plan)) <= _PLAN_CACHE_BYTES:
+        _PLANS[key] = plan
+        while sum(map(_entry_bytes, _PLANS.items())) > _PLAN_CACHE_BYTES:
+            _PLANS.popitem(last=False)
+    return plan
+
+
+def _entry_bytes(entry: tuple) -> int:
+    """Bytes of a (key, plan) item of ``_PLANS``: its grid bytes and arrays."""
+    key, plan = entry
+    return sum(len(k) for k in key if isinstance(k, bytes)) + sum(a.nbytes for a in plan)
+
+
+def _axis_chirp(arr: np.ndarray, axis: int, plan: _ChirpPlan) -> np.ndarray:
+    """Apply a plan of :func:`_build_plan` along one axis: one FFT per data
+    column, an (m x n) product per frequency bin, an inverse FFT and the
+    post-chirp."""
+    (P, n), (Q, m) = plan.pre.shape, plan.post.shape
+    L = plan.spec.shape[0]
     moved = np.moveaxis(arr, axis, -1)
     flat = moved.reshape(-1, P, n)
     out = np.empty((flat.shape[0], Q, m), dtype=complex)
@@ -232,24 +311,23 @@ def _axis_chirp(arr: np.ndarray, axis: int, dst: QuadGrid, src: QuadGrid, sign: 
     # under half of _CHUNK_ELEMS entries
     step = max(1, _CHUNK_ELEMS // (8 * L * max(n, m)))
     for c in range(0, flat.shape[0], step):
-        block = np.fft.fft(flat[c : c + step] * pre, n=L, axis=1)  # (k, L, n)
-        mixed = np.matmul(spec, block.transpose(1, 2, 0))  # (L, m, k)
+        block = np.fft.fft(flat[c : c + step] * plan.pre, n=L, axis=1)  # (k, L, n)
+        mixed = np.matmul(plan.spec, block.transpose(1, 2, 0))  # (L, m, k)
         back = np.fft.ifft(mixed, axis=0)[:Q]  # (Q, m, k)
-        out[c : c + step] = back.transpose(2, 0, 1) * post
-    out = out.reshape(moved.shape[:-1] + (dst.size,))
+        out[c : c + step] = back.transpose(2, 0, 1) * plan.post
+    out = out.reshape(moved.shape[:-1] + (Q * m,))
     return np.moveaxis(out, -1, axis)
 
 
 def _axis_contract(arr: np.ndarray, axis: int, dst: QuadGrid, src: QuadGrid, sign: float) -> np.ndarray:
-    """One axis of a truncated transform: :func:`_axis_chirp` when both
-    grids have uniform panels and at least ``_CHIRP_MIN_NODES`` nodes, else
-    :func:`_axis_apply`.  The route reads the two grids alone, so a factor
-    of a product source takes the route of its dense samples' columns."""
-    if min(src.size, dst.size) >= _CHIRP_MIN_NODES:
-        models = (_panel_model(src), _panel_model(dst))
-        if None not in models:
-            return _axis_chirp(arr, axis, dst, src, sign, models)
-    return _axis_apply(arr, axis, dst.nodes, src, sign)
+    """One axis of a truncated transform: :func:`_axis_chirp` when
+    :func:`_chirp_plan` gives a plan, else :func:`_axis_apply`.  The route
+    reads the two grids alone, so a factor of a product source takes the
+    route of its dense samples' columns."""
+    plan = _chirp_plan(dst, src, sign)
+    if plan is None:
+        return _axis_apply(arr, axis, dst.nodes, src, sign)
+    return _axis_chirp(arr, axis, plan)
 
 
 def _sample(fn: Callable | tuple, axes: Sequence[QuadGrid]) -> list:

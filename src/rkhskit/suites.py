@@ -399,7 +399,7 @@ def suite_plancherel_norm(cfg: RunConfig) -> Report:
     """Norm preservation of the truncated transform."""
     radius = cfg.radius or 200.0
     npp = cfg.nodes_per_panel or 8
-    rep = Report("plancherel-norm", cfg.seed, {"radius": radius})
+    rep = Report("plancherel-norm", cfg.seed, {"radius": radius, "nodes_per_panel": npp})
     box = pl.box_domain([6.0], max_frequency=radius, nodes_per_panel=npp)
     res = pl.plancherel_norm_check(_gauss, box, radius)
     rep.add(make_record("gaussian norm preserved (rel err)", res.rel_err, 0.0, 5e-3))
@@ -458,7 +458,7 @@ def suite_mutual_inverse(cfg: RunConfig) -> Report:
     """Conjugate transform undoes the transform at interior probes."""
     radius = cfg.radius or 200.0
     npp = cfg.nodes_per_panel or 8
-    rep = Report("mutual-inverse", cfg.seed, {"radius": radius})
+    rep = Report("mutual-inverse", cfg.seed, {"radius": radius, "nodes_per_panel": npp})
     box = pl.box_domain([6.0], max_frequency=radius, nodes_per_panel=npp)
     res = pl.mutual_inverse_check(_gauss, box, radius)
     rep.add(make_record("gaussian round trip (max err)", res.max_abs_err, 0.0, 5e-3))
@@ -478,7 +478,7 @@ def suite_box_inversion(cfg: RunConfig) -> Report:
     """Indefinite-integral identity through the truncated transform pair."""
     radius = cfg.radius or 200.0
     npp = cfg.nodes_per_panel or 8
-    rep = Report("box-inversion", cfg.seed, {"radius": radius})
+    rep = Report("box-inversion", cfg.seed, {"radius": radius, "nodes_per_panel": npp})
     box = pl.box_domain([1.0], max_frequency=radius, nodes_per_panel=npp)
     one = SOURCES["one"]
     res = pl.box_inversion_check(one, box, radius, [0.5])
@@ -528,7 +528,7 @@ def suite_plancherel_3d(cfg: RunConfig) -> Report:
     """Norm preservation and round trip of a 3-d product, one axis at a time."""
     radius = cfg.radius or 30.0
     npp = cfg.nodes_per_panel or 8
-    rep = Report("plancherel-3d", cfg.seed, {"radius": radius})
+    rep = Report("plancherel-3d", cfg.seed, {"radius": radius, "nodes_per_panel": npp})
     box = pl.box_domain([4.0] * 3, max_frequency=radius, nodes_per_panel=npp)
     res = pl.plancherel_norm_check(_PRODUCT_3D, box, radius)
     rep.add(make_record("3-d product norm preserved (rel err)", res.rel_err, 0.0, 1e-12))

@@ -147,6 +147,20 @@ def test_verify_writes_valid_report(tmp_path, capsys):
     assert data["suite"] == "kernels" and data["pass"] is True
 
 
+@pytest.mark.parametrize("suite", ["plancherel-norm", "mutual-inverse", "box-inversion", "plancherel-3d"])
+def test_verify_report_records_the_gauss_order(suite, tmp_path, capsys):
+    # a report at --nodes-per-panel 2 tells itself apart from one at the default 8
+    orders = []
+    for argv in ((), ("--nodes-per-panel", "2")):
+        out_path = tmp_path / f"rep{len(orders)}.json"
+        code, _, _ = run(capsys, "verify", "--suite", suite, *argv, "--out", str(out_path))
+        assert code == 0
+        data = json.loads(out_path.read_text())
+        jsonschema.validate(data, REPORT_SCHEMA)
+        orders.append(data["parameters"]["nodes_per_panel"])
+    assert orders == [8, 2]
+
+
 def test_verify_stdout_is_deterministic(capsys):
     code1, out1, _ = run(capsys, "verify", "--suite", "isometry")
     code2, out2, _ = run(capsys, "verify", "--suite", "isometry")

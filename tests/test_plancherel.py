@@ -1,6 +1,9 @@
 """Numerical Fourier transform pairs on boxes and the identities they obey."""
 
+import bisect
+import dataclasses
 import math
+from collections import OrderedDict
 
 import mpmath
 import numpy as np
@@ -219,9 +222,13 @@ def test_forward_transform_factorizes_in_2d():
 
 
 def _via_chirp(arr, axis, dst, src, sign):
-    models = (pl._panel_model(src), pl._panel_model(dst))
-    assert None not in models
-    return pl._axis_chirp(arr, axis, dst, src, sign, models)
+    """The chirp-z contraction on a freshly built plan, after checking that
+    the cached plan gives the same bits."""
+    built = pl._build_plan(dst, src, sign)
+    assert built is not None
+    got = pl._axis_chirp(arr, axis, built)
+    np.testing.assert_array_equal(pl._axis_chirp(arr, axis, pl._chirp_plan(dst, src, sign)), got)
+    return got
 
 
 def _refuse(*args, **kwargs):
@@ -526,6 +533,106 @@ def _suite_axis_pairs(order):
 def test_suite_axes_take_the_route_of_their_grid_sizes(order, cols):
     for src, dst, route in _suite_axis_pairs(order):
         assert _route_taken(src, dst, cols) == [route], (src.size, dst.size)
+
+
+@pytest.fixture
+def plans(monkeypatch):
+    """An empty plan cache for one test; the module's own comes back after."""
+    cache = OrderedDict()
+    monkeypatch.setattr(pl, "_PLANS", cache)
+    return cache
+
+
+@pytest.mark.parametrize("order", [2, 8])
+def test_cached_plans_give_the_bits_of_fresh_ones(order, plans):
+    # every axis pair of the suites, both signs: the first lookup builds and
+    # keeps the plan, the second is served from the cache
+    for src, dst, route in _suite_axis_pairs(order):
+        rng = np.random.default_rng(src.size + dst.size)
+        arr = rng.standard_normal((src.size, 2)) + 1j * rng.standard_normal((src.size, 2))
+        for sign in (-1.0, 1.0):
+            plan = pl._chirp_plan(dst, src, sign)
+            assert (plan is None) == (route == "dense"), (src.size, dst.size)
+            if plan is None:
+                continue
+            assert pl._chirp_plan(dst, src, sign) is plan
+            fresh = pl._build_plan(dst, src, sign)
+            for kept, built in zip(plan, fresh):
+                np.testing.assert_array_equal(kept, built)
+            np.testing.assert_array_equal(pl._axis_chirp(arr, 0, plan), pl._axis_chirp(arr, 0, fresh))
+
+
+def test_forward_and_back_plans_are_distinct_entries(plans):
+    src = pl.box_domain([1.0], max_frequency=50.0, nodes_per_panel=2).axes[0]
+    dst = pl.box_domain([50.0], max_frequency=1.0, nodes_per_panel=2).axes[0]
+    forward, back = pl._chirp_plan(dst, src, -1.0), pl._chirp_plan(dst, src, 1.0)
+    assert len(plans) == 2 and forward is not back
+    np.testing.assert_array_equal(back.pre, np.conj(forward.pre))
+    assert not np.array_equal(back.spec, forward.spec)
+
+
+@pytest.mark.parametrize("field", ["nodes", "weights"])
+def test_grid_with_the_same_edges_gets_its_own_plan(field, plans):
+    # the same panel edges with shifted nodes, or with other weights: a key
+    # on the edges alone would serve the first grid's plan
+    src = build_grid(make_interval(-2.0, 2.0), 30, 4)
+    dst = build_grid(make_interval(-15.0, 15.0), 21, 3)
+    other = dataclasses.replace(src, **{field: getattr(src, field) + 0.5})
+    assert np.array_equal(other.panel_edges, src.panel_edges)
+    rng = np.random.default_rng(5)
+    arr = rng.standard_normal(src.size) + 1j * rng.standard_normal(src.size)
+    first = pl._chirp_plan(dst, src, -1.0)
+    plan = pl._chirp_plan(dst, other, -1.0)
+    assert plan is not first and len(plans) == 2
+    want = pl._axis_apply(arr, 0, dst.nodes, other, -1.0)
+    np.testing.assert_allclose(pl._axis_chirp(arr, 0, plan), want, rtol=0, atol=CHIRP_ATOL_1D)
+
+
+def test_plan_arrays_refuse_writes(plans):
+    src = pl.box_domain([1.0], max_frequency=50.0, nodes_per_panel=2).axes[0]
+    dst = pl.box_domain([50.0], max_frequency=1.0, nodes_per_panel=2).axes[0]
+    for plan in (pl._chirp_plan(dst, src, -1.0), pl._build_plan(dst, src, -1.0)):
+        for a in plan:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+
+def test_plan_cache_never_holds_more_than_its_bound(plans, monkeypatch):
+    # a bound of two of the plans below: the least recently used goes first,
+    # and a plan larger than the bound is applied but not kept
+    src = pl.box_domain([1.0], max_frequency=50.0, nodes_per_panel=2).axes[0]
+    dsts = [build_grid(make_interval(-50.0, 50.0), panels, 2) for panels in (100, 101, 102)]
+    for dst in dsts:
+        pl._chirp_plan(dst, src, -1.0)
+    size = max(map(pl._entry_bytes, plans.items()))
+    plans.clear()
+    monkeypatch.setattr(pl, "_PLAN_CACHE_BYTES", 2 * size + size // 2)
+    a = pl._chirp_plan(dsts[0], src, -1.0)
+    pl._chirp_plan(dsts[1], src, -1.0)
+    assert pl._chirp_plan(dsts[0], src, -1.0) is a  # now the most recent
+    pl._chirp_plan(dsts[2], src, -1.0)
+    assert len(plans) == 2 and sum(map(pl._entry_bytes, plans.items())) <= pl._PLAN_CACHE_BYTES
+    assert pl._chirp_plan(dsts[0], src, -1.0) is a
+    kept = list(plans.values())
+    big = pl.box_domain([200.0], max_frequency=6.0).axes[0]
+    assert pl._chirp_plan(big, src, -1.0) is not None
+    assert list(plans.values()) == kept
+
+
+def test_plan_cache_holds_a_whole_verify_run(plans):
+    # the nine plans of every Plancherel suite at the pinned order, about
+    # 13.8 MB of arrays and 2 MB of keys, are all kept
+    for name in ("plancherel-norm", "mutual-inverse", "box-inversion", "plancherel-3d"):
+        run_suite(name, RunConfig())
+    assert len(plans) == 9
+    assert sum(map(pl._entry_bytes, plans.items())) <= pl._PLAN_CACHE_BYTES
+
+
+def test_fft_len_is_the_next_product_of_twos_and_threes():
+    smooth = sorted(2 ** a * 3 ** b for a in range(19) for b in range(12) if 2 ** a * 3 ** b <= 4 * 10 ** 5)
+    for n in range(1, 2 * 10 ** 5 + 1):
+        assert pl._fft_len(n) == smooth[bisect.bisect_left(smooth, n)], n
 
 
 @pytest.mark.parametrize("size, route", [(7, "dense"), (8, "chirp")])
