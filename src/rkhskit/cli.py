@@ -6,8 +6,9 @@ reference), verify (run a verification suite and emit a JSON report), and
 report (print the report schema, validate or summarize a report file).
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 for bad
-input (any ValueError, configuration errors included), reported as one
-``error:`` line on stderr.  Verification output on stdout is
+input (any ValueError, configuration errors included) and for files that
+cannot be read or written (any OSError), reported as one ``error:`` line
+on stderr.  Verification output on stdout is
 timestamp-free, so identical configurations print identical bytes under a
 fixed BLAS thread count (e.g. OPENBLAS_NUM_THREADS=1, set before the
 process starts).
@@ -219,6 +220,7 @@ def cmd_invert(args) -> int:
 
 def _config_from(args) -> RunConfig:
     cfg = RunConfig()
+    names = [f.name for f in fields(RunConfig)]
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -227,14 +229,13 @@ def _config_from(args) -> RunConfig:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(data) - known
+        unknown = set(data) - set(names)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, value in data.items():
             setattr(cfg, key, value)
-    for name in ("suite", "seed", "radius", "panels", "nodes_per_panel", "out"):
-        value = getattr(args, name, None)
+    for name in names:
+        value = getattr(args, name)
         if value is not None:
             setattr(cfg, name, value)
     return cfg.validate()
@@ -339,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", default=None, help=f"one of {suite_names()}")
     p_ver.add_argument("--seed", type=int, default=None)
     p_ver.add_argument("--radius", type=float, default=None)
-    p_ver.add_argument("--panels", type=int, default=None)
     p_ver.add_argument("--nodes-per-panel", dest="nodes_per_panel", type=int, default=None)
     p_ver.add_argument("--config", help="JSON file of run configuration (flags win)")
     p_ver.add_argument("--out", help="write the JSON report here")
@@ -359,7 +359,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_EXIT
 

@@ -402,14 +402,9 @@ def _require_same_grid(f: HVector, g: HVector) -> None:
 
 def integrate(grid: QuadGrid | ProductGrid, values) -> complex:
     """Integral of node samples against dt; the weight rho is not applied."""
-    if isinstance(values, HVector):
-        if not values.grid.compatible_with(grid):
-            raise ValueError("vector lives on a different grid")
-        vals = values.values
-    else:
-        vals = np.asarray(values)
-        if vals.shape != (grid.size,):
-            raise ValueError("values length must match grid")
+    vals = np.asarray(values)
+    if vals.shape != (grid.size,):
+        raise ValueError("values length must match grid")
     return complex((vals * grid.weights).sum())
 
 

@@ -32,9 +32,7 @@ in one module-level cache, ``_PLANS``, keyed on the sign and on every
 panel edge, node and weight of both grids, so an equal key fixes the plan
 bit for bit, and a hit and a miss apply the same read-only arrays.  The
 cache drops its least recently used plans above ``_PLAN_CACHE_BYTES``
-(32 MiB) of plans and keys.  The Plancherel suites build 9 plans: 13.8 MB
-of arrays and 2 MB of keys at 8 nodes per panel, of which the pair of the
-(6, 200) box takes 7.1 MB, and 1.3 MB of arrays at 2 nodes per panel.
+(32 MiB) of plans and keys; the Plancherel suites build 9 plans.
 
 The checks take a source as its factors: a tuple of one-argument
 callables, one per axis, whose product it is; on a 1-D box a plain callable

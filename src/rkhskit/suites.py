@@ -3,7 +3,8 @@
 Each suite builds the scenario its acceptance tolerance was pinned for,
 measures the relevant defects, and returns a Report of uniform records.
 Scenario parameters default to the checked configuration; RunConfig can
-override the knobs that stay meaningful (radius, grid sizes, seed).
+override the seed, the radius of the sinc, restriction and Fourier suites,
+and the Gauss order of the Fourier boxes.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ class RunConfig:
     suite: str = "all"
     seed: int = 42
     radius: float | None = None
-    panels: int | None = None
     nodes_per_panel: int | None = None
     out: str | None = None
 
@@ -67,10 +67,8 @@ class RunConfig:
             _require_type(name, getattr(self, name), hint)
         if self.radius is not None and not (math.isfinite(self.radius) and self.radius > 0):
             raise ConfigError("radius must be positive and finite")
-        for name in ("panels", "nodes_per_panel"):
-            v = getattr(self, name)
-            if v is not None and v < 1:
-                raise ConfigError(f"{name} must be a positive integer")
+        if self.nodes_per_panel is not None and self.nodes_per_panel < 1:
+            raise ConfigError("nodes_per_panel must be a positive integer")
         return self
 
 
@@ -143,35 +141,27 @@ def suite_reproducing(cfg: RunConfig) -> Report:
 
 
 def suite_isometry(cfg: RunConfig) -> Report:
-    """The indefinite transform preserves norms into the Sobolev family."""
-    panels = cfg.panels or 32
-    npp = cfg.nodes_per_panel or 16
-    rep = Report("isometry", cfg.seed, {"panels": panels, "nodes_per_panel": npp, "tolerance": 1e-8})
-    cases = [
-        (make_interval(0.0, 1.0), "const"),
-        (make_interval(0.0, 1.0), "affine"),
-        (make_interval(-1.0, 1.0), "const"),
-    ]
+    """The indefinite transform preserves norms into the Sobolev family, on
+    the spaces' default grid, the one its tolerance was pinned for."""
+    spaces = {
+        f"({lo:g},{hi:g}) rho={rho}": SobolevSpace(make_interval(lo, hi), 0.0, RHO_REGISTRY[rho])
+        for lo, hi, rho in ((0.0, 1.0, "const"), (0.0, 1.0, "affine"), (-1.0, 1.0, "const"))
+    }
+    first = next(iter(spaces.values()))
+    rep = Report("isometry", cfg.seed,
+                 {"panels": first.panels, "nodes_per_panel": first.nodes_per_panel, "tolerance": 1e-8})
 
     def smooth(t):
         return np.cos(3.0 * t) + 0.4j * t * t * np.exp(t)
 
-    for interval, rho_name in cases:
-        space = SobolevSpace(interval, 0.0, RHO_REGISTRY[rho_name], panels=panels, nodes_per_panel=npp)
+    for label, space in spaces.items():
         f = sample(space.grid, smooth)
         fhat = space.indefinite_transform(f)
         g = HVector(space.grid, fhat(space.grid.nodes))
         norm_source = norm_weighted(f)
         norm_image = space.norm_from_samples(g)
         rel = abs(norm_image - norm_source) / norm_source
-        rep.add(
-            make_record(
-                f"isometry ({interval.lo:g},{interval.hi:g}) rho={rho_name}",
-                rel,
-                0.0,
-                1e-8,
-            )
-        )
+        rep.add(make_record(f"isometry {label}", rel, 0.0, 1e-8))
     return rep
 
 
@@ -395,11 +385,17 @@ def suite_restriction(cfg: RunConfig) -> Report:
     return rep
 
 
+def _fourier_run(name: str, cfg: RunConfig, default_radius: float) -> tuple:
+    """(radius, Gauss order, empty report) of a Fourier suite: the run's
+    radius and order, or the suite's default radius and order 8."""
+    radius = cfg.radius or default_radius
+    npp = cfg.nodes_per_panel or 8
+    return radius, npp, Report(name, cfg.seed, {"radius": radius, "nodes_per_panel": npp})
+
+
 def suite_plancherel_norm(cfg: RunConfig) -> Report:
     """Norm preservation of the truncated transform."""
-    radius = cfg.radius or 200.0
-    npp = cfg.nodes_per_panel or 8
-    rep = Report("plancherel-norm", cfg.seed, {"radius": radius, "nodes_per_panel": npp})
+    radius, npp, rep = _fourier_run("plancherel-norm", cfg, 200.0)
     box = pl.box_domain([6.0], max_frequency=radius, nodes_per_panel=npp)
     res = pl.plancherel_norm_check(_gauss, box, radius)
     rep.add(make_record("gaussian norm preserved (rel err)", res.rel_err, 0.0, 5e-3))
@@ -456,9 +452,7 @@ def suite_plancherel_norm(cfg: RunConfig) -> Report:
 
 def suite_mutual_inverse(cfg: RunConfig) -> Report:
     """Conjugate transform undoes the transform at interior probes."""
-    radius = cfg.radius or 200.0
-    npp = cfg.nodes_per_panel or 8
-    rep = Report("mutual-inverse", cfg.seed, {"radius": radius, "nodes_per_panel": npp})
+    radius, npp, rep = _fourier_run("mutual-inverse", cfg, 200.0)
     box = pl.box_domain([6.0], max_frequency=radius, nodes_per_panel=npp)
     res = pl.mutual_inverse_check(_gauss, box, radius)
     rep.add(make_record("gaussian round trip (max err)", res.max_abs_err, 0.0, 5e-3))
@@ -476,9 +470,7 @@ def suite_mutual_inverse(cfg: RunConfig) -> Report:
 
 def suite_box_inversion(cfg: RunConfig) -> Report:
     """Indefinite-integral identity through the truncated transform pair."""
-    radius = cfg.radius or 200.0
-    npp = cfg.nodes_per_panel or 8
-    rep = Report("box-inversion", cfg.seed, {"radius": radius, "nodes_per_panel": npp})
+    radius, npp, rep = _fourier_run("box-inversion", cfg, 200.0)
     box = pl.box_domain([1.0], max_frequency=radius, nodes_per_panel=npp)
     one = SOURCES["one"]
     res = pl.box_inversion_check(one, box, radius, [0.5])
@@ -526,9 +518,7 @@ _PRODUCT_3D = (_gauss, lambda t: _gauss(t - 0.5), lambda t: _gauss(t) * np.cos(2
 
 def suite_plancherel_3d(cfg: RunConfig) -> Report:
     """Norm preservation and round trip of a 3-d product, one axis at a time."""
-    radius = cfg.radius or 30.0
-    npp = cfg.nodes_per_panel or 8
-    rep = Report("plancherel-3d", cfg.seed, {"radius": radius, "nodes_per_panel": npp})
+    radius, npp, rep = _fourier_run("plancherel-3d", cfg, 30.0)
     box = pl.box_domain([4.0] * 3, max_frequency=radius, nodes_per_panel=npp)
     res = pl.plancherel_norm_check(_PRODUCT_3D, box, radius)
     rep.add(make_record("3-d product norm preserved (rel err)", res.rel_err, 0.0, 1e-12))
@@ -587,14 +577,17 @@ def suite_names() -> list:
 
 
 def run_suite(name: str, cfg: RunConfig) -> Report:
-    """Run one suite (or all of them, concatenating prefixed records)."""
+    """Run one suite, or all of them: the prefixed records in one report,
+    whose ``parameters["suites"]`` holds each suite's parameters by name."""
     cfg.validate()
     if name != "all" and name not in SUITES:
         raise ConfigError(f"unknown suite '{name}'; known: {suite_names()}")
     if name != "all":
         return SUITES[name](cfg)
-    merged = Report("all", cfg.seed, {"suites": list(SUITES)})
+    merged = Report("all", cfg.seed, {"suites": {}})
     for sub, fn in SUITES.items():
-        for rec in fn(cfg).records:
+        rep = fn(cfg)
+        merged.parameters["suites"][sub] = rep.parameters
+        for rec in rep.records:
             merged.add(replace(rec, name=f"{sub}: {rec.name}"))
     return merged

@@ -1,15 +1,18 @@
 """Exercise the command line surface in-process."""
 
+import argparse
 import csv
 import io
 import json
 import math
+from dataclasses import fields
 
 import jsonschema
 import pytest
 
-from rkhskit.cli import main
+from rkhskit.cli import build_parser, main
 from rkhskit.reporting import REPORT_SCHEMA
+from rkhskit.suites import SUITES, RunConfig, run_suite
 
 LN15 = 0.4054651081081644
 TRANSFORM_AT_0 = 0.671396707141803  # sqrt(2/pi) sin(1)
@@ -161,6 +164,53 @@ def test_verify_report_records_the_gauss_order(suite, tmp_path, capsys):
     assert orders == [8, 2]
 
 
+FOURIER_SUITES = ("plancherel-norm", "mutual-inverse", "box-inversion", "plancherel-3d")
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_verify_all_passes_at_low_fourier_orders(order, tmp_path, capsys):
+    # the order reaches the Fourier boxes alone; isometry keeps its 32 x 16 grid
+    out_path = tmp_path / "rep.json"
+    code, out, err = run(capsys, "verify", "--suite", "all", "--nodes-per-panel", str(order), "--out", str(out_path))
+    assert code == 0 and err == ""
+    assert out.endswith("suite all: PASS (55/55 records)\n")
+    data = json.loads(out_path.read_text())
+    jsonschema.validate(data, REPORT_SCHEMA)
+    params = data["parameters"]["suites"]
+    assert {name: params[name]["nodes_per_panel"] for name in FOURIER_SUITES} == dict.fromkeys(FOURIER_SUITES, order)
+    assert params["isometry"]["nodes_per_panel"] == 16 and params["isometry"]["panels"] == 32
+
+
+def test_merged_report_keeps_each_suites_parameters():
+    cfg = RunConfig(radius=100.0)
+    merged = run_suite("all", cfg).parameters["suites"]
+    assert list(merged) == list(SUITES)
+    assert merged == {name: fn(cfg).parameters for name, fn in SUITES.items()}
+    assert merged["plancherel-norm"]["radius"] == merged["sinc"]["radius"] == 100.0
+
+
+def test_isometry_ignores_the_gauss_order(capsys):
+    code, default, _ = run(capsys, "verify", "--suite", "isometry")
+    assert code == 0
+    code, low, _ = run(capsys, "verify", "--suite", "isometry", "--nodes-per-panel", "1")
+    assert code == 0 and low == default
+
+
+def test_verify_has_no_panels_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--panels", "4"])
+    assert exc.value.code == 2
+    assert "--panels" in capsys.readouterr().err
+
+
+def test_verify_options_are_the_run_config_fields():
+    # one list of knobs: a field without its flag, or a flag without its
+    # field, fails here
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in sub.choices["verify"]._actions} - {"help"}
+    assert dests == {f.name for f in fields(RunConfig)} | {"config"}
+
+
 def test_verify_stdout_is_deterministic(capsys):
     code1, out1, _ = run(capsys, "verify", "--suite", "isometry")
     code2, out2, _ = run(capsys, "verify", "--suite", "isometry")
@@ -202,6 +252,7 @@ def test_verify_config_rejects_unknown_keys(tmp_path, capsys):
         ({"out": 3}, "out"),
         ({"ndim": 3, "lo": 5, "hi": 6}, "ndim"),
         ({"probe_count": 50}, "probe_count"),  # a key RunConfig no longer has
+        ({"panels": 32}, "panels"),  # a key RunConfig no longer has
     ],
 )
 def test_verify_config_rejects_bad_values(tmp_path, capsys, config, word):
@@ -266,7 +317,7 @@ def test_plancherel_norm_checks_a_radius_below_its_sweep(capsys):
         # grids beyond the node cap and the Gauss order limit are refused
         # before anything is allocated
         ("verify", "--suite", "sinc", "--radius", "1e9"),
-        ("verify", "--suite", "isometry", "--nodes-per-panel", "100000"),
+        ("verify", "--suite", "plancherel-norm", "--nodes-per-panel", "100000"),
         ("transform", "--family", "pw", "--max-frequency", "inf"),
         ("transform", "--family", "pw", "--max-frequency", "nan"),
         # sizes whose panel count, grid size or interval length overflow a
@@ -285,6 +336,23 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "kernels"),
+        ("kernel", "--family", "pw"),
+        ("transform", "--family", "pw"),
+        ("invert", "--mode", "pw-primitive", "--f", "cos"),
+        ("invert", "--mode", "pw-primitive", "--emit-grid"),
+    ],
+)
+def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys, argv):
+    missing = tmp_path / "missing" / "x"
+    code, _, err = run(capsys, *argv, "--out", str(missing))
+    assert code == 2 and not missing.parent.exists()
+    assert err.startswith("error:") and str(missing) in err and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("mode, source", [("sobolev-span", "span"), ("pw-primitive", "cos")])
