@@ -60,7 +60,7 @@ def main():
         pts_n = np.linspace(-0.9, 0.9, n)
         fm_n = space.feature_map(pts_n)
         basis_n = build_span_basis(fm_n, pts_n)
-        seq = indefinite_integral_sequence(fm_n, anchor=0.0)
+        seq = indefinite_integral_sequence(fm_n)
         img_cos = transform(sample(fm_n.grid, np.cos), fm_n)
         errs = [abs(generalized_invert_at(seq, img_cos, t, basis_n) - math.sin(t))
                 for t in (0.25, 0.5, 0.8)]

@@ -81,24 +81,26 @@ def _fmt(z) -> str:
     return format(v, ".12g")
 
 
-def _sobolev_from_args(args) -> SobolevSpace:
-    if args.rho not in RHO_REGISTRY:
-        raise ConfigError(f"unknown rho '{args.rho}'; known: {sorted(RHO_REGISTRY)}")
-    return SobolevSpace(make_interval(args.lo, args.hi), args.c, RHO_REGISTRY[args.rho])
+def _family_setup(args, pw_reach: float, **pw_options) -> tuple:
+    """The space of ``--family`` and its probes: ``--points``, or by default
+    ``--grid-probe`` points across [-pw_reach, pw_reach] (pw) or across the
+    interval less 5 % at each end (sobolev)."""
+    # the space checks the interval before its padding is computed
+    if args.family == "pw":
+        space = PaleyWienerSpace(args.a, **pw_options)
+        lo, hi = -pw_reach, pw_reach
+    else:
+        if args.rho not in RHO_REGISTRY:
+            raise ConfigError(f"unknown rho '{args.rho}'; known: {sorted(RHO_REGISTRY)}")
+        space = SobolevSpace(make_interval(args.lo, args.hi), args.c, RHO_REGISTRY[args.rho])
+        pad = 0.05 * (args.hi - args.lo)
+        lo, hi = args.lo + pad, args.hi - pad
+    probes = _parse_points(args.points) if args.points else list(np.linspace(lo, hi, args.grid_probe))
+    return space, probes
 
 
 def cmd_kernel(args) -> int:
-    # the space checks the interval before its padding is computed
-    space = PaleyWienerSpace(args.a) if args.family == "pw" else _sobolev_from_args(args)
-    if args.points:
-        pts = _parse_points(args.points)
-    else:
-        if args.family == "pw":
-            pts = list(np.linspace(-2.0, 2.0, args.grid_probe))
-        else:
-            lo, hi = args.lo, args.hi
-            pad = 0.05 * (hi - lo)
-            pts = list(np.linspace(lo + pad, hi - pad, args.grid_probe))
+    space, pts = _family_setup(args, 2.0)
     if not pts:
         raise ConfigError("no probe points")
     rows = []
@@ -113,18 +115,9 @@ def cmd_kernel(args) -> int:
 def cmd_transform(args) -> int:
     if args.f not in SOURCES:
         raise ConfigError(f"unknown source '{args.f}'; known: {sorted(SOURCES)}")
-    fn = SOURCES[args.f]
-    if args.family == "pw":
-        space = PaleyWienerSpace(args.a, max_frequency=args.max_frequency)
-        fm = space.feature_map()
-        default_probes = np.linspace(-8.0, 8.0, args.grid_probe)
-    else:
-        space = _sobolev_from_args(args)
-        fm = space.feature_map()
-        pad = 0.05 * (args.hi - args.lo)
-        default_probes = np.linspace(args.lo + pad, args.hi - pad, args.grid_probe)
-    probes = _parse_points(args.points) if args.points else list(default_probes)
-    image = transform(sample(fm.grid, fn), fm)
+    space, probes = _family_setup(args, 8.0, max_frequency=args.max_frequency)
+    fm = space.feature_map()
+    image = transform(sample(fm.grid, SOURCES[args.f]), fm)
     rows = []
     for x in probes:
         v = image.at(float(x))
@@ -194,7 +187,7 @@ def cmd_invert(args) -> int:
             reference = lambda t: sum(c * space.kernel(t, float(x)) for c, x in zip(coeffs, basis.points))
             default_probes = np.linspace(-0.95, 0.95, args.probe_count)
         else:
-            seq = inv.indefinite_integral_sequence(fm, anchor=0.0)
+            seq = inv.indefinite_integral_sequence(fm)
             if source is not None:
                 F = cumulative_integral(fm.grid, source.values)
                 F0 = F(0.0)
@@ -243,7 +236,14 @@ def _config_from(args) -> RunConfig:
 
 def cmd_verify(args) -> int:
     cfg = _config_from(args)
-    report = run_suite(cfg.suite, cfg)
+    # the report path is opened before the run, so a path that cannot be
+    # written costs no run; appending, then truncating once the report is
+    # ready, keeps an earlier report at that path when the run fails
+    with open(cfg.out, "a", encoding="utf-8") if cfg.out else nullcontext() as fh:
+        report = run_suite(cfg.suite, cfg)
+        if cfg.out:
+            fh.truncate(0)
+            print(report.to_json(), file=fh)
     for rec in report.records:
         status = "PASS" if rec.passed else "FAIL"
         print(
@@ -252,8 +252,6 @@ def cmd_verify(args) -> int:
         )
     print(f"suite {report.suite}: {'PASS' if report.passed else 'FAIL'} "
           f"({sum(r.passed for r in report.records)}/{len(report.records)} records)")
-    if cfg.out:
-        report.write(cfg.out)
     return PASS_EXIT if report.passed else FAIL_EXIT
 
 
@@ -297,30 +295,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_kernel = sub.add_parser("kernel", help="tabulate kernel values as CSV (x,y,re,im)")
-    p_kernel.add_argument("--family", choices=["pw", "sobolev"], required=True)
-    p_kernel.add_argument("--a", type=float, default=1.0, help="bandlimit half-width (pw)")
-    p_kernel.add_argument("--rho", default="const", help="weight name (sobolev)")
-    p_kernel.add_argument("--lo", type=float, default=-1.0)
-    p_kernel.add_argument("--hi", type=float, default=1.0)
-    p_kernel.add_argument("--c", type=float, default=0.0, help="anchor point (sobolev)")
+    # the space and probe flags that kernel and transform share
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--family", choices=["pw", "sobolev"], required=True)
+    family.add_argument("--a", type=float, default=1.0, help="bandlimit half-width (pw)")
+    family.add_argument("--rho", default="const", help="weight name (sobolev)")
+    family.add_argument("--lo", type=float, default=-1.0)
+    family.add_argument("--hi", type=float, default=1.0)
+    family.add_argument("--c", type=float, default=0.0, help="anchor point (sobolev)")
+    family.add_argument("--points", help="explicit comma-separated probe list")
+    family.add_argument("--out", help="output path (default stdout)")
+
+    p_kernel = sub.add_parser(
+        "kernel", parents=[family], help="tabulate kernel values as CSV (x,y,re,im)"
+    )
     p_kernel.add_argument("--grid-probe", type=_nonnegative_int, default=5, help="probes per axis")
-    p_kernel.add_argument("--points", help="explicit comma-separated probe list")
-    p_kernel.add_argument("--out", help="output path (default stdout)")
     p_kernel.set_defaults(fn=cmd_kernel)
 
-    p_tr = sub.add_parser("transform", help="tabulate a transformed vector as CSV (x,re,im)")
-    p_tr.add_argument("--family", choices=["pw", "sobolev"], required=True)
+    p_tr = sub.add_parser(
+        "transform", parents=[family], help="tabulate a transformed vector as CSV (x,re,im)"
+    )
     p_tr.add_argument("--f", default="window", help=f"source name: {sorted(SOURCES)}")
-    p_tr.add_argument("--a", type=float, default=1.0)
     p_tr.add_argument("--max-frequency", type=float, default=40.0)
-    p_tr.add_argument("--rho", default="const")
-    p_tr.add_argument("--lo", type=float, default=-1.0)
-    p_tr.add_argument("--hi", type=float, default=1.0)
-    p_tr.add_argument("--c", type=float, default=0.0)
     p_tr.add_argument("--grid-probe", type=_nonnegative_int, default=9)
-    p_tr.add_argument("--points", help="explicit comma-separated probe list")
-    p_tr.add_argument("--out", help="output path (default stdout)")
     p_tr.set_defaults(fn=cmd_transform)
 
     p_inv = sub.add_parser(

@@ -148,14 +148,14 @@ def identity_sequence(phi: FeatureMap) -> TransformationSequence:
     return TransformationSequence(phi, s_apply)
 
 
-def indefinite_integral_sequence(phi: FeatureMap, anchor: float = 0.0) -> TransformationSequence:
-    """S maps a grid vector to its primitive from ``anchor``; an isometry
-    into the unit-weight Sobolev-type space anchored there, whose kernel is
-    the overlap length |(anchor, med{t, u, anchor})|."""
+def indefinite_integral_sequence(phi: FeatureMap) -> TransformationSequence:
+    """S maps a grid vector to its primitive from 0; an isometry into the
+    unit-weight Sobolev-type space anchored there, whose kernel is the
+    overlap length |(0, med{t, u, 0})|."""
 
     def s_apply(rows: np.ndarray, ts: list) -> np.ndarray:
         F = cumulative_integral(phi.grid, rows)
-        return F(np.asarray(ts, dtype=float)) - F(anchor)[:, None]
+        return F(np.asarray(ts, dtype=float)) - F(0.0)[:, None]
 
     return TransformationSequence(phi, s_apply)
 

@@ -14,7 +14,7 @@ so per-panel polynomial operations (interpolation, differentiation,
 cumulative integration) remain available after construction.  A sum over
 a long window that needs only nodes and weights can walk the same grid a
 block of panels at a time instead (:func:`_gauss_panel_blocks`), so that
-the grid is never stored.
+the grid is never stored, only its panel edges.
 
 A :class:`ProductGrid` is the one multi-axis grid: a time box, a frequency
 lattice and the grid of a tensor feature map are all products of
@@ -257,32 +257,18 @@ def _gauss_panel_blocks(interval: Interval, panels: int, nodes_per_panel: int, b
     nodes_per_panel)``, bit for bit, ``block_panels`` panels at a time.
 
     Returns an iterator of (nodes, weights) pairs whose concatenation is
-    the grid's, so that a sum over a long window never stores it.  What
+    the grid's, so that a sum over a long window never stores it: only
+    its panel edges, ``np.linspace(lo, hi, panels + 1)`` as in
+    :func:`build_grid`, are held, at 8 bytes a panel.  What
     :func:`build_grid` refuses is refused here, with the same message, at
     the call rather than at the first block.
     """
     _require_grid(interval, panels, nodes_per_panel)
-    lo, hi = interval.lo, interval.hi
-    delta = hi - lo
-    step = delta / panels
-
-    def blocks():
-        for p0 in range(0, panels, block_panels):
-            p1 = min(p0 + block_panels, panels)
-            # np.linspace(lo, hi, panels + 1)[p0 : p1 + 1], build_grid's edges,
-            # down to its rule for a step that underflows and its exact last edge
-            edges = np.arange(p0, p1 + 1, dtype=float)
-            if step == 0.0:
-                edges /= panels
-                edges *= delta
-            else:
-                edges *= step
-            edges += lo
-            if p1 == panels:
-                edges[-1] = hi
-            yield _gauss_panels(edges, nodes_per_panel)
-
-    return blocks()
+    edges = np.linspace(interval.lo, interval.hi, panels + 1)
+    return (
+        _gauss_panels(edges[p0 : p0 + block_panels + 1], nodes_per_panel)
+        for p0 in range(0, panels, block_panels)
+    )
 
 
 PRODUCT_NODE_CAP = 10 ** 6

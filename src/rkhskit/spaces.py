@@ -332,7 +332,8 @@ def sinc_gram(a: float, points: Sequence[float], radius: float) -> np.ndarray:
     ``_SINC_BLOCK`` (2^13) at a time from the panel edges, bit for bit
     those of :func:`build_grid`, and each block's sections are formed in
     two reused (points x block) buffers and added into the matrix.  Memory
-    is O(m^2 + m * 2^13) for m points whatever the window.  A window above
+    is O(m^2 + m * 2^13 + P) for m points and P panels: the edges alone
+    grow with the window, at 8 bytes a panel.  A window above
     build_grid's node cap is refused with its message before any block is
     made.
 

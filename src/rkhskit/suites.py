@@ -305,7 +305,7 @@ def suite_generalized_inversion(cfg: RunConfig) -> Report:
     """Inversion through an isometry into the primitive's Sobolev space."""
     rep = Report("generalized-inversion", cfg.seed, {"basis": "integers in [-20, 20]"})
     _, fm, basis = _pw_setup(22.0, np.arange(-20.0, 21.0))
-    seq = inv.indefinite_integral_sequence(fm, anchor=0.0)
+    seq = inv.indefinite_integral_sequence(fm)
 
     cases = [
         ("f = 1", SOURCES["one"], lambda t: t),
@@ -497,7 +497,7 @@ def suite_box_inversion(cfg: RunConfig) -> Report:
 
     points = np.arange(-20.0, 21.0)
     pw, fm, basis = _pw_setup(22.0, points)
-    seq = inv.indefinite_integral_sequence(fm, anchor=0.0)
+    seq = inv.indefinite_integral_sequence(fm)
     image = transform(sample(fm.grid, one), fm)
     gen = inv.generalized_invert_at(seq, image, 0.5, basis)
     rep.add(

@@ -355,6 +355,26 @@ def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys, argv):
     assert err.startswith("error:") and str(missing) in err and len(err.splitlines()) == 1
 
 
+def test_unwritable_verify_out_runs_no_suite(tmp_path, capsys, monkeypatch):
+    def no_run(*_):
+        pytest.fail("a suite ran before the report path was opened")
+
+    monkeypatch.setattr("rkhskit.cli.run_suite", no_run)
+    code, out, err = run(capsys, "verify", "--suite", "all", "--out", str(tmp_path / "missing" / "x"))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_verify_out_replaces_an_earlier_report_only_after_a_run(tmp_path, capsys):
+    path = tmp_path / "rep.json"
+    path.write_text("x" * 100_000)
+    code, _, _ = run(capsys, "verify", "--suite", "bogus", "--out", str(path))
+    assert code == 2 and path.read_text() == "x" * 100_000
+    code, _, _ = run(capsys, "verify", "--suite", "kernels", "--out", str(path))
+    assert code == 0
+    jsonschema.validate(json.loads(path.read_text()), REPORT_SCHEMA)
+
+
 @pytest.mark.parametrize("mode, source", [("sobolev-span", "span"), ("pw-primitive", "cos")])
 def test_invert_without_probes_prints_only_the_header(capsys, mode, source):
     code, out, _ = run(capsys, "invert", "--mode", mode, "--f", source, "--probes", "")

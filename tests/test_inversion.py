@@ -73,7 +73,7 @@ def test_invert_at_needs_a_closed_kernel(sobolev_setup):
 
 def test_primitive_recovery_through_integral_sequence(pw_setup):
     pw, fm, basis = pw_setup
-    seq = inv.indefinite_integral_sequence(fm, anchor=0.0)
+    seq = inv.indefinite_integral_sequence(fm)
     cases = [
         (lambda t: np.ones_like(t), lambda t: t),
         (np.cos, math.sin),
@@ -217,7 +217,7 @@ def test_batched_generalized_inversion_matches_points(pw_setup):
     image = transform(sample(fm.grid, np.cos), fm)
     cons = inv.exponential_system(fm.grid, 16, 1.0)
     cases = [
-        (inv.indefinite_integral_sequence(fm, anchor=0.0), np.array([-0.5, 0.25, 0.5, 1.0])),
+        (inv.indefinite_integral_sequence(fm), np.array([-0.5, 0.25, 0.5, 1.0])),
         (inv.identity_sequence(fm), np.linspace(-0.8, 0.8, 5)),
         (inv.cons_sequence(cons, fm), np.arange(16)),
     ]
@@ -289,7 +289,7 @@ def test_s_apply_returns_the_row_by_point_matrix(pw_setup):
     F = [cumulative_integral(fm.grid, r) for r in rows]
     cases = [
         (inv.identity_sequence(fm), ts, lambda i, t: inner_weighted(vecs[i], fm.feature(t))),
-        (inv.indefinite_integral_sequence(fm, anchor=0.0), ts, lambda i, t: F[i](t) - F[i](0.0)),
+        (inv.indefinite_integral_sequence(fm), ts, lambda i, t: F[i](t) - F[i](0.0)),
         (inv.cons_sequence(cons, fm), [0, 5, 15], lambda i, n: cons.coefficient(vecs[i], n)),
     ]
     for seq, pts, want in cases:
@@ -308,7 +308,7 @@ def test_empty_points_give_empty_arrays(sobolev_setup, pw_setup):
     image = transform(sample(fm.grid, np.cos), fm)
     for seq in (
         inv.identity_sequence(fm),
-        inv.indefinite_integral_sequence(fm, anchor=0.0),
+        inv.indefinite_integral_sequence(fm),
         inv.cons_sequence(inv.exponential_system(fm.grid, 4, 1.0), fm),
     ):
         got = inv.generalized_invert_at(seq, image, np.array([]), basis)
@@ -345,6 +345,6 @@ def test_generalized_inversion_refuses_a_basis_on_another_grid(pw_setup):
     pw, fm, basis = pw_setup
     image = transform(sample(fm.grid, np.cos), fm)
     other = PaleyWienerSpace(1.0, max_frequency=10.0).feature_map()
-    seq = inv.indefinite_integral_sequence(other, anchor=0.0)
+    seq = inv.indefinite_integral_sequence(other)
     with pytest.raises(ValueError, match="different grids"):
         inv.generalized_invert_at(seq, image, 0.5, basis)

@@ -537,6 +537,23 @@ def test_sinc_gram_memory_does_not_grow_with_the_window(a):
     assert peak < 2e6
 
 
+def test_sinc_gram_memory_grows_by_the_edges_alone():
+    # at (8, 4e4), 3.3 M nodes, the window's nodes and weights would take
+    # 52 MB; only its panel edges, 8 bytes each, may grow past the fixed
+    # buffers (traced peaks of 1.2 and 1.5 MB at (2, 1e4) and (8, 1e4),
+    # and 2.7 MB here against this 3.1 MB bound)
+    window = truncate_line(4e4)
+    panels = spaces._oscillation_panels(window, 16.0, 16)
+    pts = tuple(np.linspace(-2.0, 2.0, 5))
+    tracemalloc.start()
+    try:
+        sinc_gram(8.0, pts, 4e4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6 + 8 * (panels + 1)
+
+
 # ----------------------------------------------------------------- tensor
 
 
