@@ -72,7 +72,6 @@ from .plancherel import (
     indicator_hat,
     mutual_inverse_check,
     plancherel_norm_check,
-    sample_on_box,
     transform_at,
 )
 from .reporting import VERSION as __version__

@@ -28,7 +28,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import inversion as inv
-from .numerics import HVector, cumulative_integral, make_interval, sample
+from .numerics import HVector, make_interval, sample
 from .reporting import REPORT_SCHEMA
 from .spaces import RHO_REGISTRY, PaleyWienerSpace, SobolevSpace
 from .suites import SOURCES, ConfigError, RunConfig, _pw_setup, _sobolev_setup, run_suite, suite_names
@@ -165,7 +165,7 @@ def cmd_invert(args) -> int:
     if args.mode == "sobolev-span":
         space, fm, basis = _sobolev_setup()
     else:
-        _, fm, basis = _pw_setup(22.0, np.arange(-20.0, 21.0))
+        fm, basis = _pw_setup(22.0, np.arange(-20.0, 21.0))
     if args.emit_grid:
         _emit_grid_template(args.out, fm.grid)
         return PASS_EXIT
@@ -184,24 +184,25 @@ def cmd_invert(args) -> int:
             else:
                 raise ConfigError("mode sobolev-span needs --f span or --input FILE")
             recover = lambda image, t: inv.invert_at(image, t, basis)
-            reference = lambda t: sum(c * space.kernel(t, float(x)) for c, x in zip(coeffs, basis.points))
+            reference = lambda ts: [
+                sum(c * space.kernel(t, float(x)) for c, x in zip(coeffs, basis.points)) for t in ts
+            ]
             default_probes = np.linspace(-0.95, 0.95, args.probe_count)
         else:
             seq = inv.indefinite_integral_sequence(fm)
             if source is not None:
-                F = cumulative_integral(fm.grid, source.values)
-                F0 = F(0.0)
-                reference = lambda t: F(t) - F0
+                # S applied to the source itself, at every probe in one call
+                reference = lambda ts: seq.s_apply(source.values[None, :], ts)[0]
             elif args.f in ("one", "cos"):
                 source = sample(fm.grid, SOURCES[args.f])
-                reference = (lambda t: complex(t)) if args.f == "one" else (lambda t: complex(math.sin(t)))
+                reference = (lambda ts: ts) if args.f == "one" else (lambda ts: [math.sin(t) for t in ts])
             else:
                 raise ConfigError("mode pw-primitive needs --f one, --f cos, or --input FILE")
             recover = lambda image, t: inv.generalized_invert_at(seq, image, t, basis)
             default_probes = [0.25, 0.5, 1.0]
         ts = np.asarray(default_probes if probes is None else probes, dtype=float)
         got = recover(transform(source, fm), ts)
-        refs = [complex(reference(t)) for t in ts.tolist()]
+        refs = [complex(ref) for ref in reference(ts.tolist())]
     if not (np.all(np.isfinite(got)) and np.all(np.isfinite(refs))):
         raise ConfigError("recovered values overflow; scale the samples down")
     rows = []

@@ -233,16 +233,12 @@ class RestrictionIsometryReport:
     span_norm_window: float
     span_err: float
 
-    @property
-    def max_abs_err(self) -> float:
-        return max(self.max_kernel_err, self.span_err)
-
 
 def restriction_isometry_check(
     pw: PaleyWienerSpace,
     probes: Sequence[float],
     radius: float,
-    coeffs: Sequence[complex] | None = None,
+    coeffs: Sequence[complex],
 ) -> RestrictionIsometryReport:
     """Check that restricting bandlimited functions to a window preserves the
     inner product: window L2 pairings of kernel sections reproduce kernel
@@ -253,7 +249,7 @@ def restriction_isometry_check(
     pts = [float(p) for p in probes]
     if not pts:
         raise ValueError("need at least one probe point")
-    cs = np.ones(len(pts), dtype=complex) if coeffs is None else np.asarray(coeffs, dtype=complex)
+    cs = np.asarray(coeffs, dtype=complex)
     if cs.shape != (len(pts),):
         raise ValueError("coefficient length must match probes")
     pairings = sinc_gram(pw.a, pts, radius) / math.pi ** 2

@@ -23,7 +23,9 @@ weights and weight samples (row-major, last axis fastest) are built on
 first use, so per-axis consumers such as the Fourier contractions never
 pay for them.  Its node cap is enforced where a dense array over it is
 formed (:meth:`ProductGrid.require_dense`); :func:`product_grid` also
-refuses a grid above its cap at once.
+refuses a grid above its cap at once.  The cap is ``PRODUCT_NODE_CAP``
+(10^6) by default and ``NODE_CAP`` (10^7, also the limit of one grid) on
+a Fourier box, which is sampled densely through :meth:`ProductGrid.mesh`.
 
 Scalar pairings are plain numpy sums: :func:`integrate` and
 :func:`inner_weighted` form their terms elementwise and add them with
@@ -55,6 +57,7 @@ __all__ = [
     "build_grid",
     "product_grid",
     "require_node_cap",
+    "NODE_CAP",
     "PRODUCT_NODE_CAP",
     "sample",
     "integrate",
@@ -110,8 +113,6 @@ def make_interval(a: float, b: float) -> Interval:
     may be infinite: ``make_interval(math.inf, -math.inf)`` is the whole
     line.
     """
-    if math.isnan(a) or math.isnan(b):
-        raise ValueError("NaN endpoint")
     a, b = float(a), float(b)
     return Interval(a, b) if a <= b else Interval(b, a)
 
@@ -155,10 +156,10 @@ class QuadGrid:
         )
 
 
-# size limits of one grid, checked before anything is allocated: as many
-# nodes as the largest Fourier box (plancherel.BOX_NODE_CAP), and Gauss
-# orders whose (n x n) Vandermonde matrix stays small
-_GRID_NODE_CAP = 10 ** 7
+# size limits, checked before anything is allocated: the nodes of one grid
+# or of a Fourier box, and Gauss orders whose (n x n) Vandermonde matrix
+# stays small
+NODE_CAP = 10 ** 7
 _MAX_GAUSS_ORDER = 128
 
 
@@ -173,7 +174,7 @@ def _gauss_rule(n: int) -> tuple:
 def _require_grid(interval: Interval, panels: int, nodes_per_panel: int, segments: int = 1) -> None:
     """Refuse (ValueError) what :func:`build_grid` cannot build: an empty or
     infinite interval, a panel count or Gauss order out of range, or more
-    than ``_GRID_NODE_CAP`` nodes over ``segments`` segments."""
+    than ``NODE_CAP`` nodes over ``segments`` segments."""
     if interval.empty:
         raise ValueError("cannot build a grid on an empty interval")
     if not interval.finite:
@@ -185,8 +186,8 @@ def _require_grid(interval: Interval, panels: int, nodes_per_panel: int, segment
     # no segment gets more than one panel beyond its share of the budget;
     # that bound is checked in integers, before any float product
     size = (panels + segments) * nodes_per_panel
-    if size > _GRID_NODE_CAP:
-        raise ValueError(f"grid of up to {Decimal(size):.3g} nodes exceeds the limit of {_GRID_NODE_CAP:.0e}")
+    if size > NODE_CAP:
+        raise ValueError(f"grid of up to {Decimal(size):.3g} nodes exceeds the limit of {NODE_CAP:.0e}")
 
 
 def _gauss_panels(edges: np.ndarray, nodes_per_panel: int) -> tuple:

@@ -44,10 +44,10 @@ outer product of the per-axis back-evaluations on its probe lattice (at
 most ``_N_PROBES`` points), and the indicator integral of
 :func:`box_inversion_check` a product of per-axis dot products.  The
 (2 pi)^(-N/2) scale is multiplied in once where each result is used.
-:func:`fourier_on_lattice` transforms dense samples, one contraction per
-axis over all columns; it is the tests' oracle of the per-axis checks, and
-refuses its table above ``BOX_NODE_CAP`` nodes before forming it, not when
-the box is built.
+:func:`fourier_on_lattice` transforms dense samples, such as
+``fn(*box.mesh())``, one contraction per axis over all columns; it is the
+tests' oracle of the per-axis checks, and refuses its table above
+``numerics.NODE_CAP`` nodes before forming it, not when the box is built.
 
 The two boxes are the same kind of object, a
 :class:`~rkhskit.numerics.ProductGrid` from :func:`box_domain`: a time box
@@ -71,6 +71,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .numerics import (
+    NODE_CAP,
     ProductGrid,
     QuadGrid,
     build_grid,
@@ -83,7 +84,6 @@ from .numerics import (
 
 __all__ = [
     "box_domain",
-    "sample_on_box",
     "fourier_on_lattice",
     "transform_at",
     "indicator_hat",
@@ -93,10 +93,8 @@ __all__ = [
     "mutual_inverse_check",
     "BoxInversionReport",
     "box_inversion_check",
-    "BOX_NODE_CAP",
 ]
 
-BOX_NODE_CAP = 10 ** 7
 _TWO_PI = 2.0 * math.pi
 # kernel blocks are materialized at most this many complex entries at a time
 _CHUNK_ELEMS = 1 << 22
@@ -131,7 +129,7 @@ def box_domain(
 
     Axes with equal half-widths share one grid.  A frequency box is built
     the same way, with the time half-width as its ``max_frequency``.  The
-    box holds only its axes; a dense array over more than ``BOX_NODE_CAP``
+    box holds only its axes; a dense array over more than ``NODE_CAP``
     nodes is refused where it is formed (``ProductGrid.require_dense``).
     """
     hws = tuple(half_widths)
@@ -146,13 +144,7 @@ def box_domain(
         if a not in grids:
             panels = panels_for_oscillation(2.0 * a, max_frequency, minimum=8)
             grids[a] = build_grid(make_interval(-a, a), panels, nodes_per_panel)
-    return ProductGrid(tuple(grids[a] for a in hws), float(max_frequency), BOX_NODE_CAP)
-
-
-def sample_on_box(box: ProductGrid, fn: Callable) -> np.ndarray:
-    """Sample a vectorized callable of ndim arguments on the box grid (the
-    whole mesh, so at most ``box.cap`` nodes)."""
-    return np.asarray(fn(*box.mesh()), dtype=complex)
+    return ProductGrid(tuple(grids[a] for a in hws), float(max_frequency), NODE_CAP)
 
 
 def _axis_apply(arr: np.ndarray, axis: int, dst_nodes: np.ndarray, src: QuadGrid, sign: float) -> np.ndarray:
@@ -377,7 +369,7 @@ def transform_at(values: np.ndarray, src_axes: Sequence[QuadGrid], points, sign:
     samples; ``sign=+1`` is the conjugate kernel integrated over frequency
     samples.  Points are an (M, N) array (or scalars for N = 1).
     """
-    grid = product_grid(src_axes, cap=BOX_NODE_CAP)
+    grid = product_grid(src_axes, cap=NODE_CAP)
     n = grid.ndim
     pts = np.asarray(points, dtype=float)
     scalar = pts.ndim == 0

@@ -65,6 +65,8 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         for name, hint in _CONFIG_HINTS.items():
             _require_type(name, getattr(self, name), hint)
+        if self.suite not in suite_names():
+            raise ConfigError(f"unknown suite '{self.suite}'; known: {suite_names()}")
         if self.radius is not None and not (math.isfinite(self.radius) and self.radius > 0):
             raise ConfigError("radius must be positive and finite")
         if self.nodes_per_panel is not None and self.nodes_per_panel < 1:
@@ -295,16 +297,14 @@ def suite_inversion(cfg: RunConfig) -> Report:
 
 
 def _pw_setup(max_frequency: float, points: np.ndarray):
-    pw = PaleyWienerSpace(1.0, max_frequency=max_frequency)
-    fm = pw.feature_map()
-    basis = build_span_basis(fm, points)
-    return pw, fm, basis
+    fm = PaleyWienerSpace(1.0, max_frequency=max_frequency).feature_map()
+    return fm, build_span_basis(fm, points)
 
 
 def suite_generalized_inversion(cfg: RunConfig) -> Report:
     """Inversion through an isometry into the primitive's Sobolev space."""
     rep = Report("generalized-inversion", cfg.seed, {"basis": "integers in [-20, 20]"})
-    _, fm, basis = _pw_setup(22.0, np.arange(-20.0, 21.0))
+    fm, basis = _pw_setup(22.0, np.arange(-20.0, 21.0))
     seq = inv.indefinite_integral_sequence(fm)
 
     cases = [
@@ -336,7 +336,7 @@ def suite_cons(cfg: RunConfig) -> Report:
     """Orthonormal coefficients recovered through the transform side."""
     rep = Report("cons", cfg.seed, {"count": 16})
     points = math.pi * np.arange(-8.0, 9.0)
-    pw, fm, basis = _pw_setup(30.0, points)
+    fm, basis = _pw_setup(30.0, points)
     cons = inv.exponential_system(fm.grid, 16, 1.0)
     rep.add(make_record("orthonormality defect", cons.orthonormality_defect(), 0.0, 1e-10))
 
@@ -496,7 +496,7 @@ def suite_box_inversion(cfg: RunConfig) -> Report:
     rep.add(make_record("2-d constant: lhs oracle", res2.lhs.real, 0.125, 1e-12))
 
     points = np.arange(-20.0, 21.0)
-    pw, fm, basis = _pw_setup(22.0, points)
+    fm, basis = _pw_setup(22.0, points)
     seq = inv.indefinite_integral_sequence(fm)
     image = transform(sample(fm.grid, one), fm)
     gen = inv.generalized_invert_at(seq, image, 0.5, basis)

@@ -375,6 +375,33 @@ def test_verify_out_replaces_an_earlier_report_only_after_a_run(tmp_path, capsys
     jsonschema.validate(json.loads(path.read_text()), REPORT_SCHEMA)
 
 
+def test_unknown_suite_creates_no_out_file(tmp_path, capsys, monkeypatch):
+    # the suite name is a configuration error, refused before the report
+    # path is opened, whether it comes from a flag or from a config key
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "verify", "--suite", "bogus", "--out", "new.json")
+    assert code == 2 and out == "" and list(tmp_path.iterdir()) == []
+    assert err.startswith("error: unknown suite 'bogus'") and len(err.splitlines()) == 1
+    (tmp_path / "cfg.json").write_text(json.dumps({"suite": "bogus", "out": "new.json"}))
+    code, _, err = run(capsys, "verify", "--config", "cfg.json")
+    assert code == 2 and not (tmp_path / "new.json").exists()
+    assert err.startswith("error: unknown suite 'bogus'") and len(err.splitlines()) == 1
+
+
+def test_run_refused_after_the_out_path_is_opened_keeps_an_earlier_report(tmp_path, capsys, monkeypatch):
+    # a bad suite name no longer reaches the open path; a refusal from the
+    # run itself still must not truncate what is there
+    def refused_run(*_):
+        raise ValueError("refused mid-run")
+
+    monkeypatch.setattr("rkhskit.cli.run_suite", refused_run)
+    path = tmp_path / "rep.json"
+    path.write_text("x" * 100_000)
+    code, out, err = run(capsys, "verify", "--suite", "kernels", "--out", str(path))
+    assert code == 2 and out == "" and err == "error: refused mid-run\n"
+    assert path.read_text() == "x" * 100_000
+
+
 @pytest.mark.parametrize("mode, source", [("sobolev-span", "span"), ("pw-primitive", "cos")])
 def test_invert_without_probes_prints_only_the_header(capsys, mode, source):
     code, out, _ = run(capsys, "invert", "--mode", mode, "--f", source, "--probes", "")

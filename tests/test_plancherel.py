@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rkhskit import plancherel as pl
-from rkhskit.numerics import ProductGrid, build_grid, integrate, make_interval, product_grid
+from rkhskit.numerics import NODE_CAP, ProductGrid, build_grid, integrate, make_interval, product_grid
 from rkhskit.suites import SOURCES, RunConfig, run_suite
 
 SQRT_2_OVER_PI = 0.7978845608028654
@@ -22,6 +22,11 @@ SQRT_PI_OVER_2 = 1.2533141373155003
 
 def _gauss(t):
     return np.exp(-t * t / 2.0)
+
+
+def _mesh_samples(box, fn):
+    """Dense samples of a callable of all axes on the box's mesh."""
+    return np.asarray(fn(*box.mesh()), dtype=complex)
 
 
 def test_box_domain_shapes():
@@ -46,13 +51,12 @@ def test_node_cap_enforced():
     # a box keeps only its axes, so it is built; every dense array over it
     # is refused where it would be formed
     box = pl.box_domain((100.0, 100.0), max_frequency=50.0)
-    assert box.size > pl.BOX_NODE_CAP
+    assert box.size > NODE_CAP
     dense = [
         box.mesh,
         lambda: box.nodes,
         lambda: box.weights,
         lambda: box.rho_at_nodes,
-        lambda: pl.sample_on_box(box, np.add),
         lambda: pl.transform_at(np.zeros(1), box.axes, [[0.0, 0.0]], sign=1.0),
     ]
     for form in dense:
@@ -68,7 +72,7 @@ def test_box_cap_message():
     lattice = pl.box_domain((5.0, 5.0, 5.0), max_frequency=3.0)
     message = "would hold 30371328 nodes, above the cap"
     with pytest.raises(ValueError, match=message):
-        pl.sample_on_box(box, lambda x, y, z: x)
+        _mesh_samples(box, lambda x, y, z: x)
     with pytest.raises(ValueError, match=message):
         pl.fourier_on_lattice(np.zeros(small.shape), small, lattice)
 
@@ -126,7 +130,7 @@ def test_indicator_hat_series_switch_against_mpmath(log_t, log_z, negative):
 def test_flat_window_transform_oracle():
     # transform of the indicator of (-1,1) is sqrt(2/pi) sin(x)/x
     box = pl.box_domain((1.0,), max_frequency=10.0)
-    vals = pl.sample_on_box(box, lambda t: np.ones_like(t))
+    vals = _mesh_samples(box, lambda t: np.ones_like(t))
     got = pl.transform_at(vals, box.axes, np.array([0.0, 1.0, 2.5]), sign=-1.0)
     want = np.array(
         [SQRT_2_OVER_PI, SQRT_2_OVER_PI * math.sin(1.0), SQRT_2_OVER_PI * math.sin(2.5) / 2.5]
@@ -136,7 +140,7 @@ def test_flat_window_transform_oracle():
 
 def test_transform_at_scalar_passthrough():
     box = pl.box_domain((1.0,), max_frequency=10.0)
-    vals = pl.sample_on_box(box, lambda t: np.ones_like(t))
+    vals = _mesh_samples(box, lambda t: np.ones_like(t))
     out = pl.transform_at(vals, box.axes, 0.0, sign=-1.0)
     assert isinstance(out, complex)
     assert out.real == pytest.approx(SQRT_2_OVER_PI, abs=1e-13)
@@ -213,10 +217,10 @@ def test_forward_transform_factorizes_in_2d():
     lat1 = pl.box_domain((10.0,), max_frequency=1.0)
     lat2 = pl.box_domain((10.0, 10.0), max_frequency=1.0)
     f1 = pl.fourier_on_lattice(
-        pl.sample_on_box(box1, lambda t: np.ones_like(t)), box1, lat1
+        _mesh_samples(box1, lambda t: np.ones_like(t)), box1, lat1
     )
     f2 = pl.fourier_on_lattice(
-        pl.sample_on_box(box2, lambda x, y: np.ones_like(x)), box2, lat2
+        _mesh_samples(box2, lambda x, y: np.ones_like(x)), box2, lat2
     )
     np.testing.assert_allclose(f2, np.outer(f1, f1), atol=1e-12)
 
@@ -292,7 +296,7 @@ def test_pinned_1d_transforms_take_chirp_route(half_width, radius, rate, monkeyp
 def test_pinned_2d_transforms_take_column_route_with_chirp_axes(half_width, radius, rate, monkeypatch):
     box = pl.box_domain([half_width] * 2, max_frequency=radius)
     lattice = pl.box_domain([radius] * 2, max_frequency=rate)
-    vals = pl.sample_on_box(box, lambda x, y: np.exp(-(x * x + 2.0 * y * y)) * (1.0 + 0.5j * np.sin(3.0 * x)))
+    vals = _mesh_samples(box, lambda x, y: np.exp(-(x * x + 2.0 * y * y)) * (1.0 + 0.5j * np.sin(3.0 * x)))
     rows = np.r_[0 : lattice.shape[0] : 97, lattice.shape[0] - 1]
     g = lattice.axes[0]
     want = pl._axis_apply(vals, 0, g.nodes[rows], box.axes[0], -1.0)
@@ -314,9 +318,9 @@ def test_3d_box_takes_column_route():
     box3 = pl.box_domain((2.0,) * 3, max_frequency=5.0, nodes_per_panel=4)
     lat1 = pl.box_domain((5.0,), max_frequency=2.0, nodes_per_panel=4)
     lat3 = pl.box_domain((5.0,) * 3, max_frequency=2.0, nodes_per_panel=4)
-    f1 = pl.fourier_on_lattice(pl.sample_on_box(box1, _gauss), box1, lat1)
+    f1 = pl.fourier_on_lattice(_mesh_samples(box1, _gauss), box1, lat1)
     f3 = pl.fourier_on_lattice(
-        pl.sample_on_box(box3, lambda x, y, z: _gauss(x) * _gauss(y) * _gauss(z)), box3, lat3
+        _mesh_samples(box3, lambda x, y, z: _gauss(x) * _gauss(y) * _gauss(z)), box3, lat3
     )
     np.testing.assert_allclose(f3, np.einsum("i,j,k->ijk", f1, f1, f1), rtol=0, atol=1e-14)
 
@@ -329,7 +333,7 @@ def _gaps_to_exact_sum(half_width, radius, rate, source):
     box = pl.box_domain([half_width], max_frequency=radius)
     lattice = pl.box_domain([radius], max_frequency=rate)
     src, dst = box.axes[0], lattice.axes[0]
-    vals = pl.sample_on_box(box, source)
+    vals = _mesh_samples(box, source)
     n_rows = 10 if src.size < 5000 else 2
     rows = np.linspace(0, dst.size - 1, n_rows).round().astype(int)
     rows[n_rows // 2] = np.argmin(np.abs(dst.nodes))
@@ -432,7 +436,7 @@ def test_grid_with_breakpoints_takes_dense_route(monkeypatch):
     assert pl._panel_model(src) is None
     box = product_grid([src])
     lattice = pl.box_domain((50.0,), max_frequency=1.0)
-    vals = pl.sample_on_box(box, np.cos)
+    vals = _mesh_samples(box, np.cos)
     want = pl._axis_apply(vals, 0, lattice.axes[0].nodes, src, -1.0) / math.sqrt(2 * math.pi)
     monkeypatch.setattr(pl, "_axis_chirp", _refuse)
     np.testing.assert_array_equal(pl.fourier_on_lattice(vals, box, lattice), want)
@@ -757,7 +761,7 @@ def test_factored_checks_match_dense_route(name, nodes_per_panel, monkeypatch):
     # of box-inversion
     fn, dense_fn = FACTORED_SOURCES[name], _on_mesh(FACTORED_SOURCES[name])
     box = pl.box_domain([4.0, 4.0], max_frequency=30.0, nodes_per_panel=nodes_per_panel)
-    norm_time, norm_freq, back = _dense_checks(pl.sample_on_box(box, dense_fn), box, 30.0)
+    norm_time, norm_freq, back = _dense_checks(_mesh_samples(box, dense_fn), box, 30.0)
     rep = pl.plancherel_norm_check(fn, box, 30.0)
     assert abs(rep.norm_time - norm_time) <= NORM_ULPS * EPS * norm_time
     assert abs(rep.norm_freq - norm_freq) <= NORM_ULPS * EPS * norm_freq
@@ -774,8 +778,8 @@ def test_factored_checks_match_dense_route(name, nodes_per_panel, monkeypatch):
     ts = (0.5, 0.25)
     repb = pl.box_inversion_check(fn, boxb, 50.0, ts)
     lhs_box = product_grid([build_grid(make_interval(0.0, tj), 16, 16) for tj in ts])
-    lhs = integrate(lhs_box, pl.sample_on_box(lhs_box, dense_fn).ravel())
-    rhs = _dense_box_inversion_rhs(pl.sample_on_box(boxb, dense_fn), boxb, 50.0, ts)
+    lhs = integrate(lhs_box, _mesh_samples(lhs_box, dense_fn).ravel())
+    rhs = _dense_box_inversion_rhs(_mesh_samples(boxb, dense_fn), boxb, 50.0, ts)
     assert abs(repb.lhs - lhs) <= NORM_ULPS * EPS * abs(lhs)
     assert abs(repb.rhs - rhs) <= VALUE_ULPS * EPS * abs(rhs)
 
@@ -784,7 +788,6 @@ def test_factored_sources_take_their_routes(monkeypatch):
     # a product is one vector per axis, for its samples and its transform,
     # and the box is never meshed
     box = pl.box_domain([4.0, 4.0], max_frequency=30.0, nodes_per_panel=2)
-    monkeypatch.setattr(pl, "sample_on_box", _refuse)
     monkeypatch.setattr(ProductGrid, "mesh", _refuse)
     img, lattice, F = pl._forward(FACTORED_SOURCES["product-gaussian"], box, 30.0, 4.0)
     assert [v.shape for v in img] == [(g.size,) for g in box.axes]
@@ -794,7 +797,7 @@ def test_factored_sources_take_their_routes(monkeypatch):
 def test_3d_product_checks_match_column_route(monkeypatch):
     fn = (_gauss1, lambda t: _gauss1(t - 0.5), lambda t: _gauss1(t) * np.cos(2.0 * t))
     box = pl.box_domain([2.0] * 3, max_frequency=5.0, nodes_per_panel=4)
-    norm_time, norm_freq, back = _dense_checks(pl.sample_on_box(box, _on_mesh(fn)), box, 5.0)
+    norm_time, norm_freq, back = _dense_checks(_mesh_samples(box, _on_mesh(fn)), box, 5.0)
     rep = pl.plancherel_norm_check(fn, box, 5.0)
     assert abs(rep.norm_time - norm_time) <= NORM_ULPS * EPS * norm_time
     assert abs(rep.norm_freq - norm_freq) <= NORM_ULPS * EPS * norm_freq
@@ -803,7 +806,7 @@ def test_3d_product_checks_match_column_route(monkeypatch):
     assert np.max(np.abs(backs[0] - back)) <= VALUE_ULPS * EPS * np.max(np.abs(back))
     boxb = pl.box_domain([1.0] * 3, max_frequency=5.0, nodes_per_panel=4)
     ts = (0.5, 0.25, 0.75)
-    rhs = _dense_box_inversion_rhs(pl.sample_on_box(boxb, _on_mesh(fn)), boxb, 5.0, ts)
+    rhs = _dense_box_inversion_rhs(_mesh_samples(boxb, _on_mesh(fn)), boxb, 5.0, ts)
     assert abs(pl.box_inversion_check(fn, boxb, 5.0, ts).rhs - rhs) <= VALUE_ULPS * EPS * abs(rhs)
 
 
@@ -829,7 +832,6 @@ def test_product_source_needs_one_factor_per_axis():
 def test_plancherel_suites_never_mesh_a_box(nodes_per_panel, monkeypatch):
     # every check samples, transforms and measures one axis at a time
     monkeypatch.setattr(ProductGrid, "mesh", _refuse)
-    monkeypatch.setattr(pl, "sample_on_box", _refuse)
     for name in ("plancherel-norm", "mutual-inverse", "box-inversion", "plancherel-3d"):
         report = run_suite(name, RunConfig(nodes_per_panel=nodes_per_panel))
         failed = [r.name for r in report.records if not r.passed]

@@ -526,7 +526,8 @@ def test_sinc_gram_refuses_every_window_the_stored_grid_refused(a, points, radiu
 def test_sinc_gram_memory_does_not_grow_with_the_window(a):
     # the sinc suite's five points at radius 1e4: 0.2 M nodes at a = 2 and
     # 0.8 M at a = 8, whose stored grid alone took 4.9 and 19.6 MB; the
-    # streamed blocks measured a traced peak of 1.13 MB at both
+    # streamed blocks measured a traced peak of 1.23 MB at a = 2 and
+    # 1.53 MB at a = 8
     pts = tuple(np.linspace(-2.0, 2.0, 5))
     tracemalloc.start()
     try:
