@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import warnings
 from contextlib import nullcontext
@@ -238,10 +239,16 @@ def _config_from(args) -> RunConfig:
 def cmd_verify(args) -> int:
     cfg = _config_from(args)
     # the report path is opened before the run, so a path that cannot be
-    # written costs no run; appending, then truncating once the report is
-    # ready, keeps an earlier report at that path when the run fails
+    # written costs no run; a failed run keeps an earlier report there (it
+    # is truncated only once the report is ready) and removes a new file
+    created = bool(cfg.out) and not os.path.exists(cfg.out)
     with open(cfg.out, "a", encoding="utf-8") if cfg.out else nullcontext() as fh:
-        report = run_suite(cfg.suite, cfg)
+        try:
+            report = run_suite(cfg.suite, cfg)
+        except BaseException:
+            if created:
+                os.remove(cfg.out)
+            raise
         if cfg.out:
             fh.truncate(0)
             print(report.to_json(), file=fh)

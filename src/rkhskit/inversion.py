@@ -130,7 +130,7 @@ def generalized_invert_at(
     t is one point or a 1-D array of points (then an array of values);
     ``s_apply`` runs once, on the whole feature matrix and every point.
     """
-    if not basis.phi.grid.compatible_with(seq.phi.grid):
+    if basis.phi.grid != seq.phi.grid:
         raise ValueError("basis features and sequence live on different grids")
     ts, scalar = _batch(t)
     D = basis.solve(np.conj(seq.s_apply(basis.features, ts)))
@@ -204,7 +204,7 @@ def cons_sequence(cons: OrthonormalSystem, phi: FeatureMap) -> TransformationSeq
     the index set with the Kronecker-delta kernel."""
 
     def s_apply(rows: np.ndarray, ns: list) -> np.ndarray:
-        if not cons.grid.compatible_with(phi.grid):
+        if cons.grid != phi.grid:
             raise ValueError("orthonormal system and features live on different grids")
         members = cons.members[[int(n) for n in ns]]
         return inner_weighted_matrix(cons.grid, rows, members)

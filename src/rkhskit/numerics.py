@@ -16,6 +16,10 @@ a long window that needs only nodes and weights can walk the same grid a
 block of panels at a time instead (:func:`_gauss_panel_blocks`), so that
 the grid is never stored, only its panel edges.
 
+Grids are values: :attr:`QuadGrid.key`, the Gauss order and the bytes of
+every array, is a grid's one identity.  Vectors pair only on equal grids,
+and the chirp-z plans of :mod:`rkhskit.plancherel` are cached by key.
+
 A :class:`ProductGrid` is the one multi-axis grid: a time box, a frequency
 lattice and the grid of a tensor feature map are all products of
 one-dimensional grids.  It keeps only the axes; the flattened nodes,
@@ -38,7 +42,7 @@ the run: one build on one machine gives the same bits every time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import cached_property, lru_cache, reduce
 from typing import Callable, Sequence
@@ -143,17 +147,20 @@ class QuadGrid:
     def n_panels(self) -> int:
         return self.panel_edges.size - 1
 
-    def compatible_with(self, other: object) -> bool:
-        """True when the two grids are interchangeable node for node."""
-        if self is other:
-            return True
-        return (
-            type(other) is QuadGrid
-            and self.nodes_per_panel == other.nodes_per_panel
-            and np.array_equal(self.nodes, other.nodes)
-            and np.array_equal(self.weights, other.weights)
-            and np.array_equal(self.rho_at_nodes, other.rho_at_nodes)
-        )
+    @cached_property
+    def key(self) -> tuple:
+        """Gauss order and the bytes of the panel edges, nodes, weights and
+        weight samples, formed once per grid."""
+        arrays = (self.panel_edges, self.nodes, self.weights, self.rho_at_nodes)
+        return self.nodes_per_panel, np.concatenate(arrays).tobytes()
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not QuadGrid:
+            return NotImplemented
+        return self is other or self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
 
 
 # size limits, checked before anything is allocated: the nodes of one grid
@@ -281,7 +288,7 @@ def require_node_cap(size: int, cap: int) -> None:
         raise ValueError(f"product grid would hold {size} nodes, above the cap {cap}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ProductGrid:
     """Cartesian product of one-dimensional grids, row-major node ordering.
 
@@ -290,11 +297,12 @@ class ProductGrid:
     box; None when unknown.  ``cap`` bounds the nodes of any dense array
     over the grid: the mesh, the flattened nodes, weights and weight
     samples, and the callers' own dense arrays (:meth:`require_dense`).
+    Products with equal axes are equal.
     """
 
     axes: tuple
-    max_frequency: float | None = None
-    cap: int = PRODUCT_NODE_CAP
+    max_frequency: float | None = field(default=None, compare=False)
+    cap: int = field(default=PRODUCT_NODE_CAP, compare=False)
 
     @property
     def ndim(self) -> int:
@@ -336,15 +344,6 @@ class ProductGrid:
         self.require_dense()
         return _frozen(reduce(np.multiply.outer, [g.rho_at_nodes for g in self.axes]).ravel())
 
-    def compatible_with(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            type(other) is ProductGrid
-            and self.ndim == other.ndim
-            and all(a.compatible_with(b) for a, b in zip(self.axes, other.axes))
-        )
-
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
@@ -383,7 +382,7 @@ def sample(grid: QuadGrid, fn: Callable) -> HVector:
 
 
 def _require_same_grid(f: HVector, g: HVector) -> None:
-    if not f.grid.compatible_with(g.grid):
+    if f.grid != g.grid:
         raise ValueError("vectors live on different grids")
 
 

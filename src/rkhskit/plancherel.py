@@ -28,9 +28,9 @@ A chirp-z contraction is a plan and its application.  The plan
 pre-chirp times the source weights, the post-chirp and the FFT of the
 (L, n, m) lag chirp.  Applying it (:func:`_axis_chirp`) takes one FFT per
 data column, a matmul, an inverse FFT and the post-chirp.  Plans are kept
-in one module-level cache, ``_PLANS``, keyed on the sign and on every
-panel edge, node and weight of both grids, so an equal key fixes the plan
-bit for bit, and a hit and a miss apply the same read-only arrays.  The
+in one module-level cache, ``_PLANS``, keyed on the sign and both grids'
+:attr:`~rkhskit.numerics.QuadGrid.key`, so an equal key fixes the plan bit
+for bit, and a hit and a miss apply the same read-only arrays.  The
 cache drops its least recently used plans above ``_PLAN_CACHE_BYTES``
 (32 MiB) of plans and keys; the Plancherel suites build 9 plans.
 
@@ -252,25 +252,20 @@ def _build_plan(dst: QuadGrid, src: QuadGrid, sign: float) -> _ChirpPlan | None:
     return _ChirpPlan(pre, post, spec.transpose(0, 2, 1))
 
 
-def _grid_key(g: QuadGrid) -> tuple:
-    """Every number of the grid that a plan reads, bit for bit."""
-    return g.nodes_per_panel, np.concatenate([g.panel_edges, g.nodes, g.weights]).tobytes()
-
-
 def _chirp_plan(dst: QuadGrid, src: QuadGrid, sign: float) -> _ChirpPlan | None:
     """The chirp-z plan from src to dst, or None for the dense route: when
     either grid has fewer than ``_CHIRP_MIN_NODES`` nodes or panels that are
     not uniform.
 
-    Plans are kept in ``_PLANS``, keyed on the sign and every number of
-    both grids, so an equal key means an equal plan, and a hit and a miss
-    apply the same arrays.  The least recently used plans are dropped once
-    the plans and their keys hold more than ``_PLAN_CACHE_BYTES``; a plan
-    larger than that alone is applied and not kept.
+    Plans are kept in ``_PLANS``, keyed on the sign and both grids'
+    ``QuadGrid.key``, so an equal key means an equal plan, and a hit and a
+    miss apply the same arrays.  The least recently used plans are dropped
+    once the plans and their keys hold more than ``_PLAN_CACHE_BYTES``; a
+    plan larger than that alone is applied and not kept.
     """
     if min(src.size, dst.size) < _CHIRP_MIN_NODES:
         return None
-    key = (float(sign), *_grid_key(src), *_grid_key(dst))
+    key = (float(sign), *src.key, *dst.key)
     if key in _PLANS:
         _PLANS.move_to_end(key)
         return _PLANS[key]

@@ -26,10 +26,10 @@ from .numerics import (
     build_grid,
     cumulative_integral,
     derivative_values,
-    inner_weighted,
     integrate,
     make_interval,
     med3,
+    norm_weighted,
     panels_for_oscillation,
     product_grid,
     truncate_line,
@@ -222,8 +222,7 @@ class SobolevSpace:
         weighted norm of the derivative; the grid must carry this space's
         weight.
         """
-        du = HVector(u.grid, derivative_values(u.grid, u.values))
-        return math.sqrt(max(inner_weighted(du, du).real, 0.0))
+        return norm_weighted(HVector(u.grid, derivative_values(u.grid, u.values)))
 
 
 class PaleyWienerSpace:

@@ -154,7 +154,7 @@ class TransformImage:
 
 def transform(f: HVector, phi: FeatureMap) -> TransformImage:
     """The integral transform of f: the function x |-> <f, phi(x)>."""
-    if not f.grid.compatible_with(phi.grid):
+    if f.grid != phi.grid:
         raise ValueError("vector and feature map live on different grids")
     return TransformImage(phi, f)
 
@@ -169,7 +169,7 @@ def span_combination(basis: SpanBasis, coeffs) -> HVector:
 
 def project_span(f: HVector, basis: SpanBasis) -> np.ndarray:
     """Ridge-regularized coefficients of the projection of f onto the span."""
-    if not f.grid.compatible_with(basis.phi.grid):
+    if f.grid != basis.phi.grid:
         raise ValueError("vectors live on different grids")
     return _project_rows(basis, f.values)
 
@@ -223,7 +223,7 @@ def contraction_check(f: HVector, basis: SpanBasis) -> ContractionReport:
     slack = norm_source - norm_image is nonnegative up to ridge and
     rounding, and vanishes exactly when f lies in the span of the features.
     """
-    if not f.grid.compatible_with(basis.phi.grid):
+    if f.grid != basis.phi.grid:
         raise ValueError("vectors live on different grids")
     return _contraction_rows(basis, f.values)[0]
 

@@ -402,6 +402,15 @@ def test_run_refused_after_the_out_path_is_opened_keeps_an_earlier_report(tmp_pa
     assert path.read_text() == "x" * 100_000
 
 
+def test_run_refused_mid_run_creates_no_out_file(tmp_path, capsys, monkeypatch):
+    # the sinc suite refuses its window only once the run has started,
+    # after the report path is opened
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "verify", "--suite", "sinc", "--radius", "1e12", "--out", "new.json")
+    assert code == 2 and out == "" and list(tmp_path.iterdir()) == []
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("mode, source", [("sobolev-span", "span"), ("pw-primitive", "cos")])
 def test_invert_without_probes_prints_only_the_header(capsys, mode, source):
     code, out, _ = run(capsys, "invert", "--mode", mode, "--f", source, "--probes", "")

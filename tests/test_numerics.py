@@ -5,6 +5,7 @@ import importlib
 import math
 import warnings
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +34,7 @@ from rkhskit.numerics import (
 )
 from rkhskit.spaces import SobolevSpace
 from rkhskit.suites import RunConfig, run_suite
-from rkhskit.transforms import _opr_inner_rows, build_span_basis
+from rkhskit.transforms import _opr_inner_rows, build_span_basis, transform
 
 LN2 = 0.6931471805599453  # integral of 1/(1+t) over (0,1)
 
@@ -156,6 +157,41 @@ def test_vectors_on_different_grids_refuse_to_pair():
     g2 = build_grid(make_interval(0.0, 1.0), 5, 8)
     with pytest.raises(ValueError, match="grids"):
         inner_weighted(sample(g1, np.cos), sample(g2, np.cos))
+
+
+def _moved_edge(g):
+    """The grid g with its first interior panel edge one ulp to the right:
+    the same nodes, weights and weight samples, other panel edges."""
+    edges = g.panel_edges.copy()
+    edges[1] = np.nextafter(edges[1], math.inf)
+    return replace(g, panel_edges=edges)
+
+
+def test_grids_built_alike_are_equal_and_hash_alike():
+    g1 = build_grid(make_interval(-1.0, 2.0), 6, 5, rho=lambda t: 2.0 + t)
+    g2 = build_grid(make_interval(-1.0, 2.0), 6, 5, rho=lambda t: 2.0 + t)
+    assert g1 is not g2 and g1 == g2 and hash(g1) == hash(g2)
+    assert g1.key is g1.key
+    assert product_grid([g1, g2]) == product_grid([g2, g1])
+
+
+def test_grids_differing_in_one_field_are_not_equal():
+    g = build_grid(make_interval(-1.0, 2.0), 6, 5)
+    assert g != build_grid(make_interval(-1.0, 2.0), 6, 5, rho=lambda t: 2.0 + t)
+    assert g != replace(g, nodes_per_panel=3)
+    moved = _moved_edge(g)
+    assert moved.panel_edges[1] != g.panel_edges[1]
+    assert g != moved
+
+
+def test_transform_refuses_a_grid_differing_only_in_panel_edges():
+    fm = SobolevSpace(make_interval(-1.0, 1.0), 0.0).feature_map()
+    other = _moved_edge(fm.grid)
+    for name in ("nodes", "weights", "rho_at_nodes"):
+        np.testing.assert_array_equal(getattr(other, name), getattr(fm.grid, name))
+    transform(sample(fm.grid, np.cos), fm)
+    with pytest.raises(ValueError, match="different grids"):
+        transform(sample(other, np.cos), fm)
 
 
 def test_hvector_length_mismatch():
@@ -454,8 +490,8 @@ def test_product_grid_shape_and_size_are_lazy():
     np.testing.assert_array_equal(grid.weights, np.outer(gx.weights, gy.weights).ravel())
     np.testing.assert_array_equal(grid.rho_at_nodes, np.outer(gx.rho_at_nodes, gy.rho_at_nodes).ravel())
     assert abs(integrate(grid, np.ones(grid.size)) - 4.0) < 1e-14
-    assert grid.compatible_with(product_grid([gx, gy]))
-    assert not grid.compatible_with(product_grid([gy, gx]))
+    assert grid == product_grid([gx, gy])
+    assert grid != product_grid([gy, gx])
 
 
 @pytest.mark.parametrize("n", range(1, 25))
