@@ -25,11 +25,11 @@ lattice and the grid of a tensor feature map are all products of
 one-dimensional grids.  It keeps only the axes; the flattened nodes,
 weights and weight samples (row-major, last axis fastest) are built on
 first use, so per-axis consumers such as the Fourier contractions never
-pay for them.  Its node cap is enforced where a dense array over it is
-formed (:meth:`ProductGrid.require_dense`); :func:`product_grid` also
-refuses a grid above its cap at once.  The cap is ``PRODUCT_NODE_CAP``
-(10^6) by default and ``NODE_CAP`` (10^7, also the limit of one grid) on
-a Fourier box, which is sampled densely through :meth:`ProductGrid.mesh`.
+pay for them.  A dense array over any product holds at most ``NODE_CAP``
+(10^7, also the limit of one grid) nodes, refused where it is formed
+(:meth:`ProductGrid.require_dense`); :func:`product_grid`, the grid of a
+tensor feature map, also refuses a product above ``PRODUCT_NODE_CAP``
+(10^6) at once.
 
 Scalar pairings are plain numpy sums: :func:`integrate` and
 :func:`inner_weighted` form their terms elementwise and add them with
@@ -42,7 +42,7 @@ the run: one build on one machine gives the same bits every time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from functools import cached_property, lru_cache, reduce
 from typing import Callable, Sequence
@@ -132,7 +132,6 @@ def truncate_line(radius: float) -> Interval:
 class QuadGrid:
     """Composite Gauss-Legendre discretization of a finite open interval."""
 
-    interval: Interval
     nodes: np.ndarray
     weights: np.ndarray
     rho_at_nodes: np.ndarray
@@ -146,6 +145,11 @@ class QuadGrid:
     @property
     def n_panels(self) -> int:
         return self.panel_edges.size - 1
+
+    @property
+    def interval(self) -> Interval:
+        """The interval between the outer panel edges."""
+        return Interval(float(self.panel_edges[0]), float(self.panel_edges[-1]))
 
     @cached_property
     def key(self) -> tuple:
@@ -257,7 +261,7 @@ def build_grid(
 
     for arr in (nodes, weights, rho_vals, panel_edges):
         arr.setflags(write=False)
-    return QuadGrid(interval, nodes, weights, rho_vals, panel_edges, nodes_per_panel)
+    return QuadGrid(nodes, weights, rho_vals, panel_edges, nodes_per_panel)
 
 
 def _gauss_panel_blocks(interval: Interval, panels: int, nodes_per_panel: int, block_panels: int):
@@ -292,17 +296,17 @@ def require_node_cap(size: int, cap: int) -> None:
 class ProductGrid:
     """Cartesian product of one-dimensional grids, row-major node ordering.
 
-    ``max_frequency`` records the largest conjugate variable the axes were
-    built to resolve: frequencies for a time box, times for a frequency
-    box; None when unknown.  ``cap`` bounds the nodes of any dense array
-    over the grid: the mesh, the flattened nodes, weights and weight
-    samples, and the callers' own dense arrays (:meth:`require_dense`).
-    Products with equal axes are equal.
+    A product is its axes: products with equal axes are equal.  Any dense
+    array over it, the mesh, the flattened nodes, weights and weight
+    samples and the callers' own (:meth:`require_dense`), is refused above
+    ``NODE_CAP`` nodes.
     """
 
     axes: tuple
-    max_frequency: float | None = field(default=None, compare=False)
-    cap: int = field(default=PRODUCT_NODE_CAP, compare=False)
+
+    def __post_init__(self) -> None:
+        if not self.axes:
+            raise ValueError("need at least one factor grid")
 
     @property
     def ndim(self) -> int:
@@ -321,8 +325,8 @@ class ProductGrid:
         return tuple(g.interval.hi for g in self.axes)
 
     def require_dense(self) -> None:
-        """Refuse (ValueError) a dense array over the grid above its cap."""
-        require_node_cap(self.size, self.cap)
+        """Refuse (ValueError) a dense array over the grid above ``NODE_CAP``."""
+        require_node_cap(self.size, NODE_CAP)
 
     def mesh(self) -> list:
         """Per-axis node coordinates broadcast to the full grid shape."""
@@ -350,14 +354,11 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def product_grid(grids: Sequence[QuadGrid], cap: int = PRODUCT_NODE_CAP) -> ProductGrid:
+def product_grid(grids: Sequence[QuadGrid]) -> ProductGrid:
     """Product of one-dimensional grids, refused when it would hold more
-    than ``cap`` nodes."""
-    axes = tuple(grids)
-    if not axes:
-        raise ValueError("need at least one factor grid")
-    grid = ProductGrid(axes, cap=cap)
-    grid.require_dense()
+    than ``PRODUCT_NODE_CAP`` nodes."""
+    grid = ProductGrid(tuple(grids))
+    require_node_cap(grid.size, PRODUCT_NODE_CAP)
     return grid
 
 

@@ -50,14 +50,14 @@ tests' oracle of the per-axis checks, and refuses its table above
 ``numerics.NODE_CAP`` nodes before forming it, not when the box is built.
 
 The two boxes are the same kind of object, a
-:class:`~rkhskit.numerics.ProductGrid` from :func:`box_domain`: a time box
-resolving frequencies up to ``max_frequency``, or a frequency box of
-half-width ``radius`` resolving times up to the time half-width.  The
-checks take everything but the radius from the time box: the frequency box
-gets the Gauss order of the time box's axes, and resolves times up to its
-largest half-width; :func:`box_inversion_check` doubles that, since its
-integrand F(x) times the indicator transforms oscillates at up to
-a_j + t_j < 2 a_j.
+:class:`~rkhskit.numerics.ProductGrid`, which is its axes alone.  A box
+resolves what its widest panel h does, pi / (4 h) by the rule of
+``panels_for_oscillation``, and the checks refuse a larger radius on any
+box.  The checks take everything but the radius from the time box: the
+frequency box of half-width ``radius`` gets the Gauss order of the time
+box's axes, and resolves times up to its largest half-width;
+:func:`box_inversion_check` doubles that, since its integrand F(x) times
+the indicator transforms oscillates at up to a_j + t_j < 2 a_j.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ from .numerics import (
     integrate,
     make_interval,
     panels_for_oscillation,
-    product_grid,
     require_node_cap,
 )
 
@@ -127,10 +126,11 @@ def box_domain(
     exp(-i t x) factors up to |x| = max_frequency; pick max_frequency at
     least the frequency radius the transform will be evaluated on.
 
-    Axes with equal half-widths share one grid.  A frequency box is built
-    the same way, with the time half-width as its ``max_frequency``.  The
-    box holds only its axes; a dense array over more than ``NODE_CAP``
-    nodes is refused where it is formed (``ProductGrid.require_dense``).
+    Axes with equal half-widths share one grid, of at least 8 panels that
+    each resolve ``max_frequency`` or more.  A frequency box is built the
+    same way, with the time half-width as its ``max_frequency``.  The box
+    holds only its axes; a dense array over more than ``NODE_CAP`` nodes
+    is refused where it is formed (``ProductGrid.require_dense``).
     """
     hws = tuple(half_widths)
     if not 1 <= len(hws) <= 3:
@@ -144,7 +144,7 @@ def box_domain(
         if a not in grids:
             panels = panels_for_oscillation(2.0 * a, max_frequency, minimum=8)
             grids[a] = build_grid(make_interval(-a, a), panels, nodes_per_panel)
-    return ProductGrid(tuple(grids[a] for a in hws), float(max_frequency), NODE_CAP)
+    return ProductGrid(tuple(grids[a] for a in hws))
 
 
 def _axis_apply(arr: np.ndarray, axis: int, dst_nodes: np.ndarray, src: QuadGrid, sign: float) -> np.ndarray:
@@ -344,14 +344,14 @@ def fourier_on_lattice(values: np.ndarray, box: ProductGrid, lattice: ProductGri
     """Truncated Fourier transform of box samples, tabulated on the lattice.
 
     (2 pi)^(-N/2) * integral over the box of f(t) exp(-i t.x) dt, one kernel
-    contraction per axis over all columns.  The lattice's node cap bounds
-    the largest table along the way, and is checked before any is formed.
+    contraction per axis over all columns.  ``NODE_CAP`` bounds the
+    largest table along the way, and is checked before any is formed.
     """
     if lattice.ndim != box.ndim:
         raise ValueError("lattice and box dimensions differ")
     arr = np.asarray(values, dtype=complex).reshape(box.shape)
     tables = [lattice.shape[: j + 1] + box.shape[j + 1 :] for j in range(box.ndim)]
-    require_node_cap(max(map(math.prod, tables)), lattice.cap)
+    require_node_cap(max(map(math.prod, tables)), NODE_CAP)
     for j, (dst, src) in enumerate(zip(lattice.axes, box.axes)):
         arr = _axis_contract(arr, j, dst, src, -1.0)
     return arr * _TWO_PI ** (-box.ndim / 2.0)
@@ -364,7 +364,7 @@ def transform_at(values: np.ndarray, src_axes: Sequence[QuadGrid], points, sign:
     samples; ``sign=+1`` is the conjugate kernel integrated over frequency
     samples.  Points are an (M, N) array (or scalars for N = 1).
     """
-    grid = product_grid(src_axes, cap=NODE_CAP)
+    grid = ProductGrid(tuple(src_axes))
     n = grid.ndim
     pts = np.asarray(points, dtype=float)
     scalar = pts.ndim == 0
@@ -406,12 +406,11 @@ def _forward(fn: Callable | tuple, box: ProductGrid, radius: float, rate: float)
     """The source sampled on each axis of the box, the frequency box
     (-radius, radius)^N resolving times up to ``rate`` at the box's Gauss
     order, and each axis's transform onto it.  The transform is
-    (2 pi)^(-N/2) times the outer product of the per-axis vectors."""
-    if box.max_frequency is not None and radius > box.max_frequency * (1.0 + 1e-12):
-        raise ValueError(
-            f"box resolves frequencies up to {box.max_frequency:g}, "
-            f"below the requested radius {radius:g}"
-        )
+    (2 pi)^(-N/2) times the outer product of the per-axis vectors, and a
+    radius above what the box's widest panel resolves is refused."""
+    resolved = math.pi / (4.0 * max(np.diff(g.panel_edges).max() for g in box.axes))
+    if radius > resolved * (1.0 + 1e-12):
+        raise ValueError(f"box resolves frequencies up to {resolved:g}, below the requested radius {radius:g}")
     img = _sample(fn, box.axes)
     lattice = box_domain(
         (radius,) * box.ndim, max_frequency=rate, nodes_per_panel=box.axes[0].nodes_per_panel
@@ -442,9 +441,9 @@ def plancherel_norm_check(fn: Callable | tuple, box: ProductGrid, radius: float)
 
     f is a tuple of ndim one-argument callables whose product it is, or on
     a 1-D box a plain callable; it is sampled, transformed and measured one
-    axis at a time.  The box must have been built with max_frequency >=
-    radius; the frequency box resolves times up to the largest time
-    half-width.
+    axis at a time.  The box's panels must resolve the radius (a
+    :func:`box_domain` box built with max_frequency >= radius does); the
+    frequency box resolves times up to the largest time half-width.
     """
     img, lattice, F = _forward(fn, box, radius, max(box.half_widths))
     return PlancherelNormReport(

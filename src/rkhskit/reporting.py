@@ -24,8 +24,11 @@ class CheckRecord:
     measured: float
     expected: float
     tolerance: float
-    passed: bool
     detail: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return bool(abs(self.measured - self.expected) <= self.tolerance)
 
     def to_dict(self) -> dict:
         out = {
@@ -41,17 +44,7 @@ class CheckRecord:
 
 
 def make_record(name: str, measured: float, expected: float, tolerance: float, detail: str = "") -> CheckRecord:
-    measured = float(measured)
-    expected = float(expected)
-    tolerance = float(tolerance)
-    return CheckRecord(
-        name=name,
-        measured=measured,
-        expected=expected,
-        tolerance=tolerance,
-        passed=bool(abs(measured - expected) <= tolerance),
-        detail=detail,
-    )
+    return CheckRecord(name, float(measured), float(expected), float(tolerance), detail)
 
 
 @dataclass

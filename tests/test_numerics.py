@@ -5,6 +5,7 @@ import importlib
 import math
 import warnings
 from collections import Counter
+from dataclasses import fields
 from dataclasses import replace
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from rkhskit import numerics
 from rkhskit.numerics import (
     HVector,
     ProductGrid,
+    QuadGrid,
     build_grid,
     cumulative_integral,
     derivative_values,
@@ -182,6 +184,22 @@ def test_grids_differing_in_one_field_are_not_equal():
     moved = _moved_edge(g)
     assert moved.panel_edges[1] != g.panel_edges[1]
     assert g != moved
+
+
+def test_interval_follows_the_panel_edges():
+    g = build_grid(make_interval(-1.0, 1.0), 4, 3)
+    h = replace(g, panel_edges=3.0 * g.panel_edges)
+    assert h.interval == make_interval(-3.0, 3.0)
+    assert ProductGrid((h,)).half_widths == (3.0,)
+
+
+def test_every_grid_field_is_part_of_its_identity():
+    g = build_grid(make_interval(-1.0, 2.0), 6, 5)
+    for f in fields(QuadGrid):
+        value = getattr(g, f.name)
+        other = replace(g, **{f.name: value + 1})
+        assert other.key != g.key and other != g, f.name
+    assert all(f.compare for f in fields(ProductGrid))
 
 
 def test_transform_refuses_a_grid_differing_only_in_panel_edges():

@@ -33,7 +33,55 @@ def test_box_domain_shapes():
     box = pl.box_domain((1.0, 2.0), max_frequency=10.0)
     assert box.ndim == 2
     assert box.half_widths == (1.0, 2.0)
-    assert box.max_frequency == 10.0
+    assert pl.plancherel_norm_check((_gauss, _gauss), box, 10.0).radius == 10.0
+
+
+def _refused_by_every_check(box, radius):
+    """Each of the three checks refuses the radius with one line."""
+    checks = (
+        lambda: pl.plancherel_norm_check(_gauss, box, radius),
+        lambda: pl.mutual_inverse_check(_gauss, box, radius),
+        lambda: pl.box_inversion_check(_gauss, box, radius, (0.5,)),
+    )
+    for check in checks:
+        with pytest.raises(ValueError, match=rf"^box resolves frequencies up to \S+, below the requested radius {radius:g}$"):
+            check()
+
+
+def test_hand_built_box_is_guarded():
+    # 8 panels of width 1/4 resolve frequencies up to pi; unguarded, radius
+    # 500 read a norm error of 1.36 and a round-trip error of 3.34 here
+    box = product_grid([build_grid(make_interval(-1.0, 1.0), 8, 8)])
+    _refused_by_every_check(box, 500.0)
+    # the widest panel decides: 8 panels of 0.2375 and one of 0.1 resolve
+    # frequencies up to pi / 0.95, not pi / 0.4
+    uneven = product_grid([build_grid(make_interval(-1.0, 1.0), 8, 8, breakpoints=(0.9,))])
+    _refused_by_every_check(uneven, 5.0)
+
+
+def test_equal_boxes_are_guarded_alike():
+    box = pl.box_domain([1.0], max_frequency=10.0)
+    hand = product_grid(box.axes)
+    assert hand == box
+    for b in (box, hand):
+        assert pl.plancherel_norm_check(_gauss, b, 10.0).radius == 10.0
+        _refused_by_every_check(b, 20.0)
+
+
+@settings(max_examples=100)
+@given(
+    log_a=st.floats(-3.0, 3.0),
+    log_product=st.floats(-3.0, 3.0),
+    order=st.integers(1, 8),
+)
+def test_box_domain_admits_its_max_frequency(log_a, log_product, order):
+    # a * rate <= 1e3 keeps every box at order 1 under 2 550 panels
+    a, rate = 10.0 ** log_a, 10.0 ** (log_product - log_a)
+    box = pl.box_domain([a], max_frequency=rate, nodes_per_panel=order)
+    assert pl.plancherel_norm_check(_gauss, box, rate).radius == rate
+    resolved = math.pi / (4.0 * float(np.max(np.diff(box.axes[0].panel_edges))))
+    with pytest.raises(ValueError, match="^box resolves frequencies up to"):
+        pl.plancherel_norm_check(_gauss, box, resolved * (1.0 + 1e-11))
 
 
 def test_box_dimension_cap():
@@ -61,6 +109,12 @@ def test_node_cap_enforced():
     ]
     for form in dense:
         with pytest.raises(ValueError, match="cap"):
+            form()
+
+
+def test_empty_products_are_refused():
+    for form in (lambda: product_grid([]), lambda: pl.transform_at(np.zeros(1), [], [0.0], sign=1.0)):
+        with pytest.raises(ValueError, match="^need at least one factor grid$"):
             form()
 
 

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+from dataclasses import replace
 
 import jsonschema
 import pytest
@@ -13,6 +14,13 @@ def test_make_record_pass_rule():
     assert make_record("x", 1.0, 1.0, 0.0).passed
     assert make_record("x", 1.25, 1.0, 0.25).passed  # boundary counts as pass
     assert not make_record("x", 1.25, 1.0, 0.125).passed
+
+
+def test_verdict_follows_the_numbers():
+    rec = make_record("x", 0.0, 0.0, 1.0)
+    assert rec.passed
+    assert not replace(rec, measured=5.0).passed
+    assert replace(rec, tolerance=5.0, measured=5.0).passed
 
 
 def test_record_dict_shape():
