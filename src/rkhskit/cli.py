@@ -104,11 +104,13 @@ def cmd_kernel(args) -> int:
     space, pts = _family_setup(args, 2.0)
     if not pts:
         raise ConfigError("no probe points")
-    rows = []
-    for x in pts:
-        for y in pts:
-            k = complex(space.kernel(x, y))
-            rows.append([_fmt(x), _fmt(y), _fmt(k.real), _fmt(k.imag)])
+    # one table call; a Sobolev space broadcasts through its feature map's closed kernel
+    table = space.kernel if args.family == "pw" else space.feature_map().closed_kernel
+    xs = np.asarray(pts)
+    K = table(xs[:, None], xs[None, :]).tolist()
+    rows = [
+        [_fmt(x), _fmt(y), _fmt(k.real), _fmt(k.imag)] for x, row in zip(pts, K) for y, k in zip(pts, row)
+    ]
     _write_csv(args.out, ["x", "y", "re", "im"], rows)
     return PASS_EXIT
 
@@ -164,7 +166,7 @@ def _read_samples_csv(path, grid) -> np.ndarray:
 def cmd_invert(args) -> int:
     probes = _parse_points(args.probes) if args.probes is not None else None
     if args.mode == "sobolev-span":
-        space, fm, basis = _sobolev_setup()
+        fm, basis = _sobolev_setup()
     else:
         fm, basis = _pw_setup(22.0, np.arange(-20.0, 21.0))
     if args.emit_grid:
@@ -185,9 +187,8 @@ def cmd_invert(args) -> int:
             else:
                 raise ConfigError("mode sobolev-span needs --f span or --input FILE")
             recover = lambda image, t: inv.invert_at(image, t, basis)
-            reference = lambda ts: [
-                sum(c * space.kernel(t, float(x)) for c, x in zip(coeffs, basis.points)) for t in ts
-            ]
+            points = np.asarray(basis.points)[None, :]
+            reference = lambda ts: fm.closed_kernel(np.asarray(ts)[:, None], points) @ coeffs
             default_probes = np.linspace(-0.95, 0.95, args.probe_count)
         else:
             seq = inv.indefinite_integral_sequence(fm)

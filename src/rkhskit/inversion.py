@@ -11,8 +11,9 @@ features at t.  Orthonormal-coefficient recovery is the special case
 W = little-l2 over an index set.
 
 :func:`invert_at` and :func:`generalized_invert_at` take one point or a 1-D
-array of points.  A transformation sequence maps the whole feature matrix
-at every point of the batch in one call, and all kernel sections of the
+array of points.  The (basis x batch) kernel table, the diagonal k(t, t)
+and a transformation sequence's map of the whole feature matrix at every
+point of the batch are one call each, and all kernel sections of the
 batch come from one solve with the Gram factor.  The pairing with the
 image and the coarse-basis residual are :func:`~rkhskit.transforms.opr_inner`
 on the span coefficients, every point of the batch in one stacked call
@@ -109,10 +110,10 @@ def invert_at(image: TransformImage, t, basis: SpanBasis) -> complex | np.ndarra
     if k is None:
         raise ValueError("invert_at needs a feature map with a closed kernel")
     ts, scalar = _batch(t)
-    B = np.array([[complex(k(x, s)) for s in ts] for x in basis.points])
-    D = basis.solve(B)
-    for s, proj_sq in zip(ts, _opr_inner_rows(basis, D.T, D.T).real.tolist()):
-        ktt = complex(k(s, s)).real
+    pts = np.asarray(ts)
+    D = basis.solve(k(np.asarray(basis.points)[:, None], pts[None]))
+    diagonal = np.real(k(pts, pts)).tolist()
+    for s, ktt, proj_sq in zip(ts, diagonal, _opr_inner_rows(basis, D.T, D.T).real.tolist()):
         if ktt > 0.0:
             resid = math.sqrt(max(ktt - proj_sq, 0.0))
             if resid > 1e-3 * math.sqrt(ktt):
@@ -139,11 +140,11 @@ def generalized_invert_at(
 
 def identity_sequence(phi: FeatureMap) -> TransformationSequence:
     """S = identity; a row is evaluated at t by pairing it with phi(t), the
-    kernel section of the image at t, formed once per point."""
+    kernel section of the image at t, every point's in one ``evaluate``
+    call."""
 
     def s_apply(rows: np.ndarray, ts: list) -> np.ndarray:
-        values = np.reshape([phi.feature(t).values for t in ts], (len(ts), phi.grid.size))
-        return inner_weighted_matrix(phi.grid, rows, values)
+        return inner_weighted_matrix(phi.grid, rows, phi.evaluate(ts))
 
     return TransformationSequence(phi, s_apply)
 
@@ -201,13 +202,18 @@ def exponential_system(grid: QuadGrid, count: int, half_width: float) -> Orthono
 
 def cons_sequence(cons: OrthonormalSystem, phi: FeatureMap) -> TransformationSequence:
     """S maps h to its orthonormal coefficient sequence; W is little-l2 over
-    the index set with the Kronecker-delta kernel."""
+    the index set with the Kronecker-delta kernel.  An index that is not an
+    integer, or not one of the system's, raises ``IndexError``."""
 
     def s_apply(rows: np.ndarray, ns: list) -> np.ndarray:
+        idx = np.asarray(ns)
+        if (idx != np.trunc(idx)).any():
+            raise IndexError("coefficient index is not an integer")
+        if ((idx < 0) | (idx >= cons.count)).any():
+            raise IndexError("coefficient index out of range")
         if cons.grid != phi.grid:
             raise ValueError("orthonormal system and features live on different grids")
-        members = cons.members[[int(n) for n in ns]]
-        return inner_weighted_matrix(cons.grid, rows, members)
+        return inner_weighted_matrix(cons.grid, rows, cons.members[idx.astype(int)])
 
     return TransformationSequence(phi, s_apply)
 
@@ -218,10 +224,8 @@ def fourier_coeff_invert(
     """n-th orthonormal coefficient of the source, recovered through the
     transform side rather than a direct inner product (0-based index).
 
-    n is one index or a 1-D array of indices (then an array of values)."""
-    ns = np.asarray(n)
-    if np.any((ns < 0) | (ns >= cons.count)):
-        raise IndexError("coefficient index out of range")
+    n is one index or a 1-D array of indices (then an array of values); an
+    index that is not an integer, or out of range, raises ``IndexError``."""
     return generalized_invert_at(cons_sequence(cons, phi), image, n, basis)
 
 
@@ -246,14 +250,14 @@ def restriction_isometry_check(
     norm.  Both come from one :func:`~rkhskit.spaces.sinc_gram` matrix;
     discrepancies carry the O(1/radius) truncation tail.
     """
-    pts = [float(p) for p in probes]
-    if not pts:
+    pts = np.asarray(probes, dtype=float)
+    if not pts.size:
         raise ValueError("need at least one probe point")
     cs = np.asarray(coeffs, dtype=complex)
-    if cs.shape != (len(pts),):
+    if cs.shape != (pts.size,):
         raise ValueError("coefficient length must match probes")
     pairings = sinc_gram(pw.a, pts, radius) / math.pi ** 2
-    K = np.array([[pw.kernel(x, y) for y in pts] for x in pts])
+    K = pw.kernel(pts[:, None], pts[None, :])
     max_kernel_err = float(np.max(np.abs(pairings - K.real)))
     gram_sq = (np.conj(cs) @ K @ cs).real
     window_sq = (np.conj(cs) @ pairings @ cs).real

@@ -158,6 +158,12 @@ class QuadGrid:
         arrays = (self.panel_edges, self.nodes, self.weights, self.rho_at_nodes)
         return self.nodes_per_panel, np.concatenate(arrays).tobytes()
 
+    @cached_property
+    def rho_weights(self) -> np.ndarray:
+        """``rho_at_nodes * weights``, the factor of every weighted pairing,
+        formed once per grid and read-only."""
+        return _frozen(self.rho_at_nodes * self.weights)
+
     def __eq__(self, other: object) -> bool:
         if type(other) is not QuadGrid:
             return NotImplemented
@@ -177,9 +183,11 @@ _MAX_GAUSS_ORDER = 128
 @lru_cache(maxsize=64)
 def _gauss_rule(n: int) -> tuple:
     """Read-only Gauss-Legendre nodes, weights and Vandermonde matrix
-    ``legvander(nodes, n - 1)`` of order n, built once per order."""
+    ``legvander(nodes, n - 1)`` of order n, and the rule on the unit
+    panel, (nodes + 1) / 2 and weights / 2, built once per order."""
     xi, om = legendre.leggauss(n)
-    return tuple(_frozen(arr) for arr in (xi, om, legendre.legvander(xi, n - 1)))
+    arrays = (xi, om, legendre.legvander(xi, n - 1), (xi + 1.0) / 2.0, om / 2.0)
+    return tuple(_frozen(arr) for arr in arrays)
 
 
 def _require_grid(interval: Interval, panels: int, nodes_per_panel: int, segments: int = 1) -> None:
@@ -203,11 +211,11 @@ def _require_grid(interval: Interval, panels: int, nodes_per_panel: int, segment
 
 def _gauss_panels(edges: np.ndarray, nodes_per_panel: int) -> tuple:
     """Nodes and weights of the Gauss rule of order ``nodes_per_panel`` on
-    each panel between consecutive ``edges``, panel after panel."""
-    xi, om, _ = _gauss_rule(nodes_per_panel)
-    lefts = edges[:-1, None]
+    each panel between consecutive ``edges``, panel after panel (halving
+    is exact, so these are the bits of ``lefts + widths * (xi + 1) / 2``)."""
+    u, h = _gauss_rule(nodes_per_panel)[3:]
     widths = np.diff(edges)[:, None]
-    return (lefts + widths * (xi + 1.0) / 2.0).ravel(), (widths * om / 2.0).ravel()
+    return (widths * u + edges[:-1, None]).ravel(), (widths * h).ravel()
 
 
 def build_grid(
@@ -348,6 +356,8 @@ class ProductGrid:
         self.require_dense()
         return _frozen(reduce(np.multiply.outer, [g.rho_at_nodes for g in self.axes]).ravel())
 
+    rho_weights = QuadGrid.rho_weights
+
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
@@ -410,9 +420,11 @@ def _inner_weighted_rows(grid: QuadGrid | ProductGrid, rows, others) -> np.ndarr
     """Entry i is :func:`inner_weighted` of ``rows[i]`` and ``others[i]``
     (complex node values, (R, N) each, or one vector (N,) paired with every
     row of the other), each entry formed and summed as the single pairing
-    is."""
-    terms = rows * np.conj(others)
-    terms *= grid.rho_at_nodes * grid.weights  # real weights: in place keeps the bits
+    is; conj(others), rows times it and the weights are formed in place in
+    one buffer."""
+    terms = np.empty(np.broadcast(rows, others).shape, dtype=complex)
+    np.multiply(rows, np.conjugate(others, out=terms), out=terms)
+    terms *= grid.rho_weights
     return terms.reshape(-1, grid.size).sum(axis=1)
 
 
@@ -420,7 +432,7 @@ def inner_weighted_matrix(grid: QuadGrid | ProductGrid, rows, others) -> np.ndar
     """Entry (i, j) is :func:`inner_weighted` of ``rows[i]`` and ``others[j]``
     (node values, (m, N) and (n, N)), all in one matrix product summed in
     BLAS order; a 1-D argument is one vector and drops its axis."""
-    return (np.asarray(rows) * (grid.rho_at_nodes * grid.weights)) @ np.conj(others).T
+    return (np.asarray(rows) * grid.rho_weights) @ np.conj(others).T
 
 
 def norm_weighted(f: HVector) -> float:
@@ -451,7 +463,7 @@ def _panel_coeffs(grid: QuadGrid, values) -> np.ndarray:
     coefficients of any polynomial of degree n-1 exactly.
     """
     n = grid.nodes_per_panel
-    _, om, V = _gauss_rule(n)
+    _, om, V = _gauss_rule(n)[:3]
     v = np.asarray(values, dtype=complex)
     v = v.reshape(v.shape[:-1] + (grid.n_panels, n))
     coeffs = ((v * om) @ V) * ((2.0 * np.arange(n) + 1.0) / 2.0)

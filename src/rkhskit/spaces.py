@@ -10,7 +10,6 @@ products.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -28,7 +27,6 @@ from .numerics import (
     derivative_values,
     integrate,
     make_interval,
-    med3,
     norm_weighted,
     panels_for_oscillation,
     product_grid,
@@ -53,10 +51,12 @@ __all__ = [
 @dataclass(frozen=True)
 class Weight:
     """A weight rho with a primitive of 1/rho, so that Sobolev kernels under
-    it come in closed form; calling it samples rho."""
+    it come in closed form; calling it samples rho.  Both callables are
+    applied to arrays; the primitive may return inf or NaN where 1/rho is
+    not integrable."""
 
     rho: Callable
-    inv_primitive: Callable[[float], float]
+    inv_primitive: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, t):
         return self.rho(t)
@@ -64,7 +64,7 @@ class Weight:
 
 RHO_REGISTRY: dict[str, Weight] = {
     "const": Weight(lambda t: np.ones_like(np.asarray(t, dtype=float)), lambda t: t),
-    "affine": Weight(lambda t: 1.0 + np.asarray(t, dtype=float), math.log1p),
+    "affine": Weight(lambda t: 1.0 + np.asarray(t, dtype=float), np.log1p),
 }
 
 _SINC_BLOCK = 1 << 13  # quadrature nodes per block of the sinc Gram sum
@@ -130,40 +130,55 @@ class SobolevSpace:
         if not np.all(np.isfinite(1.0 / self.grid.rho_at_nodes)):
             raise ValueError("invalid weight function")
 
-    def _require_point(self, x: float) -> float:
-        x = float(x)
-        if not (self.interval.lo <= x <= self.interval.hi):
+    def _require_points(self, points) -> np.ndarray:
+        x = np.asarray(points, dtype=float)
+        if not ((self.interval.lo <= x) & (x <= self.interval.hi)).all():
             raise ValueError("point outside the interval")
         return x
 
     def kernel(
         self, x: float, y: float, *, panels: int | None = None, nodes_per_panel: int | None = None
     ) -> float:
-        """Kernel value, the integral of 1/rho over (c, med{x, y, c}).
+        """Kernel value at one pair of points: the one-entry :meth:`_kernel_table`."""
+        return float(self._kernel_table(float(x), float(y), panels, nodes_per_panel))
 
-        Closed form for a :class:`Weight`; any other weight is integrated by
-        Gauss quadrature with ``panels`` and ``nodes_per_panel``, each
-        defaulting to the space's own.  Endpoint arguments mean the
+    def _kernel_table(
+        self, xs, ys, panels: int | None = None, nodes_per_panel: int | None = None
+    ) -> np.ndarray:
+        """The integral of 1/rho over (c, med{x, y, c}), broadcast over arrays
+        of points xs and ys.
+
+        Closed form |P(med) - P(c)| for a :class:`Weight`, its primitive
+        applied to the whole array; any other weight is integrated by Gauss
+        quadrature with ``panels`` and ``nodes_per_panel`` (the space's own
+        by default), one entry at a time.  Endpoint arguments mean the
         continuous extension; where that is infinite (1/rho not integrable
         up to the point) the closed form raises ``ValueError``.
         """
-        m = med3(self._require_point(x), self._require_point(y), self.c)
-        if isinstance(self.rho, Weight):
-            P = self.rho.inv_primitive
-            try:
-                return abs(float(P(m)) - float(P(self.c)))
-            except ValueError:
-                raise ValueError(f"1/rho is not integrable from c = {self.c:g} to {m:g}") from None
+        x, y = self._require_points(xs), self._require_points(ys)
+        med = np.maximum(np.minimum(x, y), np.minimum(np.maximum(x, y), self.c))
+        if not isinstance(self.rho, Weight):
+            quad = lambda m: self._quadrature_kernel(m, panels, nodes_per_panel)
+            return np.vectorize(quad, otypes=[float])(med)
+        P = self.rho.inv_primitive
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = np.abs(P(med) - P(self.c))
+        if not np.isfinite(k).all():
+            m = med[~np.isfinite(k)][0]
+            raise ValueError(f"1/rho is not integrable from c = {self.c:g} to {m:g}")
+        return k
+
+    def _quadrature_kernel(self, m: float, panels: int | None, nodes_per_panel: int | None) -> float:
         seg = make_interval(self.c, m)
         if seg.empty:
             return 0.0
         g = build_grid(seg, panels or self.panels, nodes_per_panel or self.nodes_per_panel, self.rho)
         return float(integrate(g, 1.0 / g.rho_at_nodes).real)
 
-    def _feature_values(self, x, grid: QuadGrid) -> np.ndarray:
-        x = self._require_point(x)
-        lo, hi = min(self.c, x), max(self.c, x)
-        ind = (grid.nodes > lo) & (grid.nodes < hi)
+    def _feature_values(self, points, grid: QuadGrid) -> np.ndarray:
+        """chi_(c,x)/rho at the grid nodes: a row per point of a set, or one vector."""
+        x = self._require_points(points)[..., None]
+        ind = (grid.nodes > np.minimum(self.c, x)) & (grid.nodes < np.maximum(self.c, x))
         return np.where(ind, 1.0 / grid.rho_at_nodes, 0.0).astype(complex)
 
     def feature_map(self, points: Sequence[float] = ()) -> FeatureMap:
@@ -175,12 +190,12 @@ class SobolevSpace:
         undeclared points pick up an O(panel width) indicator error, so
         declare every point that accuracy depends on.
         """
-        pts = tuple(self._require_point(p) for p in points)
+        pts = self._require_points(points).ravel().tolist()
         g = build_grid(self.interval, self.panels, self.nodes_per_panel, self.rho, breakpoints=(self.c, *pts))
         return FeatureMap(
             grid=g,
-            evaluate=lambda x: self._feature_values(x, g),
-            closed_kernel=lambda x, y: complex(self.kernel(x, y)),
+            evaluate=lambda points: self._feature_values(points, g),
+            closed_kernel=self._kernel_table,
         )
 
     def kernel_section_slope(self, y: float, grid: QuadGrid) -> HVector:
@@ -251,32 +266,38 @@ class PaleyWienerSpace:
         """
         return _oscillation_grid(make_interval(-self.a, self.a), 2.0 * self.max_frequency, minimum=8)
 
-    def kernel(self, x, y) -> complex:
-        """Closed-form kernel; accepts complex arguments.  Raises
-        ``ValueError`` where a (x - conj(y)) or the kernel value overflows."""
-        d = complex(x) - complex(y).conjugate()
-        z = self.a * d
-        if not cmath.isfinite(z):
-            raise ValueError(f"a (x - conj(y)) overflows at a = {self.a:g}, x - conj(y) = {d}")
-        if abs(z) < 1e-4:
-            # Taylor branch through the removable singularity at x = conj(y)
-            return (self.a / math.pi) * (1.0 - z * z / 6.0 + z ** 4 / 120.0)
+    def kernel(self, x, y) -> complex | np.ndarray:
+        """Closed-form kernel, broadcast over arrays of points x and y (one
+        complex value for two scalars); accepts complex arguments.  Raises
+        ``ValueError`` where a (x - conj(y)) or a kernel value overflows."""
         with np.errstate(over="ignore", invalid="ignore"):
+            d = np.asarray(x, dtype=complex) - np.conj(np.asarray(y, dtype=complex))
+            z = self.a * d
+            # Taylor branch through the removable singularity at x = conj(y),
+            # formed only where it is taken, so no large z overflows it
+            small = np.abs(z) < 1e-4
+            zs = np.where(small, z, 0.0)
             # dividing by pi first keeps pi d from overflowing at |d| near the float range
-            k = complex(np.sin(z) / math.pi / d)
-        if not cmath.isfinite(k):
-            raise ValueError(f"kernel value overflows at a = {self.a:g}, x - conj(y) = {d}")
-        return k
+            k = np.where(
+                small,
+                (self.a / math.pi) * (1.0 - zs * zs / 6.0 + zs ** 4 / 120.0),
+                np.sin(z) / math.pi / np.where(small, 1.0, d),
+            )
+        for what, value in (("a (x - conj(y))", z), ("kernel value", k)):
+            if not np.isfinite(value).all():
+                at = d[~np.isfinite(value)][0]
+                raise ValueError(f"{what} overflows at a = {self.a:g}, x - conj(y) = {at}")
+        return complex(k) if k.ndim == 0 else k
 
-    def _feature_values(self, x) -> np.ndarray:
-        x = complex(x)
-        if x.imag != 0.0:
+    def _feature_values(self, points) -> np.ndarray:
+        x = np.asarray(points, dtype=complex)
+        if (x.imag != 0.0).any():
             raise ValueError("complex evaluation via closed form only")
-        if abs(x.real) > self.max_frequency:
+        if (np.abs(x.real) > self.max_frequency).any():
             raise ValueError(
                 "frequency beyond declared grid resolution; rebuild with larger max_frequency"
             )
-        return np.exp(1j * self.grid.nodes * x.real) / math.sqrt(2.0 * math.pi)
+        return np.exp(1j * self.grid.nodes * x.real[..., None]) / math.sqrt(2.0 * math.pi)
 
     def feature_map(self) -> FeatureMap:
         """phi(x)(t) = exp(i t x) / sqrt(2 pi) on (-a, a), real x only."""
@@ -320,6 +341,7 @@ class SincIdentityReport:
     abs_err: float
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # set once per call, not once per block
 def sinc_gram(a: float, points: Sequence[float], radius: float) -> np.ndarray:
     """Entry (i, j) is the integral over (-radius, radius) of s_i s_j, with
     s_i(t) = sin(a(t - x_i)) / (t - x_i) the sine-quotient sections.
@@ -368,9 +390,7 @@ def sinc_gram(a: float, points: Sequence[float], radius: float) -> np.ndarray:
         at = a * t
         np.multiply(np.sin(at), cos_x, out=S)
         S -= np.multiply(np.cos(at), sin_x, out=T)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # band entries may divide by zero here; they are overwritten below
-            S /= np.subtract(t, pts[:, None], out=T)
+        S /= np.subtract(t, pts[:, None], out=T)  # band entries may divide by zero; overwritten below
         b0 = np.searchsorted(t, band_lo, side="left")
         b1 = np.searchsorted(t, band_hi, side="right")
         for i in np.flatnonzero(b0 < b1):
@@ -403,11 +423,13 @@ def tensor_feature(maps: Sequence[FeatureMap]) -> FeatureMap:
         raise ValueError("need at least one factor map")
     pgrid = product_grid([m.grid for m in ms])
 
-    def evaluate(xs):
-        xs = tuple(xs)
-        if len(xs) != len(ms):
+    def evaluate(points):
+        pts = np.asarray(points)
+        if pts.ndim != 2 or pts.shape[1] != len(ms):
             raise ValueError("arity mismatch: point length must equal factor count")
-        return reduce(np.multiply.outer, [m.feature(x).values for m, x in zip(ms, xs)]).ravel()
+        # row i is reduce(np.multiply.outer, ...) of the factor rows i, flattened
+        outer_rows = lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(len(pts), -1)
+        return reduce(outer_rows, [m.evaluate(col) for m, col in zip(ms, pts.T)])
 
     closed = None
     if all(m.closed_kernel is not None for m in ms):
@@ -419,14 +441,15 @@ def tensor_feature(maps: Sequence[FeatureMap]) -> FeatureMap:
     return FeatureMap(grid=pgrid, evaluate=evaluate, closed_kernel=closed)
 
 
-def tensor_kernel(kernels: Sequence[Callable], xs, ys) -> complex:
-    """Product kernel prod_i k_i(x_i, y_i) for tuple arguments."""
+def tensor_kernel(kernels: Sequence[Callable], xs, ys) -> complex | np.ndarray:
+    """Product kernel prod_i k_i(x_i, y_i), broadcast over arrays of points
+    whose last axis holds the coordinates (one complex value for two
+    points); each k_i broadcasts the same way."""
     ks = tuple(kernels)
-    xs = tuple(xs)
-    ys = tuple(ys)
-    if not (len(ks) == len(xs) == len(ys)):
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    if not (xs.ndim and ys.ndim and len(ks) == xs.shape[-1] == ys.shape[-1]):
         raise ValueError("arity mismatch: kernels and points must align")
-    out = complex(1.0)
-    for k, x, y in zip(ks, xs, ys):
-        out *= complex(k(x, y))
-    return out
+    out = np.asarray(1.0 + 0.0j)
+    for i, k in enumerate(ks):
+        out = out * k(xs[..., i], ys[..., i])
+    return complex(out) if out.ndim == 0 else out

@@ -8,6 +8,9 @@ the unique inner product making the transform a coisometry, and on the span
 of finitely many kernel sections that inner product is computed through the
 Gram matrix of the corresponding feature vectors.
 
+A :class:`FeatureMap` works on point sets, so every Gram matrix, section
+table and image evaluation is one array call, not one call per point.
+
 An element of that span is its coefficient array over a :class:`SpanBasis`,
 and :func:`opr_inner` pairs two such arrays through the Gram matrix.  The
 Gram matrix, projections and span combinations are each one matrix product
@@ -55,18 +58,23 @@ _EVAL_BLOCK = 1 << 15  # entries stacked per block: features in at_many, pairing
 class FeatureMap:
     """Map from a parameter set into grid-sampled Hilbert-space vectors.
 
-    ``evaluate`` returns node values for a parameter point; every feature
-    lives on the one ``grid`` fixed here.  ``closed_kernel``, when present,
-    evaluates <phi(y), phi(x)> without quadrature and is the only route
-    that accepts parameters off the real domain (e.g. complex points).
+    Both callables take point sets.  ``evaluate(points)`` returns the
+    (k, N) complex matrix of the node values of phi at k points, every
+    feature on the one ``grid`` fixed here; a bad point anywhere in the set
+    is refused as a single bad point is.  ``closed_kernel(xs, ys)``, when
+    present, returns <phi(y), phi(x)> without quadrature, broadcast over
+    arrays of points xs and ys (the last axis holds a product map's
+    coordinates); it is the only route that accepts parameters off the
+    real domain (e.g. complex points).
     """
 
     grid: object
-    evaluate: Callable[[object], np.ndarray]
-    closed_kernel: Callable[[object, object], complex] | None = None
+    evaluate: Callable[[Sequence], np.ndarray]
+    closed_kernel: Callable[[object, object], np.ndarray] | None = None
 
     def feature(self, x) -> HVector:
-        return HVector(self.grid, np.asarray(self.evaluate(x), dtype=complex))
+        """phi(x), the one-row case of ``evaluate``."""
+        return HVector(self.grid, self.evaluate([x])[0])
 
 
 def kernel_eval(phi: FeatureMap, x, y) -> complex:
@@ -111,7 +119,7 @@ def build_span_basis(phi: FeatureMap, points: Sequence) -> SpanBasis:
     pts = tuple(points)
     if not pts:
         raise ValueError("a span basis needs at least one point")
-    feats = np.stack([phi.feature(x).values for x in pts])
+    feats = phi.evaluate(pts)
     G = inner_weighted_matrix(phi.grid, feats, feats).T
     G = 0.5 * (G + G.conj().T)  # exactly Hermitian, with a real diagonal
     m = len(pts)
@@ -139,15 +147,16 @@ class TransformImage:
         """Values at a sequence of points, each of the kind :meth:`at`
         accepts, as one complex array summed in BLAS order.
 
-        Point features are stacked in blocks of at most ``_EVAL_BLOCK``
-        entries, so a large product feature is never held more than once.
+        Point features come from one ``evaluate`` call per block of at most
+        ``_EVAL_BLOCK`` entries, so a large product feature is never held
+        more than once.
         """
         pts = list(points)
         grid = self.phi.grid
         per = max(1, _EVAL_BLOCK // grid.size)
         vals = np.empty(len(pts), dtype=complex)
         for lo in range(0, len(pts), per):
-            feats = np.stack([self.phi.feature(x).values for x in pts[lo : lo + per]])
+            feats = self.phi.evaluate(pts[lo : lo + per])
             vals[lo : lo + per] = inner_weighted_matrix(grid, self.raw.values, feats)
         return vals
 

@@ -276,7 +276,47 @@ def test_identity_sequence_forms_one_section_per_point(pw_setup):
     image = transform(sample(fm.grid, np.cos), fm)
     ts = np.linspace(-0.8, 0.8, 9)
     inv.generalized_invert_at(inv.identity_sequence(spied), image, ts, basis)
-    assert calls == ts.tolist()  # 9 sections, not one per (feature row, point)
+    # one evaluate call holding the 9 points, not one per point or per
+    # (feature row, point)
+    assert calls == [ts.tolist()]
+
+
+def test_invert_at_makes_one_kernel_table_call_per_batch(sobolev_setup, pw_setup):
+    # the (basis x batch) table B and the diagonal k(t, t), one call each
+    for space, fm, basis in (sobolev_setup, pw_setup):
+        calls = []
+
+        def closed_kernel(xs, ys, real=fm.closed_kernel):
+            calls.append((np.shape(xs), np.shape(ys)))
+            return real(xs, ys)
+
+        spied = dataclasses.replace(fm, closed_kernel=closed_kernel)
+        spied_basis = build_span_basis(spied, basis.points)
+        image = transform(span_combination(spied_basis, np.ones(basis.size, dtype=complex)), spied)
+        ts = np.linspace(-0.8, 0.8, 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = inv.invert_at(image, ts, spied_basis)
+            assert calls == [((basis.size, 1), (1, 9)), ((9,), (9,))]
+            want = [inv.invert_at(image, float(t), spied_basis) for t in ts]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+def test_non_integer_coefficient_index_is_refused():
+    # int(1.7) would give coefficient 1, and [0.5, 2.9] coefficients 0 and 2
+    pw = PaleyWienerSpace(1.0, max_frequency=10.0)
+    fm = pw.feature_map()
+    basis = build_span_basis(fm, np.arange(-8.0, 9.0))
+    ons = inv.exponential_system(fm.grid, 4, 1.0)
+    image = transform(ons.reconstruct(np.ones(4)), fm)
+    for bad in (1.7, np.array([0.5, 2.9]), np.array([1.0, np.nan])):
+        with pytest.raises(IndexError, match="not an integer"):
+            inv.fourier_coeff_invert(ons, fm, image, bad, basis)
+        with pytest.raises(IndexError, match="not an integer"):
+            inv.generalized_invert_at(inv.cons_sequence(ons, fm), image, bad, basis)
+    # an integral float is that index
+    two = inv.fourier_coeff_invert(ons, fm, image, 2, basis)
+    assert inv.fourier_coeff_invert(ons, fm, image, 2.0, basis) == two
 
 
 def test_s_apply_returns_the_row_by_point_matrix(pw_setup):

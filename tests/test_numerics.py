@@ -532,6 +532,27 @@ def test_cached_gauss_rule_is_read_only():
             arr[0] = 0.0
 
 
+def test_pairing_weights_are_cached_read_only_products():
+    gx = build_grid(make_interval(-1.0, 2.0), 3, 5, rho=lambda t: 1.5 + np.sin(t))
+    gy = build_grid(make_interval(0.0, 1.0), 4, 3)
+    for g in (gx, ProductGrid((gx, gy))):
+        assert g.rho_weights is g.rho_weights
+        assert g.rho_weights.tobytes() == (g.rho_at_nodes * g.weights).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            g.rho_weights[0] = 0.0
+
+
+@pytest.mark.parametrize("lo, hi", [(-1e3, 1e3), (-3e4, 1e5), (0.1, 0.7)])
+def test_gauss_panels_scale_the_unit_panel_rule_bit_for_bit(lo, hi):
+    edges = np.linspace(lo, hi, 41)
+    for n in (1, 8, 16):
+        xi, om = legendre.leggauss(n)
+        nodes, weights = numerics._gauss_panels(edges, n)
+        lefts, widths = edges[:-1, None], np.diff(edges)[:, None]
+        assert nodes.tobytes() == (lefts + widths * (xi + 1.0) / 2.0).ravel().tobytes()
+        assert weights.tobytes() == (widths * om / 2.0).ravel().tobytes()
+
+
 def test_gauss_rule_built_once_per_order(monkeypatch):
     calls = Counter()
     leggauss = legendre.leggauss

@@ -306,3 +306,14 @@ def test_project_span_grid_mismatch(sobolev):
     other = build_grid(make_interval(-1.0, 1.0), 3, 4)
     with pytest.raises(ValueError, match="grid"):
         project_span(sample(other, np.cos), basis)
+
+
+def test_one_call_draws_are_the_alternating_draws():
+    # the contraction suite draws its 100 complex vectors with one call;
+    # they are the draws of 200 alternating calls, bit for bit
+    n = 37
+    one, alternating = np.random.default_rng(42), np.random.default_rng(42)
+    parts = one.standard_normal((100, 2, n))
+    want = np.array([alternating.standard_normal(n) + 1j * alternating.standard_normal(n) for _ in range(100)])
+    assert (parts[:, 0] + 1j * parts[:, 1]).tobytes() == want.tobytes()
+    assert one.standard_normal() == alternating.standard_normal()
