@@ -31,9 +31,8 @@ def main():
     f = sample(fm.grid, lambda t: np.cos(3.0 * t) + 0.2 * t * t)
     fprime = HVector(fm.grid, derivative_values(fm.grid, f.values))
     print("\nreproducing check for f(t) = cos(3t) + 0.2 t^2")
-    for y in ys:
-        section = space.kernel_section_slope(y, fm.grid)
-        lhs = inner_weighted(fprime, section).real
+    for y, slope in zip(ys, space.kernel_section_slope(ys, fm.grid)):
+        lhs = inner_weighted(fprime, HVector(fm.grid, slope)).real
         rhs = np.cos(3.0 * y) + 0.2 * y * y - 1.0   # f(y) - f(0)
         print(f"  y = {y:+.2f}:  <f', k_y'> = {lhs:+.10f},  f(y) - f(0) = {rhs:+.10f},  diff = {abs(lhs - rhs):.2e}")
 

@@ -22,7 +22,6 @@ from .numerics import (
     inner_weighted_matrix,
     integrate,
     make_interval,
-    med3,
     norm_weighted,
     panels_for_oscillation,
     product_grid,
@@ -47,7 +46,6 @@ from .spaces import (
     PaleyWienerSpace,
     SobolevSpace,
     sinc_gram,
-    sinc_identity_check,
     sinc_ratio,
     tensor_feature,
     tensor_kernel,

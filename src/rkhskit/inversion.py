@@ -10,7 +10,7 @@ the image-space inner product of f-hat with the conjugate of the S-composed
 features at t.  Orthonormal-coefficient recovery is the special case
 W = little-l2 over an index set.
 
-:func:`invert_at` and :func:`generalized_invert_at` take one point or a 1-D
+:func:`invert_at` and :func:`generalized_invert_at` take one point or an
 array of points.  The (basis x batch) kernel table, the diagonal k(t, t)
 and a transformation sequence's map of the whole feature matrix at every
 point of the batch are one call each, and all kernel sections of the
@@ -93,8 +93,9 @@ def _pair_with_sections(
 
 
 def invert_at(image: TransformImage, t, basis: SpanBasis) -> complex | np.ndarray:
-    """Evaluate the source of a transformed vector at t, one point or a 1-D
-    array of points (then an array of values).
+    """Evaluate the source of a transformed vector at t, one point of the
+    basis points' shape (a float, or a (d,) array on a product map) or an
+    array of them, (k,) or (k, d) (then an array of values).
 
     Pairs the image with the transform of the kernel section at t, both
     projected onto the span basis.  The section's projection coefficients
@@ -109,11 +110,14 @@ def invert_at(image: TransformImage, t, basis: SpanBasis) -> complex | np.ndarra
     k = basis.phi.closed_kernel
     if k is None:
         raise ValueError("invert_at needs a feature map with a closed kernel")
-    ts, scalar = _batch(t)
-    pts = np.asarray(ts)
+    shape = np.shape(basis.points)[1:]  # () on a line, (d,) on a product map
+    scalar = np.shape(t) == shape
+    if not (scalar or np.shape(t)[1:] == shape):
+        raise ValueError(f"t must be a point of shape {shape} or an array of them, not shape {np.shape(t)}")
+    pts = np.asarray(t).reshape(-1, *shape)
     D = basis.solve(k(np.asarray(basis.points)[:, None], pts[None]))
     diagonal = np.real(k(pts, pts)).tolist()
-    for s, ktt, proj_sq in zip(ts, diagonal, _opr_inner_rows(basis, D.T, D.T).real.tolist()):
+    for s, ktt, proj_sq in zip(pts.tolist(), diagonal, _opr_inner_rows(basis, D.T, D.T).real.tolist()):
         if ktt > 0.0:
             resid = math.sqrt(max(ktt - proj_sq, 0.0))
             if resid > 1e-3 * math.sqrt(ktt):

@@ -3,9 +3,9 @@ Gauss-Legendre grids, their Cartesian products, and weighted complex inner
 products.
 
 Extended reals are represented as plain IEEE floats, so ``math.inf`` and
-``-math.inf`` are legal interval endpoints.  Only comparison and the median
-are ever applied to endpoints (no infinite arithmetic); an infinite interval
-must be truncated (:func:`truncate_line`) before a grid can live on it.
+``-math.inf`` are legal interval endpoints.  Only comparisons are ever
+applied to endpoints (no infinite arithmetic); an infinite interval must
+be truncated (:func:`truncate_line`) before a grid can live on it.
 
 Grids carry three aligned arrays: nodes, plain quadrature weights for
 integration against ``dt``, and samples of a positive weight function ``rho``
@@ -55,7 +55,6 @@ __all__ = [
     "QuadGrid",
     "ProductGrid",
     "HVector",
-    "med3",
     "make_interval",
     "truncate_line",
     "build_grid",
@@ -72,13 +71,6 @@ __all__ = [
     "cumulative_integral",
     "derivative_values",
 ]
-
-
-def med3(x: float, y: float, z: float) -> float:
-    """Median of three extended reals: the middle value of the sorted triple."""
-    if math.isnan(x) or math.isnan(y) or math.isnan(z):
-        raise ValueError("median of NaN is undefined")
-    return sorted((float(x), float(y), float(z)))[1]
 
 
 @dataclass(frozen=True)

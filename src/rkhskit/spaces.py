@@ -40,9 +40,7 @@ __all__ = [
     "SobolevSpace",
     "PaleyWienerSpace",
     "sinc_ratio",
-    "SincIdentityReport",
     "sinc_gram",
-    "sinc_identity_check",
     "tensor_feature",
     "tensor_kernel",
 ]
@@ -198,15 +196,16 @@ class SobolevSpace:
             closed_kernel=self._kernel_table,
         )
 
-    def kernel_section_slope(self, y: float, grid: QuadGrid) -> HVector:
-        """Derivative representative of the kernel section at y:
-        sign(y - c) * chi_(c,y)/rho.
+    def kernel_section_slope(self, points, grid: QuadGrid) -> np.ndarray:
+        """Derivative representative of the kernel section at y,
+        sign(y - c) * chi_(c,y)/rho at the grid nodes: a row per point of a
+        set, or one vector, as :meth:`_feature_values`.
 
-        Pairing a member's derivative samples with this under the weighted
-        inner product evaluates the member at y.
+        Pairing a member's derivative samples with the row of y under the
+        weighted inner product evaluates the member at y.
         """
-        sgn = 1.0 if y >= self.c else -1.0
-        return HVector(grid, sgn * self._feature_values(y, grid))
+        y = self._require_points(points)
+        return np.where(y >= self.c, 1.0, -1.0)[..., None] * self._feature_values(y, grid)
 
     def indefinite_transform(self, f: HVector) -> Callable:
         """Transform of an L2 vector into this space: x maps to the integral
@@ -330,17 +329,6 @@ def sinc_ratio(a: float, u) -> np.ndarray:
     return out if arr.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class SincIdentityReport:
-    a: float
-    x: float
-    y: float
-    radius: float
-    lhs: float
-    rhs: float
-    abs_err: float
-
-
 @np.errstate(divide="ignore", invalid="ignore")  # set once per call, not once per block
 def sinc_gram(a: float, points: Sequence[float], radius: float) -> np.ndarray:
     """Entry (i, j) is the integral over (-radius, radius) of s_i s_j, with
@@ -397,18 +385,6 @@ def sinc_gram(a: float, points: Sequence[float], radius: float) -> np.ndarray:
             S[i, b0[i] : b1[i]] = sinc_ratio(a, t[b0[i] : b1[i]] - pts[i])
         P += np.multiply(S, w, out=T) @ S.T
     return P
-
-
-def sinc_identity_check(a: float, x: float, y: float, radius: float) -> SincIdentityReport:
-    """Quadrature check of the sine-product integral identity.
-
-    Integrates sin(a(t-x)) sin(a(t-y)) / ((t-x)(t-y)) over (-radius, radius)
-    and compares with pi sin(a(y-x))/(y-x).  The truncated tail is O(1/radius),
-    so the discrepancy should sit below 4/radius plus quadrature noise.
-    """
-    lhs = float(sinc_gram(a, (x, y), radius)[0, 1])
-    rhs = float(math.pi * sinc_ratio(a, y - x))
-    return SincIdentityReport(a, x, y, radius, lhs, rhs, abs(lhs - rhs))
 
 
 def tensor_feature(maps: Sequence[FeatureMap]) -> FeatureMap:

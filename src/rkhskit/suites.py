@@ -125,7 +125,7 @@ def suite_reproducing(cfg: RunConfig) -> Report:
         pad = 0.05 * interval.length
         ys = np.linspace(interval.lo + pad, interval.hi - pad, 20)
         fm = space.feature_map(ys)
-        slopes = np.stack([space.kernel_section_slope(y, fm.grid).values for y in ys])
+        slopes = space.kernel_section_slope(ys, fm.grid)
         for fname, f, fprime in _SMOOTH_PAIRS:
             df = sample(fm.grid, fprime)
             worst = 0.0

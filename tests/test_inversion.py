@@ -9,7 +9,7 @@ import pytest
 
 from rkhskit import inversion as inv
 from rkhskit.numerics import HVector, build_grid, cumulative_integral, inner_weighted, make_interval, sample
-from rkhskit.spaces import PaleyWienerSpace, SobolevSpace
+from rkhskit.spaces import PaleyWienerSpace, SobolevSpace, tensor_feature
 from rkhskit.transforms import build_span_basis, opr_inner, project_span, span_combination, transform
 
 
@@ -196,7 +196,7 @@ def _assert_batch_matches_points(recover, ts):
     got = recover(ts)
     want = np.array([recover(t) for t in ts.tolist()])
     assert isinstance(recover(ts.tolist()[0]), complex)
-    assert got.shape == ts.shape and got.dtype == complex
+    assert got.shape == ts.shape[:1] and got.dtype == complex
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -209,6 +209,25 @@ def test_batched_invert_at_matches_points(sobolev_setup):
         _assert_batch_matches_points(
             lambda t: inv.invert_at(image, t, basis), np.linspace(-0.95, 0.95, 12)
         )
+
+
+def test_invert_at_on_a_product_map_takes_a_point_or_a_batch_of_points():
+    # a (d,) array or a tuple is one point, a (k, d) array or a list of
+    # points a batch
+    pw = PaleyWienerSpace(1.0, max_frequency=4.0)
+    sob = SobolevSpace(make_interval(-1.0, 1.0), 0.0, panels=8, nodes_per_panel=8)
+    fm = tensor_feature([pw.feature_map(), sob.feature_map([-0.5, 0.5])])
+    basis = build_span_basis(fm, [(x, y) for x in (-3.0, 0.0, 3.0) for y in (-0.5, 0.5)])
+    image = transform(span_combination(basis, np.arange(1.0, 7.0) + 0.5j), fm)
+    ts = np.array([(0.0, 0.5), (1.0, -0.2), (-2.0, 0.9)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _assert_batch_matches_points(lambda t: inv.invert_at(image, t, basis), ts)
+        assert inv.invert_at(image, (1.0, -0.2), basis) == inv.invert_at(image, ts[1], basis)
+        assert inv.invert_at(image, ts.tolist(), basis).tolist() == inv.invert_at(image, ts, basis).tolist()
+    for bad in (0.5, np.zeros(3), np.zeros((4, 3)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="t must be a point of shape \\(2,\\)"):
+            inv.invert_at(image, bad, basis)
 
 
 def test_batched_generalized_inversion_matches_points(pw_setup):

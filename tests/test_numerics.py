@@ -27,7 +27,6 @@ from rkhskit.numerics import (
     inner_weighted,
     integrate,
     make_interval,
-    med3,
     norm_weighted,
     panels_for_oscillation,
     product_grid,
@@ -39,33 +38,6 @@ from rkhskit.suites import RunConfig, run_suite
 from rkhskit.transforms import _opr_inner_rows, build_span_basis, transform
 
 LN2 = 0.6931471805599453  # integral of 1/(1+t) over (0,1)
-
-
-def test_med3_basic():
-    assert med3(0.3, 0.1, 0.2) == 0.2
-    assert med3(1.0, 1.0, 5.0) == 1.0
-    assert med3(-2.0, 7.0, 0.0) == 0.0
-
-
-def test_med3_extended_reals():
-    assert med3(1.0, math.inf, 0.0) == 1.0
-    assert med3(-math.inf, -2.0, 5.0) == -2.0
-    assert med3(-math.inf, math.inf, 0.25) == 0.25
-
-
-def test_med3_rejects_nan():
-    with pytest.raises(ValueError):
-        med3(0.0, math.nan, 1.0)
-
-
-@settings(max_examples=200)
-@given(
-    st.floats(allow_nan=False, width=64),
-    st.floats(allow_nan=False, width=64),
-    st.floats(allow_nan=False, width=64),
-)
-def test_med3_is_the_middle(a, b, c):
-    assert med3(a, b, c) == sorted([a, b, c])[1]
 
 
 def test_interval_construction():

@@ -6,14 +6,18 @@ as one that builds them.
 
 A change that drops a parameter a tracer counter reads from a signature
 (say, the keywords of ``SobolevSpace.kernel``), or that adds a record to a
-workload suite, fails here, not only in a benchmark run.
+workload suite, fails here, not only in a benchmark run: every counter
+whose function still exists is called once through its wrapper, whether
+or not a workload pass reaches it.
 """
 
+import importlib
 import importlib.util
 import sys
 from collections import OrderedDict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -95,3 +99,41 @@ def test_exact_counts_repeat_with_a_warm_plan_cache(monkeypatch):
         built.append(len(builds))
     assert built[0] > 0 and built[1] == built[0]
     assert counts[0] == counts[1]
+
+
+def _counted_calls():
+    """One sample call per tracer counter, keyed by its span name."""
+    from rkhskit.numerics import make_interval
+    from rkhskit.plancherel import box_domain
+    from rkhskit.spaces import SobolevSpace
+
+    box = box_domain((1.0,), max_frequency=2.0)
+    sob = SobolevSpace(make_interval(-1.0, 1.0), 0.0)
+    return {
+        "numerics.build_grid": lambda fn: fn(make_interval(0.0, 1.0), 4, 8),
+        "plancherel.fourier_on_lattice": lambda fn: fn(np.ones(box.size), box, box),
+        "plancherel.transform_at": lambda fn: fn(np.ones(box.size), box.axes, [0.5, 1.0], -1.0),
+        "transforms.build_span_basis": lambda fn: fn(sob.feature_map(), [-0.5, 0.5]),
+        "spaces.sinc_ratio": lambda fn: fn(1.0, np.array([0.0, 1.0])),
+        "spaces.SobolevSpace.kernel": lambda fn: fn(sob, 0.2, 0.5),
+    }
+
+
+def _resolve(name: str):
+    layer, *path = name.split(".")
+    obj = importlib.import_module(f"rkhskit.{layer}")
+    for attr in path:
+        obj = getattr(obj, attr, None)
+    return obj
+
+
+def test_every_tracer_counter_reads_its_function_signature():
+    tracer_mod = _load("tracer")
+    calls = _counted_calls()
+    live = {name: fn for name in tracer_mod.COUNTERS if (fn := _resolve(name)) is not None}
+    assert set(live) <= set(calls), "add a sample call for each new counter"
+    for name, fn in live.items():
+        tracer = tracer_mod.Tracer()
+        calls[name](tracer.wrap(name, fn))
+        assert [span[0] for span in tracer.spans] == [name]
+        assert tracer.keys[name] or any(span == name for span, _ in tracer.counts), name

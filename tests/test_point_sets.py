@@ -10,6 +10,7 @@ import pytest
 
 from rkhskit.numerics import make_interval
 from rkhskit.spaces import RHO_REGISTRY, PaleyWienerSpace, SobolevSpace, tensor_feature, tensor_kernel
+from rkhskit.suites import RunConfig, run_suite
 from rkhskit.transforms import build_span_basis
 
 EPS = np.finfo(float).eps
@@ -182,3 +183,33 @@ def test_build_span_basis_evaluates_the_point_set_once():
         basis = build_span_basis(dataclasses.replace(fm, evaluate=evaluate), pts)
         assert calls == [pts]
         assert _hexes(basis.gram) == _hexes(build_span_basis(fm, pts).gram)
+
+
+def test_kernel_section_slopes_of_a_set_are_the_single_point_rows_bit_for_bit():
+    sob = SobolevSpace(make_interval(-0.5, 3.0), 1.25, RHO_REGISTRY["affine"])
+    ys = np.array([-0.5, 0.4, 1.25, 2.0, 3.0])  # both sides of c = 1.25, and c itself
+    grid = sob.feature_map(ys).grid
+    rows = sob.kernel_section_slope(ys, grid)
+    assert rows.shape == (ys.size, grid.size) and rows.dtype == complex
+    for row, y in zip(rows, ys.tolist()):
+        assert row.tobytes() == sob.kernel_section_slope(y, grid).tobytes()
+    # sign(y - c) chi_(c,y)/rho: negative left of c, zero at c, positive right
+    assert (rows[:2].real <= 0).all() and rows[:2].real.any()
+    assert not rows[2].any()
+    assert (rows[3:].real >= 0).all() and rows[3:].real.any()
+    single = _message(lambda: sob.kernel_section_slope(3.5, grid))
+    assert single == "point outside the interval"
+    assert _message(lambda: sob.kernel_section_slope([0.4, 3.5, 2.0], grid)) == single
+
+
+def test_reproducing_suite_takes_one_slope_table_per_case(monkeypatch):
+    calls = []
+    slope = SobolevSpace.kernel_section_slope
+
+    def spy(self, points, grid):
+        calls.append(np.shape(points))
+        return slope(self, points, grid)
+
+    monkeypatch.setattr(SobolevSpace, "kernel_section_slope", spy)
+    assert all(r.passed for r in run_suite("reproducing", RunConfig(suite="reproducing")).records)
+    assert calls == [(20,)] * 4

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from rkhskit import spaces
 from rkhskit.numerics import (
+    HVector,
     build_grid,
     inner_weighted,
     inner_weighted_matrix,
@@ -27,7 +28,6 @@ from rkhskit.spaces import (
     PaleyWienerSpace,
     SobolevSpace,
     sinc_gram,
-    sinc_identity_check,
     sinc_ratio,
     tensor_feature,
     tensor_kernel,
@@ -83,8 +83,8 @@ def test_reproducing_property_small():
     ys = (0.2, 0.5, 0.9)
     fm = s.feature_map(ys)
     df = sample(fm.grid, np.cos)  # f = sin, f(0) = 0
-    for y in ys:
-        lhs = inner_weighted(df, s.kernel_section_slope(y, fm.grid))
+    for y, slope in zip(ys, s.kernel_section_slope(ys, fm.grid)):
+        lhs = inner_weighted(df, HVector(fm.grid, slope))
         assert abs(lhs - math.sin(y)) < 1e-8
 
 
@@ -289,14 +289,16 @@ def test_sinc_ratio_refuses_a_scaled_argument_that_is_not_finite(a, u):
     with pytest.raises(ValueError, match="a u is not finite"):
         sinc_ratio(a, np.array([0.0, 1.0, u]))
     with pytest.raises(ValueError, match="a u is not finite"):
-        sinc_identity_check(a, 0.0, u, 10.0)
+        sinc_gram(a, (0.0, u), 10.0)
 
 
 @pytest.mark.filterwarnings("error")
-def test_sinc_identity_check_at_a_far_point():
-    # its right-hand side sinc_ratio(1, 1e308) no longer overflows the series
-    rep = sinc_identity_check(1.0, 0.0, 1e308, 10.0)
-    assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs)
+def test_sinc_gram_at_a_far_point():
+    # the identity's right-hand side sinc_ratio(1, 1e308) no longer
+    # overflows the series
+    lhs = sinc_gram(1.0, (0.0, 1e308), 10.0)[0, 1]
+    rhs = math.pi * sinc_ratio(1.0, 1e308)
+    assert math.isfinite(lhs) and math.isfinite(rhs)
 
 
 @pytest.mark.parametrize("a, u", [(1e4, 9e-5), (1e-6, 1.0)])
@@ -333,16 +335,20 @@ def test_series_switches_against_mpmath(log_a, log_z, negative, angle):
         assert abs(pw.kernel(d, 0.0) - want) <= tol * abs(want)
 
 
-def test_sinc_identity_at_unit_offset():
-    rep = sinc_identity_check(1.0, 0.0, 1.0, 1000.0)
-    assert rep.rhs == pytest.approx(PI_SIN1, abs=1e-12)
-    assert rep.abs_err <= 4.0 / 1000.0 + 1e-6
+def test_sinc_gram_at_unit_offset():
+    # the truncated tail is O(1/radius): the pairing sits within 4/radius
+    # of pi sin(a(y - x))/(y - x)
+    lhs = sinc_gram(1.0, (0.0, 1.0), 1000.0)[0, 1]
+    rhs = math.pi * sinc_ratio(1.0, 1.0)
+    assert rhs == pytest.approx(PI_SIN1, abs=1e-12)
+    assert abs(lhs - rhs) <= 4.0 / 1000.0 + 1e-6
 
 
-def test_sinc_identity_coincident_points_give_pi():
-    rep = sinc_identity_check(1.0, 0.0, 0.0, 1000.0)
-    assert rep.rhs == pytest.approx(math.pi, abs=1e-12)
-    assert abs(rep.lhs - math.pi) < 3e-3
+def test_sinc_gram_coincident_points_give_pi():
+    lhs = sinc_gram(1.0, (0.0, 0.0), 1000.0)[0, 1]
+    rhs = math.pi * sinc_ratio(1.0, 0.0)
+    assert rhs == pytest.approx(math.pi, abs=1e-12)
+    assert abs(lhs - math.pi) < 3e-3
 
 
 def _sinc_pairing_on_own_grid(a, x, y, radius):
