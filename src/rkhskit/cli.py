@@ -121,10 +121,7 @@ def cmd_transform(args) -> int:
     space, probes = _family_setup(args, 8.0, max_frequency=args.max_frequency)
     fm = space.feature_map()
     image = transform(sample(fm.grid, SOURCES[args.f]), fm)
-    rows = []
-    for x in probes:
-        v = image.at(float(x))
-        rows.append([_fmt(x), _fmt(v.real), _fmt(v.imag)])
+    rows = [[_fmt(x), _fmt(v.real), _fmt(v.imag)] for x, v in zip(probes, image.at_many(probes))]
     _write_csv(args.out, ["x", "re", "im"], rows)
     return PASS_EXIT
 
@@ -337,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--input", help="CSV of source samples at the grid nodes (t,re,im)")
     p_inv.add_argument("--probes", help="comma-separated evaluation points (empty for none)")
     p_inv.add_argument("--probe-count", type=_nonnegative_int, default=9)
-    p_inv.add_argument("--seed", type=int, default=42)
+    p_inv.add_argument("--seed", type=_nonnegative_int, default=42)
     p_inv.add_argument("--emit-grid", action="store_true", help="print the grid nodes and exit")
     p_inv.add_argument("--out", help="output path (default stdout)")
     p_inv.set_defaults(fn=cmd_invert)

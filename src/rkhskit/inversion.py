@@ -10,15 +10,15 @@ the image-space inner product of f-hat with the conjugate of the S-composed
 features at t.  Orthonormal-coefficient recovery is the special case
 W = little-l2 over an index set.
 
-:func:`invert_at` and :func:`generalized_invert_at` take one point or an
-array of points.  The (basis x batch) kernel table, the diagonal k(t, t)
-and a transformation sequence's map of the whole feature matrix at every
-point of the batch are one call each, and all kernel sections of the
-batch come from one solve with the Gram factor.  The pairing with the
-image and the coarse-basis residual are :func:`~rkhskit.transforms.opr_inner`
-on the span coefficients, every point of the batch in one stacked call
-that forms each point's terms elementwise and sums each row with numpy's
-pairwise sum, so each point keeps the bits of its own ``opr_inner`` call.
+:func:`invert_at` and :func:`generalized_invert_at` read t the same way:
+one point of the basis points' shape (a float, or a (d,) array on a
+product map), or an array or list of such points.  The (basis x batch)
+kernel table, the diagonal k(t, t) and a transformation sequence's map of
+the whole feature matrix at every point of the batch are one call each,
+and all kernel sections of the batch come from one solve with the Gram
+factor.  The pairing with the image and the coarse-basis residual are one
+stacked :func:`~rkhskit.transforms.opr_inner` call each on the span
+coefficients, so each point keeps the bits of its own single pairing.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .transforms import (
     FeatureMap,
     SpanBasis,
     TransformImage,
-    _opr_inner_rows,
+    opr_inner,
     project_span,
 )
 
@@ -75,27 +75,21 @@ class TransformationSequence:
     s_apply: Callable[[np.ndarray, list], np.ndarray]
 
 
-def _batch(t) -> tuple:
-    """(points, scalar): a 1-D array is a batch of points, anything else one point."""
-    if isinstance(t, np.ndarray) and t.ndim == 1:
-        return t.tolist(), False
-    return [t], True
-
-
-def _pair_with_sections(
-    image: TransformImage, basis: SpanBasis, D: np.ndarray, scalar: bool
-) -> complex | np.ndarray:
-    """Project the image onto the span once and pair its coefficients with
-    each column of section coefficients D by :func:`~rkhskit.transforms.opr_inner`,
-    all columns in one stacked sum."""
-    vals = _opr_inner_rows(basis, project_span(image.raw, basis), D.T)
-    return complex(vals[0]) if scalar else vals
+def _read_points(basis: SpanBasis, t) -> tuple:
+    """(points, scalar): t as a (k,) or (k, d) array of points of the basis
+    points' shape, and whether t was one point; any other shape raises
+    ``ValueError``."""
+    shape = np.shape(basis.points)[1:]  # () on a line, (d,) on a product map
+    scalar = np.shape(t) == shape
+    if not (scalar or np.shape(t)[1:] == shape):
+        raise ValueError(f"t must be a point of shape {shape} or an array of them, not shape {np.shape(t)}")
+    return np.asarray(t).reshape(-1, *shape), scalar
 
 
 def invert_at(image: TransformImage, t, basis: SpanBasis) -> complex | np.ndarray:
     """Evaluate the source of a transformed vector at t, one point of the
     basis points' shape (a float, or a (d,) array on a product map) or an
-    array of them, (k,) or (k, d) (then an array of values).
+    array or list of them, (k,) or (k, d) (then an array of values).
 
     Pairs the image with the transform of the kernel section at t, both
     projected onto the span basis.  The section's projection coefficients
@@ -110,19 +104,13 @@ def invert_at(image: TransformImage, t, basis: SpanBasis) -> complex | np.ndarra
     k = basis.phi.closed_kernel
     if k is None:
         raise ValueError("invert_at needs a feature map with a closed kernel")
-    shape = np.shape(basis.points)[1:]  # () on a line, (d,) on a product map
-    scalar = np.shape(t) == shape
-    if not (scalar or np.shape(t)[1:] == shape):
-        raise ValueError(f"t must be a point of shape {shape} or an array of them, not shape {np.shape(t)}")
-    pts = np.asarray(t).reshape(-1, *shape)
+    pts, scalar = _read_points(basis, t)
     D = basis.solve(k(np.asarray(basis.points)[:, None], pts[None]))
-    diagonal = np.real(k(pts, pts)).tolist()
-    for s, ktt, proj_sq in zip(pts.tolist(), diagonal, _opr_inner_rows(basis, D.T, D.T).real.tolist()):
-        if ktt > 0.0:
-            resid = math.sqrt(max(ktt - proj_sq, 0.0))
-            if resid > 1e-3 * math.sqrt(ktt):
-                warnings.warn(f"basis too coarse for t={s!r}", RuntimeWarning, stacklevel=2)
-    return _pair_with_sections(image, basis, D, scalar)
+    ktt = np.real(k(pts, pts))
+    resid = np.sqrt(np.maximum(ktt - opr_inner(basis, D.T, D.T).real, 0.0))
+    for s in pts[(ktt > 0.0) & (resid > 1e-3 * np.sqrt(np.maximum(ktt, 0.0)))].tolist():
+        warnings.warn(f"basis too coarse for t={s!r}", RuntimeWarning, stacklevel=2)
+    return opr_inner(basis, project_span(image.raw, basis), D.T[0] if scalar else D.T)
 
 
 def generalized_invert_at(
@@ -132,14 +120,15 @@ def generalized_invert_at(
     isometry: the image-space inner product with the span projection of the
     pulled-back kernel section, assembled from conj((S phi(x_i))(t)).
 
-    t is one point or a 1-D array of points (then an array of values);
-    ``s_apply`` runs once, on the whole feature matrix and every point.
+    t is read as :func:`invert_at` reads it, against the basis points'
+    shape; ``s_apply`` runs once, on the whole feature matrix and the list
+    of every point.
     """
     if basis.phi.grid != seq.phi.grid:
         raise ValueError("basis features and sequence live on different grids")
-    ts, scalar = _batch(t)
-    D = basis.solve(np.conj(seq.s_apply(basis.features, ts)))
-    return _pair_with_sections(image, basis, D, scalar)
+    pts, scalar = _read_points(basis, t)
+    D = basis.solve(np.conj(seq.s_apply(basis.features, pts.tolist())))
+    return opr_inner(basis, project_span(image.raw, basis), D.T[0] if scalar else D.T)
 
 
 def identity_sequence(phi: FeatureMap) -> TransformationSequence:
@@ -228,8 +217,9 @@ def fourier_coeff_invert(
     """n-th orthonormal coefficient of the source, recovered through the
     transform side rather than a direct inner product (0-based index).
 
-    n is one index or a 1-D array of indices (then an array of values); an
-    index that is not an integer, or out of range, raises ``IndexError``."""
+    n is one index or an array or list of indices (then an array of
+    values); an index that is not an integer, or out of range, raises
+    ``IndexError``."""
     return generalized_invert_at(cons_sequence(cons, phi), image, n, basis)
 
 

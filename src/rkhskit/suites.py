@@ -67,6 +67,8 @@ class RunConfig:
             _require_type(name, getattr(self, name), hint)
         if self.suite not in suite_names():
             raise ConfigError(f"unknown suite '{self.suite}'; known: {suite_names()}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.radius is not None and not (math.isfinite(self.radius) and self.radius > 0):
             raise ConfigError("radius must be positive and finite")
         if self.nodes_per_panel is not None and self.nodes_per_panel < 1:
@@ -203,33 +205,20 @@ def suite_kernels(cfg: RunConfig) -> Report:
     rep = Report("kernels", cfg.seed, {})
     space = SobolevSpace(make_interval(-1.0, 1.0), 0.0)
     space_aff = SobolevSpace(make_interval(0.0, 1.0), 0.0, RHO_REGISTRY["affine"])
+    pw_fm = PaleyWienerSpace(1.0, max_frequency=12.0).feature_map()
+    const, affine = np.linspace(-0.9, 0.9, 10), np.linspace(0.05, 0.95, 10)
+    # the Gram matrix is the quadrature route; Sobolev features have breaks at the lattice
     cases = [
-        ("const", space, np.linspace(-0.9, 0.9, 10)),
-        ("affine", space_aff, np.linspace(0.05, 0.95, 10)),
+        ("sobolev kernel vs closed form (const)", space.feature_map(const), const),
+        ("sobolev kernel vs closed form (affine)", space_aff.feature_map(affine), affine),
+        ("bandlimited Gram vs closed kernel", pw_fm, np.array([-2.0, -1.0, 0.0, 0.5, math.pi])),
     ]
-    for rho_name, sob, lattice in cases:
-        # the Gram matrix is the quadrature route: features have breaks at the lattice
-        fm = sob.feature_map(lattice)
-        G = build_span_basis(fm, lattice).gram
-        K = fm.closed_kernel(lattice[:, None], lattice[None, :])
-        worst = float(np.max(np.abs(G - K)))
-        rep.add(make_record(f"sobolev kernel vs closed form ({rho_name})", worst, 0.0, 1e-10))
-
-    pw = PaleyWienerSpace(1.0, max_frequency=12.0)
-    pts = np.array([-2.0, -1.0, 0.0, 0.5, math.pi])
-    basis = build_span_basis(pw.feature_map(), pts)
-    K = pw.kernel(pts[:, None], pts[None, :])
-    rep.add(
-        make_record(
-            "bandlimited Gram vs closed kernel",
-            float(np.max(np.abs(basis.gram - K))),
-            0.0,
-            1e-10,
-        )
-    )
+    for name, fm, pts in cases:
+        G = build_span_basis(fm, pts).gram
+        worst = float(np.max(np.abs(G - fm.closed_kernel(pts[:, None], pts[None, :]))))
+        rep.add(make_record(name, worst, 0.0, 1e-10))
 
     sob_fm = space.feature_map((0.3, -0.5, 0.8))
-    pw_fm = pw.feature_map()
     prod = tensor_feature([pw_fm, sob_fm])
     pairs = [((0.5, 0.3), (1.0, -0.5)), ((0.0, 0.8), (0.0, 0.8)), ((2.0, -0.5), (-1.0, 0.3))]
     worst_rel = _worst_factorization(prod, pw_fm, sob_fm, pairs)

@@ -12,18 +12,19 @@ A :class:`FeatureMap` works on point sets, so every Gram matrix, section
 table and image evaluation is one array call, not one call per point.
 
 An element of that span is its coefficient array over a :class:`SpanBasis`,
-and :func:`opr_inner` pairs two such arrays through the Gram matrix.  The
-Gram matrix, projections and span combinations are each one matrix product
-over the basis features, and :meth:`TransformImage.at_many` evaluates an
-image at many points the same way, summed in BLAS order.  The single
-pairings (:meth:`TransformImage.at`, :func:`kernel_eval`, :func:`opr_inner`
-and :func:`contraction_check`) form their terms elementwise and add them
-with numpy's pairwise sum; they are the oracles of the batched calls.
-Their row forms (``_opr_inner_rows``, ``_contraction_rows``) form every
-pairing of a stack exactly as the single call does and sum each row the
-same way, so each pairing keeps the single call's bits;
-``_contraction_rows`` projects the whole stack in one matrix product,
-which may round differently from the one-vector product.
+and :func:`opr_inner` pairs two such arrays through the Gram matrix, or
+stacks of them row by row.  The Gram matrix, projections and span
+combinations are each one matrix product over the basis features, and
+:meth:`TransformImage.at_many` evaluates an image at many points the same
+way, summed in BLAS order.  The pairings (:meth:`TransformImage.at`,
+:func:`kernel_eval`, :func:`opr_inner` and :func:`contraction_check`) form
+their terms elementwise and add them with numpy's pairwise sum; the single
+ones are the oracles of the batched calls.  A stack given to
+:func:`opr_inner`, and ``_contraction_rows``, the row form of
+:func:`contraction_check`, form every pairing exactly as the single call
+does and sum each row the same way, so each pairing keeps the single
+call's bits; ``_contraction_rows`` projects the whole stack in one matrix
+product, which may round differently from the one-vector product.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ __all__ = [
 ]
 
 RIDGE_SCALE = 1e-10
-_EVAL_BLOCK = 1 << 15  # entries stacked per block: features in at_many, pairing terms in _opr_inner_rows
+_EVAL_BLOCK = 1 << 15  # entries stacked per block: features in at_many, pairing terms in opr_inner
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,33 +191,32 @@ def _project_rows(basis: SpanBasis, rows) -> np.ndarray:
     return basis.solve(inner_weighted_matrix(basis.phi.grid, rows, basis.features).T).T
 
 
-def opr_inner(basis: SpanBasis, c, d) -> complex:
-    """Operator-range inner product of two image elements over one span basis.
+def opr_inner(basis: SpanBasis, c, d) -> complex | np.ndarray:
+    """Operator-range inner product of image elements over one span basis.
 
     For u = sum_i c_i k(., x_i) and v = sum_j d_j k(., x_j), given by their
     coefficient arrays, this is sum_ij conj(d_j) G_ji c_i, the inner product
-    pulled back from the source space through the coisometry.
+    pulled back from the source space through the coisometry.  c and d are
+    (m,) arrays or (R, m) stacks: two stacks are paired row by row, and one
+    array with every row of the other.  Two arrays give a complex number,
+    anything else an (R,) array.  Each pairing forms its terms elementwise
+    and adds them with numpy's pairwise sum, in blocks of at most
+    ``_EVAL_BLOCK`` terms, so a row of a stack keeps the bits of its own
+    single pairing.
     """
     c = np.asarray(c, dtype=complex)
     d = np.asarray(d, dtype=complex)
-    if c.shape != (basis.size,) or d.shape != (basis.size,):
+    m = basis.size
+    if c.shape[-1:] != (m,) or d.shape[-1:] != (m,) or max(c.ndim, d.ndim) > 2:
         raise ValueError("coefficient length must match basis size")
-    return complex(_opr_inner_rows(basis, c, d)[0])
-
-
-def _opr_inner_rows(basis: SpanBasis, cs, ds) -> np.ndarray:
-    """Entry i is :func:`opr_inner` of ``cs[i]`` and ``ds[i]`` (coefficient
-    arrays, (R, m) each, or one array (m,) paired with every row of the
-    other), each entry formed and summed as the single pairing is, in
-    blocks of at most ``_EVAL_BLOCK`` terms."""
-    cs, ds = np.broadcast_arrays(np.atleast_2d(cs), np.atleast_2d(ds))
+    cs, ds = np.broadcast_arrays(np.atleast_2d(c), np.atleast_2d(d))
     m2 = basis.gram.size
     per = max(1, _EVAL_BLOCK // m2)
     out = np.empty(len(cs), dtype=complex)
     for lo in range(0, len(cs), per):
         terms = np.conj(ds[lo:lo + per])[:, :, None] * basis.gram * cs[lo:lo + per, None, :]
         out[lo:lo + per] = terms.reshape(-1, m2).sum(axis=1)
-    return out
+    return complex(out[0]) if c.ndim == d.ndim == 1 else out
 
 
 @dataclass(frozen=True)
@@ -241,9 +241,9 @@ def _contraction_rows(basis: SpanBasis, rows) -> list:
     """:func:`contraction_check` of each row of (R, N) node values on the
     basis grid, or of one vector (N,): one projection product and solve,
     and one stacked sum for each norm."""
-    c = _project_rows(basis, rows)
+    c = np.atleast_2d(_project_rows(basis, rows))
     sq_source = _inner_weighted_rows(basis.phi.grid, rows, rows).real.tolist()
-    sq_image = _opr_inner_rows(basis, c, c).real.tolist()
+    sq_image = opr_inner(basis, c, c).real.tolist()
     reports = []
     for s, i in zip(sq_source, sq_image):
         norm_source = math.sqrt(max(s, 0.0))

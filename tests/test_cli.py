@@ -253,6 +253,7 @@ def test_verify_config_rejects_unknown_keys(tmp_path, capsys):
         ({"ndim": 3, "lo": 5, "hi": 6}, "ndim"),
         ({"probe_count": 50}, "probe_count"),  # a key RunConfig no longer has
         ({"panels": 32}, "panels"),  # a key RunConfig no longer has
+        ({"seed": -1}, "seed"),
     ],
 )
 def test_verify_config_rejects_bad_values(tmp_path, capsys, config, word):
@@ -270,6 +271,7 @@ def test_verify_config_rejects_bad_values(tmp_path, capsys, config, word):
         ("kernel", "--family", "pw", "--grid-probe", "-1"),
         ("transform", "--family", "pw", "--grid-probe", "-1"),
         ("transform", "--family", "pw", "--grid-probe", "two"),
+        ("invert", "--mode", "sobolev-span", "--seed", "-1"),
     ],
 )
 def test_negative_counts_rejected_at_parsing(capsys, argv):
@@ -330,12 +332,27 @@ def test_plancherel_norm_checks_a_radius_below_its_sweep(capsys):
         ("kernel", "--family", "sobolev", "--lo=-1e308", "--hi=1e308"),
         # the default probes lie in [-2, 2], so a (x - conj(y)) reaches 4e308
         ("kernel", "--family", "pw", "--a", "1e308"),
+        # a negative seed is refused before any suite runs, whether the
+        # suite draws or not
+        ("verify", "--suite", "kernels", "--seed", "-1"),
+        ("verify", "--suite", "contraction", "--seed", "-1"),
+        ("verify", "--suite", "all", "--seed", "-1"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_negative_seed_is_refused_before_any_suite_runs(capsys, monkeypatch):
+    # the configuration check refuses it, not numpy once a suite draws
+    ran = []
+    monkeypatch.setattr("rkhskit.cli.run_suite", lambda *args: ran.append(args))
+    for suite in ("kernels", "contraction", "all"):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--seed", "-1")
+        assert code == 2 and out == "" and err == "error: seed must be a nonnegative integer, got -1\n"
+    assert ran == []
 
 
 @pytest.mark.parametrize(

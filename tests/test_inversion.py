@@ -193,11 +193,13 @@ def test_restriction_isometry_validates_inputs():
 
 
 def _assert_batch_matches_points(recover, ts):
+    # an array of points and the list of the same points are both a batch
     got = recover(ts)
     want = np.array([recover(t) for t in ts.tolist()])
     assert isinstance(recover(ts.tolist()[0]), complex)
     assert got.shape == ts.shape[:1] and got.dtype == complex
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(recover(ts.tolist()), want, rtol=0, atol=1e-12)
 
 
 def test_batched_invert_at_matches_points(sobolev_setup):
@@ -213,21 +215,25 @@ def test_batched_invert_at_matches_points(sobolev_setup):
 
 def test_invert_at_on_a_product_map_takes_a_point_or_a_batch_of_points():
     # a (d,) array or a tuple is one point, a (k, d) array or a list of
-    # points a batch
+    # points a batch, for invert_at and for the identity sequence alike
     pw = PaleyWienerSpace(1.0, max_frequency=4.0)
     sob = SobolevSpace(make_interval(-1.0, 1.0), 0.0, panels=8, nodes_per_panel=8)
     fm = tensor_feature([pw.feature_map(), sob.feature_map([-0.5, 0.5])])
     basis = build_span_basis(fm, [(x, y) for x in (-3.0, 0.0, 3.0) for y in (-0.5, 0.5)])
     image = transform(span_combination(basis, np.arange(1.0, 7.0) + 0.5j), fm)
     ts = np.array([(0.0, 0.5), (1.0, -0.2), (-2.0, 0.9)])
+    direct = lambda t: inv.invert_at(image, t, basis)
+    viaseq = lambda t: inv.generalized_invert_at(inv.identity_sequence(fm), image, t, basis)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        _assert_batch_matches_points(lambda t: inv.invert_at(image, t, basis), ts)
-        assert inv.invert_at(image, (1.0, -0.2), basis) == inv.invert_at(image, ts[1], basis)
-        assert inv.invert_at(image, ts.tolist(), basis).tolist() == inv.invert_at(image, ts, basis).tolist()
+        for recover in (direct, viaseq):
+            _assert_batch_matches_points(recover, ts)
+            assert recover((1.0, -0.2)) == recover(ts[1])
+            assert recover(ts.tolist()).tolist() == recover(ts).tolist()
     for bad in (0.5, np.zeros(3), np.zeros((4, 3)), np.zeros((2, 2, 2))):
-        with pytest.raises(ValueError, match="t must be a point of shape \\(2,\\)"):
-            inv.invert_at(image, bad, basis)
+        for recover in (direct, viaseq):
+            with pytest.raises(ValueError, match="t must be a point of shape \\(2,\\)"):
+                recover(bad)
 
 
 def test_batched_generalized_inversion_matches_points(pw_setup):
@@ -241,6 +247,8 @@ def test_batched_generalized_inversion_matches_points(pw_setup):
     ]
     for seq, ts in cases:
         _assert_batch_matches_points(lambda t: inv.generalized_invert_at(seq, image, t, basis), ts)
+        with pytest.raises(ValueError, match="t must be a point of shape \\(\\)"):
+            inv.generalized_invert_at(seq, image, np.zeros((2, 2, 2)), basis)
 
 
 def test_batched_pairing_and_residual_are_the_single_pairings_bit_for_bit(sobolev_setup, monkeypatch):
@@ -256,21 +264,20 @@ def test_batched_pairing_and_residual_are_the_single_pairings_bit_for_bit(sobole
     def hexes(values):
         return [(complex(z).real.hex(), complex(z).imag.hex()) for z in values]
 
-    assert hexes(inv._pair_with_sections(image, basis, D, False)) == hexes(opr_inner(basis, c, d) for d in D.T)
-    residuals = []
-    real_rows = inv._opr_inner_rows
+    stacked = []
 
     def spy(basis_, cs, ds):
-        out = real_rows(basis_, cs, ds)
-        residuals.append(out)
+        out = opr_inner(basis_, cs, ds)
+        stacked.append(out)
         return out
 
-    monkeypatch.setattr(inv, "_opr_inner_rows", spy)
+    monkeypatch.setattr(inv, "opr_inner", spy)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         got = inv.invert_at(image, ts, basis)
-    assert hexes(residuals[0]) == hexes(opr_inner(basis, d, d) for d in D.T)
-    assert hexes(got) == hexes(opr_inner(basis, c, d) for d in D.T)
+    residual, pairing = stacked
+    assert hexes(residual) == hexes(opr_inner(basis, d, d) for d in D.T)
+    assert hexes(got) == hexes(pairing) == hexes(opr_inner(basis, c, d) for d in D.T)
 
 
 def test_batched_invert_at_warns_for_the_off_basis_point(sobolev_setup):

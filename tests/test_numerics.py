@@ -35,7 +35,7 @@ from rkhskit.numerics import (
 )
 from rkhskit.spaces import SobolevSpace
 from rkhskit.suites import RunConfig, run_suite
-from rkhskit.transforms import _opr_inner_rows, build_span_basis, transform
+from rkhskit.transforms import build_span_basis, opr_inner, transform
 
 LN2 = 0.6931471805599453  # integral of 1/(1+t) over (0,1)
 
@@ -309,7 +309,7 @@ def test_pairings_are_within_the_sum_bound_of_math_fsum(kind, rows, seed):
         C *= 1e8
         GC = C @ basis.gram.T
         D -= (np.sum(np.conj(GC) * D, axis=1) / np.sum(np.abs(GC) ** 2, axis=1))[:, None] * GC
-    for c, d, got in zip(C, D, _opr_inner_rows(basis, C, D)):
+    for c, d, got in zip(C, D, opr_inner(basis, C, D)):
         _assert_within_sum_bound(got, np.conj(d)[:, None] * basis.gram * c[None, :])
 
 

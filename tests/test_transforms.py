@@ -9,7 +9,6 @@ from rkhskit.numerics import HVector, build_grid, inner_weighted, make_interval,
 from rkhskit.spaces import PaleyWienerSpace, SobolevSpace, tensor_feature
 from rkhskit.transforms import (
     _contraction_rows,
-    _opr_inner_rows,
     _project_rows,
     build_span_basis,
     contraction_check,
@@ -176,12 +175,13 @@ def test_project_span_recovers_member_coeffs():
 
 
 def test_opr_inner_refuses_wrong_coefficient_length(sobolev):
-    # coefficients over another, smaller basis do not fit this one, on either side
+    # coefficients over another, smaller basis do not fit this one, on either
+    # side and in a stack; neither does an array of more than two axes
     space, fm, basis = sobolev
     other = build_span_basis(fm, np.linspace(-0.8, 0.8, 5))
     c = np.ones(basis.size, dtype=complex)
     d = np.ones(other.size, dtype=complex)
-    for args in ((c, d), (d, c), (c[:, None], c)):
+    for args in ((c, d), (d, c), (c[:, None], c), (c, np.ones((3, other.size))), (c[None, None], c)):
         with pytest.raises(ValueError, match="coefficient length must match basis size"):
             opr_inner(basis, *args)
 
@@ -227,10 +227,13 @@ def test_stacked_opr_inner_is_the_single_pairing_bit_for_bit(sobolev):
     rng = np.random.default_rng(5)
     C = rng.standard_normal((7, basis.size)) + 1j * rng.standard_normal((7, basis.size))
     D = rng.standard_normal((7, basis.size)) * np.exp2(rng.integers(-30, 30, (7, basis.size))) - 1j
-    assert _hexes(_opr_inner_rows(basis, C, D)) == _hexes(opr_inner(basis, c, d) for c, d in zip(C, D))
+    assert _hexes(opr_inner(basis, C, D)) == _hexes(opr_inner(basis, c, d) for c, d in zip(C, D))
     # one coefficient array against a stack, as the inversion pairing uses it
-    assert _hexes(_opr_inner_rows(basis, C[0], D)) == _hexes(opr_inner(basis, C[0], d) for d in D)
-    assert _opr_inner_rows(basis, C[0], D[:0]).shape == (0,)
+    assert _hexes(opr_inner(basis, C[0], D)) == _hexes(opr_inner(basis, C[0], d) for d in D)
+    assert _hexes(opr_inner(basis, C, D[0])) == _hexes(opr_inner(basis, c, D[0]) for c in C)
+    assert opr_inner(basis, C[0], D[:0]).shape == (0,)
+    assert isinstance(opr_inner(basis, C[0], D[0]), complex)
+    assert opr_inner(basis, C[:1], D[0]).shape == (1,)
 
 
 def test_stacked_opr_inner_blocks_its_terms(sobolev, monkeypatch):
@@ -238,10 +241,10 @@ def test_stacked_opr_inner_blocks_its_terms(sobolev, monkeypatch):
     _, _, basis = sobolev
     rng = np.random.default_rng(6)
     C = rng.standard_normal((5, basis.size)) + 1j * rng.standard_normal((5, basis.size))
-    whole = _hexes(_opr_inner_rows(basis, C, C))
+    whole = _hexes(opr_inner(basis, C, C))
     for block in (basis.size ** 2, 2 * basis.size ** 2):
         monkeypatch.setattr("rkhskit.transforms._EVAL_BLOCK", block)
-        assert _hexes(_opr_inner_rows(basis, C, C)) == whole
+        assert _hexes(opr_inner(basis, C, C)) == whole
 
 
 def test_stacked_contraction_sums_each_row_as_the_single_check(sobolev):
