@@ -36,16 +36,32 @@ def test_demo_runs(name):
     assert proc.returncode == 0, proc.stderr.decode()[-2000:]
 
 
-def test_import_loads_only_the_stdlib_and_numpy():
-    # start-up time is what every command pays: beyond a bare numpy import,
-    # the package and its CLI load only standard-library modules (no scipy,
-    # whose linalg alone took more than half of the import time, and no
-    # jsonschema, which only `rkhskit report` needs and which cost every
-    # other command about 60 ms)
+@pytest.fixture(scope="module")
+def loaded_beyond_numpy():
+    # the top-level modules that `import rkhskit, rkhskit.cli` loads beyond a
+    # bare `import numpy`, minus the standard library, in one fresh interpreter
     code = (
         "import sys, numpy; before = set(sys.modules); import rkhskit, rkhskit.cli; "
         "print(sorted({m.split('.')[0] for m in set(sys.modules) - before} - set(sys.stdlib_module_names) - {'numpy'}))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()[-2000:]
-    assert proc.stdout.decode().strip() == "['rkhskit']"
+    return proc.stdout.decode().strip()
+
+
+def test_import_loads_only_the_stdlib_and_numpy(loaded_beyond_numpy):
+    # start-up time is what every command pays: beyond a bare numpy import,
+    # the package and its CLI load only standard-library modules
+    assert loaded_beyond_numpy == "['rkhskit']"
+
+
+def test_import_loads_no_scipy(loaded_beyond_numpy):
+    # the package needs only numpy; scipy.linalg alone would take more
+    # than half of the package's import time
+    assert "'scipy'" not in loaded_beyond_numpy
+
+
+def test_import_loads_no_jsonschema(loaded_beyond_numpy):
+    # only `rkhskit report` validates against the schema; importing
+    # jsonschema at start-up cost every other command about 60 ms
+    assert "'jsonschema'" not in loaded_beyond_numpy
