@@ -11,27 +11,27 @@ features at t.  Orthonormal-coefficient recovery is the special case
 W = little-l2 over an index set.
 
 :func:`invert_at` and :func:`generalized_invert_at` read t the same way:
-one point of the basis points' shape (a float, or a (d,) array on a
-product map), or an array or list of such points.  The (basis x batch)
-kernel table, the diagonal k(t, t) and a transformation sequence's map of
-the whole feature matrix at every point of the batch are one call each,
-and all kernel sections of the batch come from one solve with the Gram
-factor.  The pairing with the image and the coarse-basis residual are one
-stacked :func:`~rkhskit.transforms.opr_inner` call each on the span
-coefficients, so each point keeps the bits of its own single pairing.
+one point (of the basis points' shape, or of W's for a sequence), or an
+array or list of points.  The (basis x batch) kernel table, the diagonal
+k(t, t) and a sequence's map of the whole feature matrix at every point
+are one call each, all kernel sections come from one solve with the Gram
+factor, and the pairing with the image and the coarse-basis residual are
+one stacked :func:`~rkhskit.transforms.opr_inner` call each, so each
+point keeps the bits of its own single pairing.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .numerics import (
     HVector,
+    ProductGrid,
     QuadGrid,
     cumulative_integral,
     inner_weighted_matrix,
@@ -68,18 +68,18 @@ class TransformationSequence:
     ``s_apply(rows, ts)`` takes grid vectors as the rows of an (m, N) array
     on ``phi.grid`` and a list of T points of W's domain, and returns the
     (m, T) complex array of (S rows[i])(ts[j]); pairing the rows with a
-    vector on another grid raises ``ValueError``.
+    vector on another grid raises ``ValueError``.  ``point_shape``, the
+    shape of a point of W's domain, is () but on a product map's identity.
     """
 
     phi: FeatureMap
     s_apply: Callable[[np.ndarray, list], np.ndarray]
+    point_shape: tuple = field(default=(), init=False)
 
 
-def _read_points(basis: SpanBasis, t) -> tuple:
-    """(points, scalar): t as a (k,) or (k, d) array of points of the basis
-    points' shape, and whether t was one point; any other shape raises
-    ``ValueError``."""
-    shape = np.shape(basis.points)[1:]  # () on a line, (d,) on a product map
+def _read_points(shape: tuple, t) -> tuple:
+    """(points, scalar): t as a (k, *shape) array of points of that shape,
+    and whether t was one point; any other shape raises ``ValueError``."""
     scalar = np.shape(t) == shape
     if not (scalar or np.shape(t)[1:] == shape):
         raise ValueError(f"t must be a point of shape {shape} or an array of them, not shape {np.shape(t)}")
@@ -104,7 +104,7 @@ def invert_at(image: TransformImage, t, basis: SpanBasis) -> complex | np.ndarra
     k = basis.phi.closed_kernel
     if k is None:
         raise ValueError("invert_at needs a feature map with a closed kernel")
-    pts, scalar = _read_points(basis, t)
+    pts, scalar = _read_points(np.shape(basis.points)[1:], t)
     D = basis.solve(k(np.asarray(basis.points)[:, None], pts[None]))
     ktt = np.real(k(pts, pts))
     resid = np.sqrt(np.maximum(ktt - opr_inner(basis, D.T, D.T).real, 0.0))
@@ -120,13 +120,12 @@ def generalized_invert_at(
     isometry: the image-space inner product with the span projection of the
     pulled-back kernel section, assembled from conj((S phi(x_i))(t)).
 
-    t is read as :func:`invert_at` reads it, against the basis points'
-    shape; ``s_apply`` runs once, on the whole feature matrix and the list
-    of every point.
+    t is read as :func:`invert_at` reads it, against ``seq.point_shape``;
+    ``s_apply`` runs once, on the feature matrix and the list of points.
     """
     if basis.phi.grid != seq.phi.grid:
         raise ValueError("basis features and sequence live on different grids")
-    pts, scalar = _read_points(basis, t)
+    pts, scalar = _read_points(seq.point_shape, t)
     D = basis.solve(np.conj(seq.s_apply(basis.features, pts.tolist())))
     return opr_inner(basis, project_span(image.raw, basis), D.T[0] if scalar else D.T)
 
@@ -134,12 +133,15 @@ def generalized_invert_at(
 def identity_sequence(phi: FeatureMap) -> TransformationSequence:
     """S = identity; a row is evaluated at t by pairing it with phi(t), the
     kernel section of the image at t, every point's in one ``evaluate``
-    call."""
+    call; on a product map of d factors a point is a (d,) array."""
 
     def s_apply(rows: np.ndarray, ts: list) -> np.ndarray:
         return inner_weighted_matrix(phi.grid, rows, phi.evaluate(ts))
 
-    return TransformationSequence(phi, s_apply)
+    seq = TransformationSequence(phi, s_apply)
+    if isinstance(phi.grid, ProductGrid):
+        object.__setattr__(seq, "point_shape", (phi.grid.ndim,))  # frozen: set once, here
+    return seq
 
 
 def indefinite_integral_sequence(phi: FeatureMap) -> TransformationSequence:
@@ -217,9 +219,8 @@ def fourier_coeff_invert(
     """n-th orthonormal coefficient of the source, recovered through the
     transform side rather than a direct inner product (0-based index).
 
-    n is one index or an array or list of indices (then an array of
-    values); an index that is not an integer, or out of range, raises
-    ``IndexError``."""
+    n is one index or an array or list of them (then an array of values);
+    an index that is not an integer, or out of range, raises ``IndexError``."""
     return generalized_invert_at(cons_sequence(cons, phi), image, n, basis)
 
 

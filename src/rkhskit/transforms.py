@@ -197,18 +197,21 @@ def opr_inner(basis: SpanBasis, c, d) -> complex | np.ndarray:
     For u = sum_i c_i k(., x_i) and v = sum_j d_j k(., x_j), given by their
     coefficient arrays, this is sum_ij conj(d_j) G_ji c_i, the inner product
     pulled back from the source space through the coisometry.  c and d are
-    (m,) arrays or (R, m) stacks: two stacks are paired row by row, and one
-    array with every row of the other.  Two arrays give a complex number,
-    anything else an (R,) array.  Each pairing forms its terms elementwise
-    and adds them with numpy's pairwise sum, in blocks of at most
-    ``_EVAL_BLOCK`` terms, so a row of a stack keeps the bits of its own
-    single pairing.
+    (m,) arrays or (R, m) stacks of equal R: two stacks are paired row by
+    row, one array with every row of the other (other shapes raise
+    ``ValueError``).  Two arrays give a complex number, else an (R,) array.
+    Each pairing's terms are formed elementwise and added by numpy's
+    pairwise sum, in blocks of ``_EVAL_BLOCK`` terms, so a row of a stack
+    keeps the bits of its own single pairing.
     """
     c = np.asarray(c, dtype=complex)
     d = np.asarray(d, dtype=complex)
-    m = basis.size
-    if c.shape[-1:] != (m,) or d.shape[-1:] != (m,) or max(c.ndim, d.ndim) > 2:
+    if not (c.ndim in (1, 2) and d.ndim in (1, 2)):
+        raise ValueError("coefficients must be (m,) or (R, m)")
+    if c.shape[-1] != basis.size or d.shape[-1] != basis.size:
         raise ValueError("coefficient length must match basis size")
+    if c.ndim == d.ndim == 2 and len(c) != len(d):
+        raise ValueError("coefficient stacks must have the same number of rows")
     cs, ds = np.broadcast_arrays(np.atleast_2d(c), np.atleast_2d(d))
     m2 = basis.gram.size
     per = max(1, _EVAL_BLOCK // m2)

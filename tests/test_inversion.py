@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 from rkhskit import inversion as inv
-from rkhskit.numerics import HVector, build_grid, cumulative_integral, inner_weighted, make_interval, sample
+from rkhskit.numerics import (
+    HVector,
+    build_grid,
+    cumulative_integral,
+    inner_weighted,
+    inner_weighted_matrix,
+    make_interval,
+    sample,
+)
 from rkhskit.spaces import PaleyWienerSpace, SobolevSpace, tensor_feature
 from rkhskit.transforms import build_span_basis, opr_inner, project_span, span_combination, transform
 
@@ -234,6 +242,29 @@ def test_invert_at_on_a_product_map_takes_a_point_or_a_batch_of_points():
         for recover in (direct, viaseq):
             with pytest.raises(ValueError, match="t must be a point of shape \\(2,\\)"):
                 recover(bad)
+
+
+def test_coefficient_indices_on_a_product_map_are_scalar_points():
+    # W's domain for a coefficient system is its index set, whatever the
+    # feature map's arity: an integer is one index and an index array of any
+    # length (d = 2 included) a batch, each giving the source's coefficient
+    pw = PaleyWienerSpace(1.0, max_frequency=4.0)
+    sob = SobolevSpace(make_interval(-1.0, 1.0), 0.0, panels=8, nodes_per_panel=8)
+    fm = tensor_feature([pw.feature_map(), sob.feature_map([-0.5, 0.5])])
+    basis = build_span_basis(fm, [(x, y) for x in (-3.0, 0.0, 3.0) for y in (-0.5, 0.5)])
+    source = span_combination(basis, np.arange(1.0, 7.0) + 0.5j)
+    image = transform(source, fm)
+    F = fm.evaluate([(-3.0, -0.5), (0.0, 0.5), (3.0, -0.5)])
+    L = np.linalg.cholesky(inner_weighted_matrix(fm.grid, F, F).T)
+    cons = inv.OrthonormalSystem(fm.grid, np.linalg.solve(L, F))
+    assert cons.orthonormality_defect() < 1e-10
+    recover = lambda n: inv.fourier_coeff_invert(cons, fm, image, n, basis)
+    for ns in (np.arange(3), np.array([2, 0])):
+        _assert_batch_matches_points(recover, ns)
+    for n in range(3):
+        assert abs(recover(n) - cons.coefficient(source, n)) < 1e-8
+    with pytest.raises(ValueError, match="t must be a point of shape \\(\\)"):
+        recover(np.zeros((2, 2), dtype=int))
 
 
 def test_batched_generalized_inversion_matches_points(pw_setup):

@@ -176,14 +176,20 @@ def test_project_span_recovers_member_coeffs():
 
 def test_opr_inner_refuses_wrong_coefficient_length(sobolev):
     # coefficients over another, smaller basis do not fit this one, on either
-    # side and in a stack; neither does an array of more than two axes
+    # side and in a stack; neither does an array of no axis or more than two,
+    # nor two stacks of different row counts
     space, fm, basis = sobolev
     other = build_span_basis(fm, np.linspace(-0.8, 0.8, 5))
     c = np.ones(basis.size, dtype=complex)
     d = np.ones(other.size, dtype=complex)
-    for args in ((c, d), (d, c), (c[:, None], c), (c, np.ones((3, other.size))), (c[None, None], c)):
+    for args in ((c, d), (d, c), (c[:, None], c), (c, np.ones((3, other.size)))):
         with pytest.raises(ValueError, match="coefficient length must match basis size"):
             opr_inner(basis, *args)
+    for args in ((c[None, None], c), (c, np.ones((2, 2, basis.size))), (1.0, c)):
+        with pytest.raises(ValueError, match=r"coefficients must be \(m,\) or \(R, m\)"):
+            opr_inner(basis, *args)
+    with pytest.raises(ValueError, match="coefficient stacks must have the same number of rows"):
+        opr_inner(basis, np.ones((2, basis.size)), np.ones((3, basis.size)))
 
 
 def test_opr_inner_reproduces_source_inner_product(sobolev):
