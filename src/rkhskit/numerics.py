@@ -19,6 +19,8 @@ the grid is never stored, only its panel edges.
 Grids are values: :attr:`QuadGrid.key`, the Gauss order and the bytes of
 every array, is a grid's one identity.  Vectors pair only on equal grids,
 and the chirp-z plans of :mod:`rkhskit.plancherel` are cached by key.
+:func:`build_grid` serves a read-only grid to every call with its
+arguments from one bounded cache, whose eviction rule the plans share.
 
 A :class:`ProductGrid` is the one multi-axis grid: a time box, a frequency
 lattice and the grid of a tensor feature map are all products of
@@ -42,6 +44,7 @@ the run: one build on one machine gives the same bits every time.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import cached_property, lru_cache, reduce
@@ -170,6 +173,9 @@ class QuadGrid:
 # stays small
 NODE_CAP = 10 ** 7
 _MAX_GAUSS_ORDER = 128
+# build_grid's grids, least recently used first, and the bytes they may hold
+_GRIDS: OrderedDict = OrderedDict()
+_GRID_CACHE_BYTES = 8 << 20
 
 
 @lru_cache(maxsize=64)
@@ -182,16 +188,18 @@ def _gauss_rule(n: int) -> tuple:
     return tuple(_frozen(arr) for arr in arrays)
 
 
-def _require_grid(interval: Interval, panels: int, nodes_per_panel: int, segments: int = 1) -> None:
+def _require_grid(interval: Interval, panels: int, nodes_per_panel: int, segments: int = 1) -> tuple:
     """Refuse (ValueError) what :func:`build_grid` cannot build: an empty or
-    infinite interval, a panel count or Gauss order out of range, or more
-    than ``NODE_CAP`` nodes over ``segments`` segments."""
+    infinite interval, a panel count or Gauss order not a positive integer
+    or above its limit, or more than ``NODE_CAP`` nodes over ``segments``
+    segments; else return the panel count and Gauss order as ``int``."""
     if interval.empty:
         raise ValueError("cannot build a grid on an empty interval")
     if not interval.finite:
         raise ValueError("requires truncated interval")
-    if panels < 1 or nodes_per_panel < 1:
-        raise ValueError("panels and nodes_per_panel must be positive")
+    counts = (panels, nodes_per_panel)
+    if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 1 for k in counts):
+        raise ValueError("panels and nodes_per_panel must be positive integers")
     if nodes_per_panel > _MAX_GAUSS_ORDER:
         raise ValueError(f"nodes_per_panel {nodes_per_panel} exceeds the limit of {_MAX_GAUSS_ORDER}")
     # no segment gets more than one panel beyond its share of the budget;
@@ -199,6 +207,7 @@ def _require_grid(interval: Interval, panels: int, nodes_per_panel: int, segment
     size = (panels + segments) * nodes_per_panel
     if size > NODE_CAP:
         raise ValueError(f"grid of up to {Decimal(size):.3g} nodes exceeds the limit of {NODE_CAP:.0e}")
+    return int(panels), int(nodes_per_panel)
 
 
 def _gauss_panels(edges: np.ndarray, nodes_per_panel: int) -> tuple:
@@ -218,6 +227,10 @@ def build_grid(
     breakpoints: Sequence[float] = (),
 ) -> QuadGrid:
     """Build a composite Gauss-Legendre grid on a finite nonempty interval.
+
+    Grids are cached and shared: equal arguments, ``rho`` by identity (so it
+    must be a pure function of the nodes), return the grid built first, up
+    to ``_GRID_CACHE_BYTES`` (8 MiB) of grids, least recently used out first.
 
     Parameters
     ----------
@@ -242,7 +255,15 @@ def build_grid(
     """
     lo, hi = interval.lo, interval.hi
     cuts = sorted({float(b) for b in breakpoints if lo < b < hi})
-    _require_grid(interval, panels, nodes_per_panel, len(cuts) + 1)
+    panels, nodes_per_panel = _require_grid(interval, panels, nodes_per_panel, len(cuts) + 1)
+    key = (float(lo).hex(), float(hi).hex(), panels, nodes_per_panel, id(rho), *map(float.hex, cuts))
+    # the entry holds rho, so no other callable takes its id while it lives
+    build = lambda: (_build_grid(lo, hi, cuts, panels, nodes_per_panel, rho), rho)
+    return _cached(_GRIDS, key, build, _grid_bytes, _GRID_CACHE_BYTES)[0]
+
+
+def _build_grid(lo: float, hi: float, cuts: list, panels: int, nodes_per_panel: int, rho: Callable | None):
+    """The :class:`QuadGrid` of :func:`build_grid`, cut at the sorted interior ``cuts``, built afresh."""
     seg_edges = np.array([lo, *cuts, hi])
     seg_len = np.diff(seg_edges)
     counts = np.maximum(1.0, np.rint(panels * (seg_len / (hi - lo)))).astype(int)
@@ -262,6 +283,34 @@ def build_grid(
     for arr in (nodes, weights, rho_vals, panel_edges):
         arr.setflags(write=False)
     return QuadGrid(nodes, weights, rho_vals, panel_edges, nodes_per_panel)
+
+
+def _grid_bytes(entry: tuple) -> int:
+    """Bytes of a (key, (grid, rho)) item of ``_GRIDS``: the grid's four arrays twice,
+    as ``QuadGrid.key`` copies them, and its ``rho_weights``."""
+    g = entry[1][0]
+    return 2 * (g.nodes.nbytes + g.weights.nbytes + g.rho_at_nodes.nbytes + g.panel_edges.nbytes) + g.nodes.nbytes
+
+
+def _cached(cache: OrderedDict, key, build: Callable, entry_bytes: Callable, bound: int):
+    """``cache[key]``, made the most recently used, or else ``build()``, kept
+    unless None or over ``bound`` alone; the least recently used entries go
+    while ``entry_bytes`` of all exceed ``bound``, a sum kept in ``cache.held``
+    with the entry count it is for and taken afresh only if that changed."""
+    if key in cache:
+        cache.move_to_end(key)
+        return cache[key]
+    value = build()
+    if value is None or (size := entry_bytes((key, value))) > bound:
+        return value
+    count, held = getattr(cache, "held", (None, 0))
+    if count != len(cache):
+        held = sum(map(entry_bytes, cache.items()))
+    cache[key], held = value, held + size
+    while held > bound:
+        held -= entry_bytes(cache.popitem(last=False))
+    cache.held = (len(cache), held)
+    return value
 
 
 def _gauss_panel_blocks(interval: Interval, panels: int, nodes_per_panel: int, block_panels: int):

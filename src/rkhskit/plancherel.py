@@ -30,9 +30,9 @@ pre-chirp times the source weights, the post-chirp and the FFT of the
 data column, a matmul, an inverse FFT and the post-chirp.  Plans are kept
 in one module-level cache, ``_PLANS``, keyed on the sign and both grids'
 :attr:`~rkhskit.numerics.QuadGrid.key`, so an equal key fixes the plan bit
-for bit, and a hit and a miss apply the same read-only arrays.  The
-cache drops its least recently used plans above ``_PLAN_CACHE_BYTES``
-(32 MiB) of plans and keys; the Plancherel suites build 9 plans.
+for bit.  Like :func:`~rkhskit.numerics.build_grid`'s grids, which every
+box shares, it drops its least recently used entries above a byte bound,
+32 MiB (``_PLAN_CACHE_BYTES``); the Plancherel suites build 9 plans.
 
 The checks take a source as its factors: a tuple of one-argument
 callables, one per axis, whose product it is; on a 1-D box a plain callable
@@ -74,6 +74,7 @@ from .numerics import (
     NODE_CAP,
     ProductGrid,
     QuadGrid,
+    _cached,
     build_grid,
     integrate,
     make_interval,
@@ -126,25 +127,22 @@ def box_domain(
     exp(-i t x) factors up to |x| = max_frequency; pick max_frequency at
     least the frequency radius the transform will be evaluated on.
 
-    Axes with equal half-widths share one grid, of at least 8 panels that
-    each resolve ``max_frequency`` or more.  A frequency box is built the
-    same way, with the time half-width as its ``max_frequency``.  The box
-    holds only its axes; a dense array over more than ``NODE_CAP`` nodes
-    is refused where it is formed (``ProductGrid.require_dense``).
+    Axes with equal half-widths share one grid (``build_grid`` caches it),
+    of at least 8 panels that each resolve ``max_frequency`` or more.  A
+    frequency box is built the same way, with the time half-width as its
+    ``max_frequency``.  The box holds only its axes; a dense array over
+    more than ``NODE_CAP`` nodes is refused where it is formed
+    (``ProductGrid.require_dense``).
     """
     hws = tuple(half_widths)
     if not 1 <= len(hws) <= 3:
         raise ValueError("dimension must be between 1 and 3")
     if not (math.isfinite(max_frequency) and max_frequency > 0):
         raise ValueError("max_frequency must be positive and finite")
-    grids = {}
-    for a in hws:
-        if not (math.isfinite(a) and a > 0):
-            raise ValueError("half-widths must be positive and finite")
-        if a not in grids:
-            panels = panels_for_oscillation(2.0 * a, max_frequency, minimum=8)
-            grids[a] = build_grid(make_interval(-a, a), panels, nodes_per_panel)
-    return ProductGrid(tuple(grids[a] for a in hws))
+    if not all(math.isfinite(a) and a > 0 for a in hws):
+        raise ValueError("half-widths must be positive and finite")
+    panels = [panels_for_oscillation(2.0 * a, max_frequency, minimum=8) for a in hws]
+    return ProductGrid(tuple(build_grid(make_interval(-a, a), p, nodes_per_panel) for a, p in zip(hws, panels)))
 
 
 def _axis_apply(arr: np.ndarray, axis: int, dst_nodes: np.ndarray, src: QuadGrid, sign: float) -> np.ndarray:
@@ -258,23 +256,13 @@ def _chirp_plan(dst: QuadGrid, src: QuadGrid, sign: float) -> _ChirpPlan | None:
     not uniform.
 
     Plans are kept in ``_PLANS``, keyed on the sign and both grids'
-    ``QuadGrid.key``, so an equal key means an equal plan, and a hit and a
-    miss apply the same arrays.  The least recently used plans are dropped
-    once the plans and their keys hold more than ``_PLAN_CACHE_BYTES``; a
-    plan larger than that alone is applied and not kept.
+    ``QuadGrid.key``, so a hit and a miss apply the same arrays, by the
+    eviction rule of ``build_grid``'s grids at ``_PLAN_CACHE_BYTES``.
     """
     if min(src.size, dst.size) < _CHIRP_MIN_NODES:
         return None
     key = (float(sign), *src.key, *dst.key)
-    if key in _PLANS:
-        _PLANS.move_to_end(key)
-        return _PLANS[key]
-    plan = _build_plan(dst, src, sign)
-    if plan is not None and _entry_bytes((key, plan)) <= _PLAN_CACHE_BYTES:
-        _PLANS[key] = plan
-        while sum(map(_entry_bytes, _PLANS.items())) > _PLAN_CACHE_BYTES:
-            _PLANS.popitem(last=False)
-    return plan
+    return _cached(_PLANS, key, lambda: _build_plan(dst, src, sign), _entry_bytes, _PLAN_CACHE_BYTES)
 
 
 def _entry_bytes(entry: tuple) -> int:

@@ -4,7 +4,7 @@ import functools
 import importlib
 import math
 import warnings
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import fields
 from dataclasses import replace
 from fractions import Fraction
@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 from numpy.polynomial import legendre
 
 from rkhskit import numerics
+from rkhskit import plancherel as pl
 from rkhskit.numerics import (
     HVector,
+    Interval,
     ProductGrid,
     QuadGrid,
     build_grid,
@@ -241,6 +243,10 @@ def test_streamed_blocks_are_the_grid(ends, panels, order, per):
         (make_interval(0.0, 1.0), 4, 129),
         (make_interval(0.0, 1.0), 10 ** 400, 8),
         (make_interval(0.0, 1.0), 10 ** 7 // 16, 16),
+        (make_interval(0.0, 1.0), 2, 4.0),
+        (make_interval(0.0, 1.0), 3, True),
+        (make_interval(0.0, 1.0), 2.5, 4),
+        (make_interval(0.0, 1.0), np.float64(4.0), 8),
     ],
 )
 def test_streamed_blocks_refuse_what_build_grid_refuses(interval, panels, order):
@@ -484,15 +490,24 @@ def test_product_grid_shape_and_size_are_lazy():
     assert grid != product_grid([gy, gx])
 
 
+@pytest.fixture
+def grids(monkeypatch):
+    """An empty grid cache for one test; the module's own comes back after."""
+    cache = OrderedDict()
+    monkeypatch.setattr(numerics, "_GRIDS", cache)
+    return cache
+
+
 @pytest.mark.parametrize("n", range(1, 25))
-def test_cached_gauss_rule_builds_the_same_grid(n):
+def test_cached_gauss_rule_builds_the_same_grid(n, grids):
     interval = make_interval(-0.7, 1.3)
     edges = np.append(np.linspace(-0.7, 1.3, 6)[:-1], 1.3)
     xi, om = legendre.leggauss(n)
     nodes = (edges[:-1, None] + np.diff(edges)[:, None] * (xi + 1.0) / 2.0).ravel()
     weights = (np.diff(edges)[:, None] * om / 2.0).ravel()
     numerics._gauss_rule.cache_clear()
-    for _ in range(2):  # the build that fills the cache, then one served from it
+    for _ in range(2):  # the build that fills the rule cache, then one served from it
+        grids.clear()
         g = build_grid(interval, 5, n)
         np.testing.assert_array_equal(g.nodes, nodes)
         np.testing.assert_array_equal(g.weights, weights)
@@ -525,7 +540,7 @@ def test_gauss_panels_scale_the_unit_panel_rule_bit_for_bit(lo, hi):
         assert weights.tobytes() == (widths * om / 2.0).ravel().tobytes()
 
 
-def test_gauss_rule_built_once_per_order(monkeypatch):
+def test_gauss_rule_built_once_per_order(monkeypatch, grids):
     calls = Counter()
     leggauss = legendre.leggauss
 
@@ -537,3 +552,132 @@ def test_gauss_rule_built_once_per_order(monkeypatch):
     numerics._gauss_rule.cache_clear()
     run_suite("inversion", RunConfig(suite="inversion"))
     assert calls and max(calls.values()) == 1
+
+
+def _fresh(interval, panels, order, rho=None, breakpoints=()):
+    """The grid of build_grid's private builder, never cached."""
+    cuts = sorted({float(b) for b in breakpoints if interval.lo < b < interval.hi})
+    return numerics._build_grid(interval.lo, interval.hi, cuts, panels, order, rho)
+
+
+@pytest.mark.parametrize(
+    "interval, panels, order, rho, breakpoints",
+    [
+        (make_interval(-0.7, 1.3), 5, 8, None, ()),
+        (make_interval(0.0, 1.0), 12, 3, lambda t: 1.0 + t, (0.25, 0.5)),
+        (make_interval(-8e307, 8e307), 2, 4, None, (0.0,)),
+        (make_interval(-3.7, 11.2), 301, 16, np.exp, ()),
+    ],
+)
+def test_served_grid_is_a_fresh_build_byte_for_byte(interval, panels, order, rho, breakpoints, grids):
+    g = build_grid(interval, panels, order, rho, breakpoints)
+    assert build_grid(interval, panels, order, rho, breakpoints) is g and len(grids) == 1
+    fresh = _fresh(interval, panels, order, rho, breakpoints)
+    assert fresh is not g
+    for name in ("nodes", "weights", "rho_at_nodes", "panel_edges"):
+        assert getattr(g, name).tobytes() == getattr(fresh, name).tobytes(), name
+    assert g.key == fresh.key
+
+
+def test_equal_arguments_give_one_grid(grids):
+    g = build_grid(make_interval(-1.0, 1.0), 8, 4, breakpoints=(0.3, -0.2))
+    assert build_grid(make_interval(1.0, -1.0), 8, 4, breakpoints=[-0.2, 0.3, 0.3, 5.0]) is g
+    assert build_grid(Interval(-1, 1), np.int64(8), np.int32(4), breakpoints=np.array([0.3, -0.2])) is g
+    h = build_grid(make_interval(-1.0, 1.0), np.int64(8), np.int32(4))
+    assert type(h.nodes_per_panel) is int and h is build_grid(make_interval(-1.0, 1.0), 8, 4)
+    assert len(grids) == 2
+
+
+def test_weights_and_signed_zeros_key_their_own_grids(grids):
+    class Unhashable:
+        __hash__ = None
+
+        def __call__(self, t):
+            return 2.0 + t
+
+    iv = make_interval(-1.0, 1.0)
+    rho = Unhashable()
+    g = build_grid(iv, 6, 5, rho)
+    assert build_grid(iv, 6, 5, rho) is g
+    other = build_grid(iv, 6, 5, Unhashable())  # equal values, another weight object
+    assert other is not g and other == g
+    assert build_grid(iv, 6, 5) is not g and len(grids) == 3
+    # -0.0 and 0.0 are equal floats of other bits: each, at an end or at a
+    # cut, keys its own grid, which has the bits of its own fresh build
+    for lo, hi, cut in [(-0.0, 1.0, 0.5), (-1.0, -0.0, -0.5), (-1.0, 1.0, -0.0)]:
+        pair = []
+        for sign in (1.0, -1.0):
+            ends = [math.copysign(0.0, sign) if x == 0.0 else x for x in (lo, hi, cut)]
+            pair.append(build_grid(Interval(*ends[:2]), 4, 3, breakpoints=ends[2:]))
+            assert pair[-1].key == _fresh(Interval(*ends[:2]), 4, 3, breakpoints=ends[2:]).key
+        assert pair[0] is not pair[1]
+    # as the last panel edge, a zero upper end keeps its sign
+    assert build_grid(Interval(-1.0, -0.0), 4, 3) != build_grid(Interval(-1.0, 0.0), 4, 3)
+    assert len(grids) == 11
+
+
+def test_refusals_raise_on_every_call_and_are_never_cached(grids):
+    calls = []
+
+    def negative(t):
+        calls.append(t.size)
+        return -1.0 - 0.0 * t
+
+    iv = make_interval(0.0, 1.0)
+    # grids whose arguments compare equal to some refused ones below
+    valid = [build_grid(iv, 2, 4), build_grid(iv, 3, 1), build_grid(iv, 1, 4)]
+    refused = [
+        ((make_interval(1.0, 1.0), 4, 8), "empty"),
+        ((make_interval(0.0, math.inf), 4, 8), "truncated"),
+        ((iv, 0, 8), "positive integers"),
+        ((iv, 2, 4.0), "positive integers"),
+        ((iv, 3, True), "positive integers"),
+        ((iv, 2.5, 4), "positive integers"),
+        ((iv, 1.0, 4), "positive integers"),
+        ((iv, 4, 129), "exceeds the limit"),
+        ((iv, 10 ** 7, 8), "exceeds the limit"),
+        ((iv, 4, 8, negative), "invalid weight"),
+        ((iv, 4, 8, lambda t: 2.0), "one value per node"),
+    ]
+    for args, message in refused:
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                build_grid(*args)
+    assert calls == [32, 32] and [g for g, _ in grids.values()] == valid
+
+
+def test_grid_cache_never_holds_more_than_its_bound(grids, monkeypatch):
+    # a bound of two of the grids below: the least recently used goes first,
+    # and a grid larger than the bound is built but not kept
+    iv = make_interval(-1.0, 1.0)
+    for panels in (100, 101, 102):
+        g = build_grid(iv, panels, 4)
+        assert numerics._grid_bytes((None, (g, None))) == 2 * len(g.key[1]) + g.rho_weights.nbytes
+    size = max(map(numerics._grid_bytes, grids.items()))
+    grids.clear()
+    monkeypatch.setattr(numerics, "_GRID_CACHE_BYTES", 2 * size + size // 2)
+    a = build_grid(iv, 100, 4)
+    b = build_grid(iv, 101, 4)
+    assert build_grid(iv, 100, 4) is a  # now the most recent
+    build_grid(iv, 102, 4)
+    assert len(grids) == 2 and sum(map(numerics._grid_bytes, grids.items())) <= numerics._GRID_CACHE_BYTES
+    assert build_grid(iv, 100, 4) is a
+    assert build_grid(iv, 101, 4) is not b  # dropped, so built again
+    kept = list(grids.values())
+    big = build_grid(iv, 1000, 4)
+    assert big is not build_grid(iv, 1000, 4) and big == build_grid(iv, 1000, 4)
+    assert list(grids.values()) == kept
+    # the byte total kept with the cache is its entries' total
+    assert grids.held == (2, sum(map(numerics._grid_bytes, grids.items())))
+
+
+def test_a_verify_run_builds_each_distinct_grid_once(grids, monkeypatch):
+    # from empty grid and plan caches: every grid is built once, however
+    # many boxes, spaces and probes ask for it, and a second run builds none
+    monkeypatch.setattr(pl, "_PLANS", OrderedDict())
+    built, build = [], numerics._build_grid
+    monkeypatch.setattr(numerics, "_build_grid", lambda *args: built.append(build(*args)) or built[-1])
+    run_suite("all", RunConfig())
+    assert built and len(set(built)) == len(built) == len(grids)
+    run_suite("all", RunConfig())
+    assert len(built) == len(grids)

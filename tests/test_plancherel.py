@@ -136,6 +136,8 @@ def test_equal_half_widths_share_one_axis():
     assert box.axes[0] is box.axes[1]
     assert box.axes[2] is not box.axes[0]
     assert box.shape == (box.axes[0].size, box.axes[0].size, box.axes[2].size)
+    # and with the axes of a later box of the same half-widths
+    assert pl.box_domain((3.0,), max_frequency=5.0, nodes_per_panel=2).axes[0] is box.axes[2]
 
 
 def test_resolution_guard():
