@@ -104,10 +104,8 @@ def cmd_kernel(args) -> int:
     space, pts = _family_setup(args, 2.0)
     if not pts:
         raise ConfigError("no probe points")
-    # one table call; a Sobolev space broadcasts through its feature map's closed kernel
-    table = space.kernel if args.family == "pw" else space.feature_map().closed_kernel
     xs = np.asarray(pts)
-    K = table(xs[:, None], xs[None, :]).tolist()
+    K = space.kernel(xs[:, None], xs[None, :]).tolist()
     rows = [
         [_fmt(x), _fmt(y), _fmt(k.real), _fmt(k.imag)] for x, row in zip(pts, K) for y, k in zip(pts, row)
     ]

@@ -122,49 +122,50 @@ class SobolevSpace:
         self.interval = interval
         self.c = float(c)
         self.rho = RHO_REGISTRY["const"] if rho is None else rho
-        self.panels = int(panels)
-        self.nodes_per_panel = int(nodes_per_panel)
         self.grid = build_grid(interval, panels, nodes_per_panel, self.rho, breakpoints=(self.c,))
+        self.panels, self.nodes_per_panel = int(panels), self.grid.nodes_per_panel  # validated by build_grid
         if not np.all(np.isfinite(1.0 / self.grid.rho_at_nodes)):
             raise ValueError("invalid weight function")
 
     def _require_points(self, points) -> np.ndarray:
-        x = np.asarray(points, dtype=float)
+        x = np.asarray(points)
+        if np.iscomplexobj(x):
+            raise ValueError("points must be real")
+        x = np.asarray(x, dtype=float)
         if not ((self.interval.lo <= x) & (x <= self.interval.hi)).all():
             raise ValueError("point outside the interval")
         return x
 
-    def kernel(
-        self, x: float, y: float, *, panels: int | None = None, nodes_per_panel: int | None = None
-    ) -> float:
-        """Kernel value at one pair of points: the one-entry :meth:`_kernel_table`."""
-        return float(self._kernel_table(float(x), float(y), panels, nodes_per_panel))
+    def kernel(self, x, y, *, panels: int | None = None, nodes_per_panel: int | None = None) -> float | np.ndarray:
+        """The kernel, broadcast as :meth:`PaleyWienerSpace.kernel` is: see :meth:`_kernel_table`."""
+        return self._kernel_table(x, y, panels, nodes_per_panel)
 
-    def _kernel_table(
-        self, xs, ys, panels: int | None = None, nodes_per_panel: int | None = None
-    ) -> np.ndarray:
+    def _kernel_table(self, xs, ys, panels: int | None = None, nodes_per_panel: int | None = None):
         """The integral of 1/rho over (c, med{x, y, c}), broadcast over arrays
-        of points xs and ys.
+        of points xs and ys (one float for two scalars).
 
         Closed form |P(med) - P(c)| for a :class:`Weight`, its primitive
         applied to the whole array; any other weight is integrated by Gauss
         quadrature with ``panels`` and ``nodes_per_panel`` (the space's own
         by default), one entry at a time.  Endpoint arguments mean the
         continuous extension; where that is infinite (1/rho not integrable
-        up to the point) the closed form raises ``ValueError``.
+        up to the point) either route raises ``ValueError``.  Feature maps
+        take this, not :meth:`kernel`, as their closed kernel: the counter
+        that ``perfbench/tracer.py`` wraps ``kernel`` with reads one pair.
         """
         x, y = self._require_points(xs), self._require_points(ys)
         med = np.maximum(np.minimum(x, y), np.minimum(np.maximum(x, y), self.c))
-        if not isinstance(self.rho, Weight):
+        if isinstance(self.rho, Weight):
+            P = self.rho.inv_primitive
+            with np.errstate(divide="ignore", invalid="ignore"):
+                k = np.abs(P(med) - P(self.c))
+        else:
             quad = lambda m: self._quadrature_kernel(m, panels, nodes_per_panel)
-            return np.vectorize(quad, otypes=[float])(med)
-        P = self.rho.inv_primitive
-        with np.errstate(divide="ignore", invalid="ignore"):
-            k = np.abs(P(med) - P(self.c))
+            k = np.vectorize(quad, otypes=[float])(med)
         if not np.isfinite(k).all():
             m = med[~np.isfinite(k)][0]
             raise ValueError(f"1/rho is not integrable from c = {self.c:g} to {m:g}")
-        return k
+        return k if k.ndim else float(k)
 
     def _quadrature_kernel(self, m: float, panels: int | None, nodes_per_panel: int | None) -> float:
         seg = make_interval(self.c, m)
@@ -176,6 +177,8 @@ class SobolevSpace:
     def _feature_values(self, points, grid: QuadGrid) -> np.ndarray:
         """chi_(c,x)/rho at the grid nodes: a row per point of a set, or one vector."""
         x = self._require_points(points)[..., None]
+        if x.ndim > 2:
+            raise ValueError(f"a point set has at most one axis, not shape {np.shape(points)}")
         ind = (grid.nodes > np.minimum(self.c, x)) & (grid.nodes < np.maximum(self.c, x))
         return np.where(ind, 1.0 / grid.rho_at_nodes, 0.0).astype(complex)
 
@@ -210,24 +213,18 @@ class SobolevSpace:
     def indefinite_transform(self, f: HVector) -> Callable:
         """Transform of an L2 vector into this space: x maps to the integral
         of f over the set between c and x (nonnegative orientation on both
-        sides of c)."""
-        F = self._primitive(f)
-
-        def fhat(x):
-            xs = np.asarray(x, dtype=float)
-            out = np.atleast_1d(F(np.atleast_1d(xs)))
-            flip = np.atleast_1d(xs) < self.c
-            out = np.where(flip, -out, out)
-            return complex(out[0]) if xs.ndim == 0 else out
-
-        return fhat
-
-    def _primitive(self, f: HVector) -> Callable:
+        sides of c); it reads points as :func:`cumulative_integral`'s primitive does."""
         if not (f.grid.interval.lo == self.interval.lo and f.grid.interval.hi == self.interval.hi):
             raise ValueError("vector must live on a grid over the space's interval")
-        F0 = cumulative_integral(f.grid, f.values)
-        Fc = F0(self.c)
-        return lambda x: F0(x) - Fc
+        F = cumulative_integral(f.grid, f.values)
+        Fc = F(self.c)
+
+        def fhat(x):
+            out = F(x) - Fc
+            flip = np.asarray(x, dtype=float) < self.c
+            return np.where(flip, -out, out) if flip.ndim else (-out if flip else out)
+
+        return fhat
 
     def norm_from_samples(self, u: HVector) -> float:
         """Space norm of a member given by node samples.
@@ -290,6 +287,8 @@ class PaleyWienerSpace:
 
     def _feature_values(self, points) -> np.ndarray:
         x = np.asarray(points, dtype=complex)
+        if x.ndim > 1:
+            raise ValueError(f"a point set has at most one axis, not shape {x.shape}")
         if (x.imag != 0.0).any():
             raise ValueError("complex evaluation via closed form only")
         if (np.abs(x.real) > self.max_frequency).any():

@@ -8,10 +8,13 @@ import math
 from dataclasses import fields
 
 import jsonschema
+import numpy as np
 import pytest
 
-from rkhskit.cli import build_parser, main
+from rkhskit.cli import _fmt, build_parser, main
+from rkhskit.numerics import make_interval
 from rkhskit.reporting import REPORT_SCHEMA
+from rkhskit.spaces import RHO_REGISTRY, SobolevSpace
 from rkhskit.suites import SUITES, RunConfig, run_suite
 
 LN15 = 0.4054651081081644
@@ -36,6 +39,26 @@ def test_kernel_csv_sobolev(capsys):
     table = {(r[0], r[1]): float(r[2]) for r in rows[1:]}
     assert table[("0.5", "0.9")] == pytest.approx(LN15, abs=1e-11)
     assert table[("0.9", "0.9")] == pytest.approx(math.log(1.9), abs=1e-11)
+
+
+@pytest.mark.parametrize(
+    "options", [(), ("--rho", "affine", "--lo", "0", "--hi", "1")], ids=["const", "affine"]
+)
+def test_kernel_sobolev_is_one_space_kernel_table(capsys, monkeypatch, options):
+    # both families make one space.kernel call; no Sobolev feature map is built
+    def no_feature_map(*args, **kwargs):
+        raise AssertionError("kernel must not build a feature map")
+
+    argv = ["kernel", "--family", "sobolev", *options, "--points", "0.05,0.5,0.9,0"]
+    args = build_parser().parse_args(argv)
+    space = SobolevSpace(make_interval(args.lo, args.hi), args.c, RHO_REGISTRY[args.rho])
+    monkeypatch.setattr(SobolevSpace, "feature_map", no_feature_map)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    xs = np.array([0.05, 0.5, 0.9, 0.0])
+    K = space.kernel(xs[:, None], xs[None, :])
+    want = [[_fmt(x), _fmt(y), _fmt(k), "0"] for x, row in zip(xs, K) for y, k in zip(xs, row)]
+    assert rows_of(out) == [["x", "y", "re", "im"], *want]
 
 
 def test_kernel_grid_probe_default(capsys):

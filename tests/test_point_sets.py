@@ -8,10 +8,10 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from rkhskit.numerics import make_interval
+from rkhskit.numerics import make_interval, sample
 from rkhskit.spaces import RHO_REGISTRY, PaleyWienerSpace, SobolevSpace, tensor_feature, tensor_kernel
 from rkhskit.suites import RunConfig, run_suite
-from rkhskit.transforms import build_span_basis
+from rkhskit.transforms import build_span_basis, transform
 
 EPS = np.finfo(float).eps
 
@@ -121,6 +121,42 @@ def test_sobolev_kernel_table_of_a_bare_weight_is_the_quadrature_entry_by_entry(
     assert K.tolist() == [[bare.kernel(x, y) for y in pts.tolist()] for x in pts.tolist()]
 
 
+@pytest.mark.parametrize(
+    "rho, panels",
+    [(RHO_REGISTRY["affine"], None), (lambda t: 1.0 + t, None), (lambda t: 1.0 + t, 8)],
+    ids=["registry", "bare", "bare-panels-8"],
+)
+def test_sobolev_kernel_broadcasts_as_its_single_pairs_bit_for_bit(rho, panels):
+    # SobolevSpace.kernel takes points or arrays of them, as
+    # PaleyWienerSpace.kernel does; both sides of c = 1.25, c and the ends
+    sob = SobolevSpace(make_interval(-0.5, 3.0), 1.25, rho)
+    X = np.array([-0.5, 0.1, 0.9, 1.25, 1.7, 2.4, 3.0])
+    K = sob.kernel(X[:, None], X[None, :], panels=panels)
+    assert K.shape == (7, 7)
+    ones = [[sob.kernel(x, y, panels=panels) for y in X.tolist()] for x in X.tolist()]
+    assert all(type(k) is float for row in ones for k in row)
+    assert K.tolist() == ones
+    assert _hexes(sob.kernel(X, X[::-1], panels=panels)) == _hexes(np.diag(np.fliplr(K)))
+    if panels is None:
+        assert K.tolist() == sob.feature_map().closed_kernel(X[:, None], X[None, :]).tolist()
+    single = _message(lambda: sob.kernel(3.5, 0.5))
+    assert single == "point outside the interval"
+    assert _message(lambda: sob.kernel(np.append(X, 3.5)[:, None], X[None, :], panels=panels)) == single
+
+
+def test_indefinite_transform_of_an_array_is_its_point_calls_bit_for_bit():
+    sob = SobolevSpace(make_interval(-0.5, 3.0), 1.25, RHO_REGISTRY["affine"])
+    fhat = sob.indefinite_transform(sample(sob.grid, lambda t: np.cos(3.0 * t) + 0.4j * t * t))
+    xs = np.array([-0.5, 0.3, 1.25, 2.0, 3.0])  # both sides of c, c itself and the ends
+    singles = [fhat(x) for x in xs.tolist()]
+    assert all(type(v) is complex for v in singles)
+    assert singles[2] == 0.0
+    for points in (xs, xs.tolist(), xs.reshape(5, 1)):
+        got = fhat(points)
+        assert got.shape == np.shape(points)
+        assert _hexes(got) == _hexes(singles)
+
+
 def test_tensor_kernel_table_is_the_pairwise_product():
     pw, sob, pw_fm, sob_fm = _maps()
     prod = tensor_feature([pw_fm, sob_fm])
@@ -213,3 +249,40 @@ def test_reproducing_suite_takes_one_slope_table_per_case(monkeypatch):
     monkeypatch.setattr(SobolevSpace, "kernel_section_slope", spy)
     assert all(r.passed for r in run_suite("reproducing", RunConfig(suite="reproducing")).records)
     assert calls == [(20,)] * 4
+
+
+def test_a_point_set_of_more_than_one_axis_is_refused_with_its_shape():
+    # evaluate, feature, kernel_section_slope, build_span_basis and at_many
+    # read a point or one axis of points; the kernels broadcast any shape
+    pw, sob, pw_fm, sob_fm = _maps()
+    for fm in (pw_fm, sob_fm):
+        image = transform(sample(fm.grid, lambda t: np.cos(t)), fm)
+        calls = [
+            (lambda: fm.evaluate([[0.1, 0.2]]), (1, 2)),
+            (lambda: fm.evaluate(np.zeros((2, 2, 1))), (2, 2, 1)),
+            (lambda: fm.feature([0.1, 0.2]), (1, 2)),
+            (lambda: build_span_basis(fm, [(0.1,), (0.2,)]), (2, 1)),
+            (lambda: image.at_many([(0.1,), (0.2,)]), (2, 1)),
+        ]
+        for call, shape in calls:
+            assert _message(call) == f"a point set has at most one axis, not shape {shape}"
+    assert _message(lambda: sob.kernel_section_slope([[0.1]], sob_fm.grid)) == (
+        "a point set has at most one axis, not shape (1, 1)"
+    )
+    cube = np.full((2, 1, 2), 0.5)
+    assert sob.kernel(cube, cube).shape == sob_fm.closed_kernel(cube, cube).shape == (2, 1, 2)
+    assert pw.kernel(cube, cube).shape == pw_fm.closed_kernel(cube, cube).shape == (2, 1, 2)
+
+
+def test_a_complex_point_of_a_sobolev_space_is_refused_with_one_message():
+    pw, sob, pw_fm, sob_fm = _maps()
+    for call in (
+        lambda: sob.kernel(0.5j, 0.2),
+        lambda: sob.kernel(np.array([0.1, 0.2 + 0j]), 0.2),
+        lambda: sob_fm.closed_kernel(0.2, [0.1, 1j]),
+        lambda: sob_fm.evaluate([0.1, 0.2 + 0.1j]),
+        lambda: sob_fm.feature(0.3 + 0j),
+        lambda: sob.kernel_section_slope(1j, sob_fm.grid),
+        lambda: sob.feature_map([0.5j]),
+    ):
+        assert _message(call) == "points must be real"

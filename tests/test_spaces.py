@@ -177,6 +177,16 @@ def test_points_outside_interval_rejected():
         s.kernel(0.5, 1.5)
 
 
+def test_constructor_stores_the_counts_build_grid_validated():
+    # a float count is refused with build_grid's one-line message, a numpy
+    # count is stored as int, and the Gauss order is the grid's
+    with pytest.raises(ValueError, match="^panels and nodes_per_panel must be positive integers$"):
+        SobolevSpace(make_interval(-1.0, 1.0), 0.0, panels=32.0)
+    s = SobolevSpace(make_interval(-1.0, 1.0), 0.0, panels=np.int64(8), nodes_per_panel=np.int64(4))
+    assert type(s.panels) is int and s.panels == 8
+    assert type(s.nodes_per_panel) is int and s.nodes_per_panel == s.grid.nodes_per_panel == 4
+
+
 # ---------------------------------------------------------- paley-wiener
 
 
