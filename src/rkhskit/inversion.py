@@ -36,7 +36,7 @@ from .numerics import (
     cumulative_integral,
     inner_weighted_matrix,
 )
-from .spaces import PaleyWienerSpace, sinc_gram
+from .spaces import PaleyWienerSpace, _point_set, sinc_gram
 from .transforms import (
     FeatureMap,
     SpanBasis,
@@ -243,9 +243,11 @@ def restriction_isometry_check(
     inner product: window L2 pairings of kernel sections reproduce kernel
     values, and the Gram norm of a span combination matches its window L2
     norm.  Both come from one :func:`~rkhskit.spaces.sinc_gram` matrix;
-    discrepancies carry the O(1/radius) truncation tail.
+    discrepancies carry the O(1/radius) truncation tail.  Probes are read
+    as :func:`~rkhskit.spaces.sinc_gram` reads its points, before the
+    coefficients.
     """
-    pts = np.asarray(probes, dtype=float)
+    pts = _point_set(probes)
     if not pts.size:
         raise ValueError("need at least one probe point")
     cs = np.asarray(coeffs, dtype=complex)

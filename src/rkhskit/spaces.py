@@ -22,6 +22,7 @@ from .numerics import (
     Interval,
     QuadGrid,
     _gauss_panel_blocks,
+    _gauss_rule,
     build_grid,
     cumulative_integral,
     derivative_values,
@@ -328,10 +329,60 @@ def sinc_ratio(a: float, u) -> np.ndarray:
     return out if arr.ndim else float(out)
 
 
+def _point_set(points) -> np.ndarray:
+    """points as a float array of one axis; a scalar, more axes or a complex
+    point is refused with ``ValueError``."""
+    x = np.asarray(points)
+    if x.ndim != 1:
+        raise ValueError(f"a point set has exactly one axis, not shape {x.shape}")
+    if np.iscomplexobj(x):
+        raise ValueError("points must be real")
+    return x.astype(float)
+
+
+def _panel_phases(a: float, h: float) -> Callable:
+    """A function from the nodes t of whole ``_OSC_ORDER``-node Gauss panels
+    of nominal width h, at most ``_SINC_BLOCK`` of them, to sin(a t) and
+    cos(a t), written into buffers made once (each call overwrites the last).
+
+    Node j of a panel lies off_j = h (u_j - u_0) past its first node t_0 (u
+    the unit Gauss rule): one (panels x 2) @ (2 x 32) product turns
+    [sin, cos](a t_0) into [sin, cos](a (t_0 + off_j)), and a first-order
+    term in delta = a ((t - t_0) - off_j), both differences exact, adds the
+    panel's true width and node positions.
+    """
+    u = _gauss_rule(_OSC_ORDER)[3]
+    off = h * (u - u[0])
+    cos_off, sin_off = np.cos(a * off), np.sin(a * off)
+    # the (2 x 32) turn, its sine and cosine halves stacked to write two tables
+    turn = np.array([[cos_off, sin_off], [-sin_off, cos_off]])
+    rows = _SINC_BLOCK // _OSC_ORDER
+    first, tables = np.empty((rows, 2)), np.empty((2, rows, _OSC_ORDER))
+    delta, scratch = np.empty((rows, _OSC_ORDER)), np.empty((rows, _OSC_ORDER))
+
+    def phases(t: np.ndarray) -> tuple:
+        n = t.size // _OSC_ORDER
+        tp = t.reshape(n, _OSC_ORDER)
+        a_t0 = a * tp[:, 0]
+        np.sin(a_t0, out=first[:n, 0])
+        np.cos(a_t0, out=first[:n, 1])
+        s, c = np.matmul(first[:n], turn, out=tables[:, :n])
+        d = np.subtract(tp, tp[:, :1], out=delta[:n])
+        d -= off
+        d *= a
+        x = np.multiply(d, s, out=scratch[:n])
+        s += np.multiply(d, c, out=d)
+        c -= x
+        return s.ravel(), c.ravel()
+
+    return phases
+
+
 @np.errstate(divide="ignore", invalid="ignore")  # set once per call, not once per block
 def sinc_gram(a: float, points: Sequence[float], radius: float) -> np.ndarray:
     """Entry (i, j) is the integral over (-radius, radius) of s_i s_j, with
-    s_i(t) = sin(a(t - x_i)) / (t - x_i) the sine-quotient sections.
+    s_i(t) = sin(a(t - x_i)) / (t - x_i) the sine-quotient sections, for a
+    set of real points x of one axis.
 
     The integrand is entire, so one grid without breakpoints serves every
     pair: 16-node Gauss panels, each spanning 2 pi of the integrand's top
@@ -346,8 +397,16 @@ def sinc_gram(a: float, points: Sequence[float], radius: float) -> np.ndarray:
     made.
 
     Numerators come from sin(a(t - x)) = sin(at) cos(ax) - cos(at) sin(ax),
-    so sines and cosines are taken once per node and once per point, and an
-    entry costs two products, two subtractions and a division.  Nodes within
+    and an entry costs two products, two subtractions and a division.
+    Sines and cosines are taken once per point and once per panel, at its
+    first node t_0: the panel's other nodes turn that phase by a fixed
+    table and add a first-order term in the in-panel remainder delta
+    (:func:`_panel_phases`).  Rounding a t_0 moves a phase by half an ulp
+    of a t_0, as rounding a t did when each node took its own sine; the
+    turn and the delta term add a few eps.  The dropped delta^2 / 2 is
+    below 4e-19: |delta| <= 4 eps a radius (the panels' rounded widths
+    and node positions), and the node cap keeps a radius <= 9.8e5 (at most
+    624 999 panels, about 2 a radius / pi of them).  Nodes within
     ``_SINC_BAND / a`` of a point, a closed band that the sorted nodes give
     as one index range, go through :func:`sinc_ratio` instead: the band
     holds the removable singularity, any node equal to the point, and the
@@ -355,18 +414,19 @@ def sinc_gram(a: float, points: Sequence[float], radius: float) -> np.ndarray:
     every entry (the tests' oracle) the matrix stays within
     2 eps (1 + a max|x_i|) max|P|, and against it on 8-node panels of a
     quarter of the width within 16 eps max|P| at the suite geometries.
-    Raises ``ValueError`` where a x_i is not finite.
+    Raises ``ValueError`` for points that are not a real set of one axis,
+    and where a x_i is not finite.
     """
     if not (math.isfinite(a) and a > 0):
         raise ValueError("half-width a must be positive and finite")
-    pts = np.asarray(points, dtype=float)
+    pts = _point_set(points)
     window = truncate_line(radius)
-    blocks = _gauss_panel_blocks(
-        window, _oscillation_panels(window, 2.0 * a, minimum=16), _OSC_ORDER, _SINC_BLOCK // _OSC_ORDER
-    )
+    panels = _oscillation_panels(window, 2.0 * a, minimum=16)
+    blocks = _gauss_panel_blocks(window, panels, _OSC_ORDER, _SINC_BLOCK // _OSC_ORDER)
     ax = _scaled(a, pts)
     sin_x, cos_x = np.sin(ax)[:, None], np.cos(ax)[:, None]
     band_lo, band_hi = pts - _SINC_BAND / a, pts + _SINC_BAND / a
+    phases = _panel_phases(a, window.length / panels)
     P = np.zeros((pts.size, pts.size))
     # two (points x block) buffers, reused by every block: the sections S
     # and a scratch T
@@ -374,9 +434,9 @@ def sinc_gram(a: float, points: Sequence[float], radius: float) -> np.ndarray:
     for t, w in blocks:
         S = buf_s[: pts.size * t.size].reshape(pts.size, t.size)
         T = buf_t[: pts.size * t.size].reshape(pts.size, t.size)
-        at = a * t
-        np.multiply(np.sin(at), cos_x, out=S)
-        S -= np.multiply(np.cos(at), sin_x, out=T)
+        sin_at, cos_at = phases(t)
+        np.multiply(sin_at, cos_x, out=S)
+        S -= np.multiply(cos_at, sin_x, out=T)
         S /= np.subtract(t, pts[:, None], out=T)  # band entries may divide by zero; overwritten below
         b0 = np.searchsorted(t, band_lo, side="left")
         b1 = np.searchsorted(t, band_hi, side="right")

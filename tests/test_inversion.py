@@ -200,6 +200,22 @@ def test_restriction_isometry_validates_inputs():
         inv.restriction_isometry_check(pw, [0.0, 1.0], 100.0, [1.0])
 
 
+@pytest.mark.parametrize(
+    "probes, message",
+    [
+        (0.5, "a point set has exactly one axis, not shape ()"),
+        ([[0.0, 1.0]], "a point set has exactly one axis, not shape (1, 2)"),
+        ([0.0, 1j], "points must be real"),
+    ],
+    ids=["scalar", "row", "complex"],
+)
+def test_restriction_isometry_reads_its_probes_as_sinc_gram_does(probes, message):
+    # the probes are read before the coefficients, whose length is wrong here
+    with pytest.raises(ValueError) as err:
+        inv.restriction_isometry_check(PaleyWienerSpace(1.0), probes, 100.0, [1.0, 0.5, 0.25])
+    assert str(err.value) == message
+
+
 def _assert_batch_matches_points(recover, ts):
     # an array of points and the list of the same points are both a batch
     got = recover(ts)

@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 
 from rkhskit import spaces
 from rkhskit.numerics import (
+    NODE_CAP,
     HVector,
+    _gauss_panels,
+    _gauss_rule,
     build_grid,
     inner_weighted,
     inner_weighted_matrix,
@@ -509,6 +512,117 @@ def test_sinc_gram_streams_the_window_grid_bit_for_bit(a, points):
     assert {t.size for t, _ in blocks[:-1]} == {_SINC_BLOCK}
     assert np.concatenate([t for t, _ in blocks]).tobytes() == g.nodes.tobytes()
     assert np.concatenate([w for _, w in blocks]).tobytes() == g.weights.tobytes()
+
+
+def _window_blocks(a, radius):
+    # the blocks sinc_gram integrates over and the nominal width of their panels
+    window = truncate_line(radius)
+    panels = spaces._oscillation_panels(window, 2.0 * a, 16)
+    blocks = spaces._gauss_panel_blocks(window, panels, spaces._OSC_ORDER, _SINC_BLOCK // spaces._OSC_ORDER)
+    return blocks, window.length / panels
+
+
+def _assert_phases_within_the_error_model(a, t, h, samples):
+    """The panel phases at the nodes t of whole panels of nominal width h.
+
+    Each phase is that of its panel's first node t_0, rounded once, plus
+    the exact a (t - t_0): against sin and cos of that phase in mpmath
+    (t_0's rounding taken as it fell) the tables keep within 4 eps (turn,
+    delta term and libm; measured 1.5); with a t_0's rounding of at most
+    half an ulp, within that plus 4 eps of sin(a t) itself.  np.sin(a * t)
+    rounds a t instead, so against it the gap is within half an ulp of
+    a t_0 and of a t plus 4 eps (measured 1).
+    """
+    sin_at, cos_at = spaces._panel_phases(a, h)(t)
+    t0 = np.repeat(t[:: spaces._OSC_ORDER], spaces._OSC_ORDER)
+    eps = np.finfo(float).eps
+    rounded = 0.5 * np.spacing(np.abs(a * t0))
+    bound = rounded + 0.5 * np.spacing(np.abs(a * t)) + 4 * eps
+    assert np.all(np.abs(sin_at - np.sin(a * t)) <= bound)
+    assert np.all(np.abs(cos_at - np.cos(a * t)) <= bound)
+    with mpmath.workdps(50):
+        for k in np.random.default_rng(7).choice(t.size, samples, replace=False):
+            exact = mpmath.mpf(a) * mpmath.mpf(float(t[k]))
+            turned = mpmath.mpf(float(a * t0[k])) + mpmath.mpf(a) * (mpmath.mpf(float(t[k])) - float(t0[k]))
+            for got, f in ((sin_at[k], mpmath.sin), (cos_at[k], mpmath.cos)):
+                assert abs(got - f(turned)) <= 4 * eps
+                assert abs(got - f(exact)) <= rounded[k] + 4 * eps
+
+
+@pytest.mark.parametrize("a", sorted({a for a, _ in SUITE_SINC_GEOMETRIES}))
+def test_panel_phases_at_suite_geometries(a):
+    # the phases depend on a and the window alone: every node of the suites'
+    # radius 1e4 windows against numpy, 16 a block against mpmath
+    blocks, h = _window_blocks(a, 1e4)
+    for t, _ in blocks:
+        _assert_phases_within_the_error_model(a, t, h, 16)
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0, 7.0])
+@pytest.mark.parametrize("side", ["lo", "hi"])
+def test_panel_phases_on_the_window_edge_at_the_node_cap(a, side):
+    # the widest window under the node cap, 624 999 panels, where a radius
+    # is 9.8e5: one block of its first or last 512 panels, built alone
+    # from the window's panel edges
+    panels = NODE_CAP // spaces._OSC_ORDER - 1
+    radius = panels * math.pi / (2.0 * a) * (1.0 - 1e-12)
+    window = truncate_line(radius)
+    assert spaces._oscillation_panels(window, 2.0 * a, 16) == panels
+    block = _SINC_BLOCK // spaces._OSC_ORDER
+    edges = np.linspace(window.lo, window.hi, panels + 1)
+    t, _ = _gauss_panels(edges[:block + 1] if side == "lo" else edges[-block - 1 :], spaces._OSC_ORDER)
+    h = window.length / panels
+    _assert_phases_within_the_error_model(a, t, h, 256)
+    # the delta left to first order: |delta| <= 4 eps a radius (rounded
+    # panel widths and node positions; measured 0.8), so delta^2 / 2 <= 4e-19
+    tp = t.reshape(-1, spaces._OSC_ORDER)
+    u = _gauss_rule(spaces._OSC_ORDER)[3]
+    delta = a * ((tp - tp[:, :1]) - h * (u - u[0]))
+    assert np.max(np.abs(delta)) <= 4 * np.finfo(float).eps * a * radius
+    assert (4 * np.finfo(float).eps * a * radius) ** 2 / 2 <= 4e-19
+
+
+def test_sinc_gram_takes_one_sine_and_cosine_per_panel(monkeypatch):
+    # a work gate with no timer: the three suite matrices at radius 1e4 pass
+    # np.sin and np.cos 2 (panels + 16 + points) elements, once per panel,
+    # fixed offset and point, and the band entries sinc_ratio takes: 51 126
+    # in all, where one per node took 815 040
+    seen, total = [], 0
+    for name in ("sin", "cos"):
+        trig = getattr(np, name)
+
+        def counting(x, *args, trig=trig, **kwargs):
+            seen.append(np.size(x))
+            return trig(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, counting)
+    for a, points in SUITE_SINC_GEOMETRIES:
+        window = truncate_line(1e4)
+        panels = spaces._oscillation_panels(window, 2.0 * a, 16)
+        nodes = _sinc_window_grid(a, 1e4).nodes
+        band = sum(int(np.sum(np.abs(nodes - x) <= _SINC_BAND / a)) for x in points)
+        seen.clear()
+        sinc_gram(a, points, 1e4)
+        assert sum(seen) <= 2 * (panels + spaces._OSC_ORDER + len(points)) + band
+        total += sum(seen)
+    assert total <= 51_200
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        (0.5, "a point set has exactly one axis, not shape ()"),
+        ([[0.0, 1.0]], "a point set has exactly one axis, not shape (1, 2)"),
+        (np.zeros((2, 1)), "a point set has exactly one axis, not shape (2, 1)"),
+        ([0.0, 1j], "points must be real"),
+        (np.array([0.5 + 0j]), "points must be real"),
+    ],
+    ids=["scalar", "row", "column", "complex", "complex-dtype"],
+)
+def test_sinc_gram_reads_its_points_as_one_real_axis(points, message):
+    with pytest.raises(ValueError) as err:
+        sinc_gram(1.0, points, 100.0)
+    assert str(err.value) == message
 
 
 def _stored_grid_refusal(a, points, radius):
